@@ -51,8 +51,6 @@ from .encoder import (
 )
 from .errors import Pseudo3dError
 from .fusion import (
-    ALL_STRATEGIES,
-    BenchResult,
     FusionParams,
     Strategy,
     fuse,
@@ -60,7 +58,6 @@ from .fusion import (
     fuse_concat,
     fuse_cross_attention,
     fuse_self_attention,
-    fusion_bench,
     init_fusion_params,
     multi_head_attention,
 )
@@ -79,8 +76,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Action",
-    "ALL_STRATEGIES",
-    "BenchResult",
     "CameraIntrinsics",
     "ContinuityStats",
     "CoordinateMap",
@@ -108,7 +103,6 @@ __all__ = [
     "fuse_concat",
     "fuse_cross_attention",
     "fuse_self_attention",
-    "fusion_bench",
     "init_fusion_params",
     "init_params",
     "invert",

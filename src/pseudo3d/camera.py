@@ -72,7 +72,7 @@ def project(points: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
     if pts.ndim < 1 or pts.shape[-1] != 3:
         raise ValueError(f"points must have a trailing axis of 3, got {pts.shape}")
     z = pts[..., 2]
-    bad = np.flatnonzero(z <= 0.0)
+    bad = np.flatnonzero(~(z > 0.0))  # NaN fails z > 0 too
     if bad.size:
         raise NonPositiveDepthError(
             f"projection requires Z > 0; {bad.size} point(s) violate this",

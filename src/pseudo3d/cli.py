@@ -1,13 +1,11 @@
 """Command-line entry point.
 
-Three subcommands:
+Two subcommands:
 
-* ``gen-cloud``  -- depth file -> normalize -> invert -> back-project ->
+* ``gen-cloud`` -- depth file -> normalize -> invert -> back-project ->
   binary PLY, with a key=value summary on stdout.
-* ``verify``     -- run the seeded property suite; exit 2 when any
+* ``verify``    -- run the seeded property suite; exit 2 when any
   property fails.
-* ``fuse-bench`` -- time the fusion strategies on seeded random inputs
-  and fingerprint their outputs.
 
 Exit codes: 0 success, 1 input or configuration error, 2 property
 failure.  Diagnostics go to stderr and name the failing stage.  The
@@ -22,14 +20,11 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .cloud import cloud_from_depth, local_continuity
 from .camera import load_intrinsics
 from .depth import DepthKind, pipeline_relative_to_dr, reciprocal_depth
 from .depth_io import load_depth_map
 from .errors import Pseudo3dError
-from .fusion import ALL_STRATEGIES, Strategy, fusion_bench
 from .ply import export_ply
 from .verification import ALL_PROPS, render_report, render_report_json, run_properties
 
@@ -40,7 +35,7 @@ def _diag(command: str, stage: str, message: str) -> None:
     print(f"{command}: stage={stage}: {message}", file=sys.stderr)
 
 
-def _resolve_seed(command: str, flag_value: int | None) -> int:
+def _resolve_seed(flag_value: int | None) -> int:
     if flag_value is not None:
         return flag_value
     env = os.environ.get(ENV_SEED)
@@ -130,7 +125,7 @@ def cmd_gen_cloud(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     command = "verify"
     try:
-        seed = _resolve_seed(command, args.seed)
+        seed = _resolve_seed(args.seed)
         names = _split_tokens(args.props) if args.props else list(ALL_PROPS)
         results = run_properties(names, seed, break_shift=args.break_shift)
     except (ValueError, Pseudo3dError) as exc:
@@ -141,83 +136,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(render_report(results, seed))
     return 0 if all(r.passed for r in results) else 2
-
-
-# ---------------------------------------------------------------------------
-# fuse-bench
-
-_STRATEGY_BY_NAME = {s.value: s for s in ALL_STRATEGIES}
-
-
-def _parse_shape(text: str) -> tuple[int, int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 3:
-        raise ValueError(f"shape must look like HxWxC, got {text!r}")
-    try:
-        h, w, c = (int(p) for p in parts)
-    except ValueError:
-        raise ValueError(f"shape must be three integers, got {text!r}") from None
-    if h < 1 or w < 1 or c < 1:
-        raise ValueError(f"shape dimensions must be positive, got {text!r}")
-    return h, w, c
-
-
-def cmd_fuse_bench(args: argparse.Namespace) -> int:
-    command = "fuse-bench"
-    try:
-        seed = _resolve_seed(command, args.seed)
-        h, w, c = _parse_shape(args.shape)
-        if args.fusion:
-            tokens = _split_tokens(args.fusion)
-            unknown = [t for t in tokens if t not in _STRATEGY_BY_NAME]
-            if unknown:
-                raise ValueError(
-                    f"unknown fusion strategies: {', '.join(unknown)}; "
-                    f"expected from {', '.join(_STRATEGY_BY_NAME)}"
-                )
-            wanted = {_STRATEGY_BY_NAME[t] for t in tokens}
-            strategies = tuple(s for s in ALL_STRATEGIES if s in wanted)
-        else:
-            strategies = ALL_STRATEGIES
-        if args.reps < 0:
-            raise ValueError(f"--reps must be >= 0, got {args.reps}")
-        needs_heads = {Strategy.CROSS_ATTENTION, Strategy.SELF_ATTENTION} & set(strategies)
-        if needs_heads and c % args.heads != 0:
-            raise ValueError(
-                f"channel count {c} must be divisible by --heads {args.heads} "
-                "for the attention strategies"
-            )
-        results = fusion_bench(h, w, c, strategies=strategies, reps=args.reps,
-                               seed=seed, heads=args.heads)
-    except (ValueError, Pseudo3dError) as exc:
-        _diag(command, "config", str(exc))
-        return 1
-
-    if args.json:
-        payload = {
-            "seed": seed,
-            "shape": [h, w, c],
-            "results": [
-                {
-                    "strategy": r.strategy.value,
-                    "checksum": r.checksum,
-                    "reps": len(r.timings_s),
-                    "timings_ms": [t * 1e3 for t in r.timings_s],
-                }
-                for r in results
-            ],
-        }
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(f"seed={seed} shape={h}x{w}x{c}")
-        for r in results:
-            line = f"strategy={r.strategy.value} checksum={r.checksum} reps={len(r.timings_s)}"
-            if r.timings_s:
-                ms = np.array(r.timings_s) * 1e3
-                line += (f" mean_ms={ms.mean():.3f} min_ms={ms.min():.3f}"
-                         f" max_ms={ms.max():.3f}")
-            print(line)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -265,20 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="inject a shift-after-normalize fault (negative control)")
     ver.add_argument("--json", action="store_true", help="JSON report")
     ver.set_defaults(func=cmd_verify)
-
-    bench = sub.add_parser("fuse-bench", help="time the fusion strategies")
-    bench.add_argument("--shape", required=True, metavar="HxWxC",
-                       help="feature-map shape, e.g. 16x16x8")
-    bench.add_argument("--fusion", nargs="+", metavar="NAME",
-                       help="subset of strategies (add, concat, xattn, sattn)")
-    bench.add_argument("--reps", type=int, default=3,
-                       help="timing repetitions per strategy (default 3)")
-    bench.add_argument("--seed", type=int, default=None,
-                       help=f"seed (default: ${ENV_SEED} or 0)")
-    bench.add_argument("--heads", type=int, default=4,
-                       help="attention heads; must divide C (default 4)")
-    bench.add_argument("--json", action="store_true", help="JSON report")
-    bench.set_defaults(func=cmd_fuse_bench)
     return parser
 
 

@@ -16,7 +16,7 @@ the estimator's unknown shift changes between frames.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,16 +53,10 @@ def _as_depth_array(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DepthMap:
-    """An (H, W) float64 grid of depth-like values plus its semantic kind.
-
-    ``from_negative_scale`` records that a simulated disparity was produced
-    with scale < 0 (values then *decrease* with true disparity); it is
-    metadata only and does not change any arithmetic.
-    """
+    """An (H, W) float64 grid of depth-like values plus its semantic kind."""
 
     values: np.ndarray
     kind: DepthKind
-    from_negative_scale: bool = field(default=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _as_depth_array(self.values))
@@ -78,7 +72,7 @@ def normalize(depth: DepthMap) -> DepthMap:
     """Min-max rescale a predicted relative depth map to [0, 1].
 
     Raises :class:`DegenerateDepthError` when the grid is constant, since
-    (d - min) / (max - min) is then 0/0.
+    (d - min) / (max - min) is then 0/0, and when max - min overflows float64.
     """
     if depth.kind is not DepthKind.PREDICTED_RELATIVE:
         raise WrongKindError(
@@ -91,9 +85,14 @@ def normalize(depth: DepthMap) -> DepthMap:
         raise DegenerateDepthError(
             f"degenerate depth map: constant value {float(d_min)!r}, cannot normalize"
         )
-    out = (d - d_min) / (d_max - d_min)
-    return DepthMap(out, DepthKind.NORMALIZED,
-                    from_negative_scale=depth.from_negative_scale)
+    span = float(d_max) - float(d_min)  # Python floats overflow to inf silently
+    if not np.isfinite(span):
+        raise DegenerateDepthError(
+            f"depth range [{float(d_min)!r}, {float(d_max)!r}] overflows float64, "
+            "cannot normalize"
+        )
+    out = (d - d_min) / span
+    return DepthMap(out, DepthKind.NORMALIZED)
 
 
 def invert(depth: DepthMap) -> DepthMap:
@@ -102,8 +101,7 @@ def invert(depth: DepthMap) -> DepthMap:
         raise WrongKindError(
             f"invert expects NORMALIZED input, got {depth.kind.name}"
         )
-    return DepthMap(1.0 - depth.values, DepthKind.INVERTED,
-                    from_negative_scale=depth.from_negative_scale)
+    return DepthMap(1.0 - depth.values, DepthKind.INVERTED)
 
 
 def pipeline_relative_to_dr(depth: DepthMap) -> DepthMap:
@@ -128,8 +126,7 @@ def disparity_from_metric(metric: DepthMap, scale: float, shift: float) -> Depth
     if np.any(z <= 0.0):
         raise InvalidDepthError("metric depth must be strictly positive")
     pred = scale * (1.0 / z) + shift
-    return DepthMap(pred, DepthKind.PREDICTED_RELATIVE,
-                    from_negative_scale=scale < 0.0)
+    return DepthMap(pred, DepthKind.PREDICTED_RELATIVE)
 
 
 def reciprocal_depth(depth: DepthMap) -> DepthMap:
@@ -147,5 +144,4 @@ def reciprocal_depth(depth: DepthMap) -> DepthMap:
         raise InvalidDepthError(
             "naive reciprocal requires strictly positive predictions"
         )
-    return DepthMap(1.0 / d, DepthKind.INVERTED,
-                    from_negative_scale=depth.from_negative_scale)
+    return DepthMap(1.0 / d, DepthKind.INVERTED)

@@ -12,7 +12,7 @@ class NonFiniteInputError(Pseudo3dError):
 
 
 class DegenerateDepthError(Pseudo3dError):
-    """Constant depth map: min == max, normalization is undefined."""
+    """Depth range is zero or overflows float64: normalization is undefined."""
 
 
 class WrongKindError(Pseudo3dError):
@@ -95,3 +95,7 @@ class EmptyDatasetError(Pseudo3dError):
 
 class DepthFileError(Pseudo3dError):
     """Depth map file could not be parsed; carries the path."""
+
+
+class ActionsFileError(Pseudo3dError):
+    """Actions CSV could not be read or parsed; carries the path."""

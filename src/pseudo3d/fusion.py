@@ -19,9 +19,7 @@ Attention is scaled dot-product, implemented directly in numpy.
 from __future__ import annotations
 
 import enum
-import hashlib
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -254,50 +252,3 @@ def fuse(f2d: np.ndarray, f3d: np.ndarray, params: FusionParams) -> np.ndarray:
         return fuse_cross_attention(f2d, f3d, params)
     return fuse_self_attention(f2d, f3d, params)
 
-
-ALL_STRATEGIES = (
-    Strategy.ADD,
-    Strategy.CONCAT,
-    Strategy.CROSS_ATTENTION,
-    Strategy.SELF_ATTENTION,
-)
-
-
-@dataclass(frozen=True)
-class BenchResult:
-    strategy: Strategy
-    checksum: str
-    timings_s: tuple[float, ...] = field(default=())
-
-
-def fusion_bench(
-    height: int,
-    width: int,
-    channels: int,
-    strategies: tuple[Strategy, ...] = ALL_STRATEGIES,
-    reps: int = 3,
-    seed: int = 0,
-    heads: int = 1,
-) -> list[BenchResult]:
-    """Time each strategy on seeded random inputs and fingerprint outputs.
-
-    The inputs derive from ``seed`` and ``seed + 1``, the parameters from
-    ``seed + 2``, so checksums are reproducible for a given seed.  With
-    ``reps=0`` the outputs are still computed once for their checksums
-    and the timing list stays empty.
-    """
-    f2d = np.random.default_rng(seed).standard_normal((height, width, channels))
-    f3d = np.random.default_rng(seed + 1).standard_normal((height, width, channels))
-    results = []
-    for strategy in strategies:
-        params = init_fusion_params(strategy, channels, seed=seed + 2, heads=heads)
-        out = fuse(f2d, f3d, params)
-        checksum = hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest()
-        timings = []
-        for _ in range(reps):
-            start = time.perf_counter()
-            fuse(f2d, f3d, params)
-            timings.append(time.perf_counter() - start)
-        results.append(BenchResult(strategy=strategy, checksum=checksum,
-                                   timings_s=tuple(timings)))
-    return results

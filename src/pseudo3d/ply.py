@@ -103,8 +103,10 @@ def read_ply(path: str) -> PlyContents:
                 except ValueError:
                     pass  # unrelated comment that merely starts with "grid"
         elif parts[0] == "element":
-            if parts[1] != "vertex" or n_vertices is not None:
+            if parts[1:2] != ["vertex"] or n_vertices is not None:
                 raise CloudIoError(f"{path}: only a single vertex element is supported")
+            if len(parts) != 3 or not parts[2].isdigit():
+                raise CloudIoError(f"{path}: bad vertex count in {line!r}")
             n_vertices = int(parts[2])
         elif parts[0] == "property":
             if n_vertices is None:

@@ -20,7 +20,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import EmptyDatasetError, NonFiniteInputError, ShapeMismatchError
+from .errors import ActionsFileError, EmptyDatasetError, NonFiniteInputError, ShapeMismatchError
 
 BCE_EPS = 1e-7
 _UNIT_TOL = 1e-6
@@ -134,22 +134,25 @@ def read_actions_csv(path: str) -> list[Action]:
     target files are row-aligned by convention.
     """
     actions: list[Action] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ActionsFileError(f"{path}: cannot read: {exc}") from exc
     for i, row in enumerate(rows):
         if len(row) != 8:
-            raise ValueError(f"{path}: row {i + 1} has {len(row)} columns, expected 8")
+            raise ActionsFileError(f"{path}: row {i + 1} has {len(row)} columns, expected 8")
         try:
             values = [float(cell) for cell in row]
         except ValueError:
             if i == 0:
                 continue  # header row
-            raise ValueError(f"{path}: row {i + 1} is not numeric: {row}") from None
+            raise ActionsFileError(f"{path}: row {i + 1} is not numeric: {row}") from None
         actions.append(Action(xyz=np.array(values[0:3]),
                               quat=np.array(values[3:7]),
                               open_prob=values[7]))
     if not actions:
-        raise ValueError(f"{path}: no action rows found")
+        raise ActionsFileError(f"{path}: no action rows found")
     return actions
 
 

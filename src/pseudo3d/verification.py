@@ -22,7 +22,6 @@ from .cloud import PseudoPointCloud, synth_random, synth_wedge
 from .depth import disparity_from_metric, normalize, pipeline_relative_to_dr, reciprocal_depth
 from .encoder import EncoderParams, encode, encode_backward, init_params
 from .fusion import (
-    ALL_STRATEGIES,
     FusionParams,
     Strategy,
     fuse,
@@ -95,14 +94,14 @@ SHIFT_RATIO_MIN = 1e-3
 SHIFT_PIPELINE_TOL = 1e-9
 
 
-def check_shift(seed: int, break_shift: bool = False) -> PropertyResult:
+def check_shift(seed: int) -> PropertyResult:
     """A depth-ramp scene exposes the flaw in inverting predictions directly.
 
     Adding a shift to the predicted disparity bends the naive-reciprocal
     cloud (adjacent-step distance ratios change measurably) while the
     normalize-then-invert pipeline is unaffected.
     """
-    del seed, break_shift  # closed-form scene; nothing random to seed
+    del seed  # closed-form scene; nothing random to seed
     wedge = synth_wedge(6, 8, 2.0, 6.0)
     intr = estimate_intrinsics_from_fov(8, 6, 60.0)
     pred0 = disparity_from_metric(wedge, 1.0, 0.0)
@@ -142,9 +141,8 @@ ROUNDTRIP_PAIRS = 100
 ROUNDTRIP_TOL = 1e-9
 
 
-def check_roundtrip(seed: int, break_shift: bool = False) -> PropertyResult:
+def check_roundtrip(seed: int) -> PropertyResult:
     """project(backproject(d)) must return every pixel to itself."""
-    del break_shift
     rng = np.random.default_rng(seed)
     max_dev = 0.0
     for _ in range(ROUNDTRIP_PAIRS):
@@ -184,9 +182,8 @@ SCALE_TOL = 1e-12
 GRID_TOL = 1e-9
 
 
-def check_scale(seed: int, break_shift: bool = False) -> PropertyResult:
+def check_scale(seed: int) -> PropertyResult:
     """backproject(a*d) == a*backproject(d), and the grid stays aligned."""
-    del break_shift
     rng = np.random.default_rng(seed)
     scene = synth_random(12, 9, rng)
     intr = estimate_intrinsics_from_fov(9, 12, 70.0)
@@ -227,14 +224,13 @@ GRADCHECK_MIN_COORDS = 100
 _GRADCHECK_ZERO = 1e-7
 
 
-def check_gradcheck(seed: int, break_shift: bool = False) -> PropertyResult:
+def check_gradcheck(seed: int) -> PropertyResult:
     """Analytic encoder gradients vs central finite differences.
 
     Scalar objective: sum(encode(x) * R) for a fixed random R, so the
     upstream gradient is exactly R.  Coordinates are sampled from the
     input and from every parameter tensor.
     """
-    del break_shift
     rng = np.random.default_rng(seed)
     params = init_params(out_channels=8, seed=seed + 1)
     x = rng.standard_normal((3, 8, 8))
@@ -341,8 +337,7 @@ def _layer_norm_oracle(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_fusion(seed: int, break_shift: bool = False) -> PropertyResult:
-    del break_shift
+def check_fusion(seed: int) -> PropertyResult:
     rng = np.random.default_rng(seed)
     h, w, c, heads = 2, 3, 4, 2
     f2d = rng.standard_normal((h, w, c))
@@ -385,7 +380,7 @@ def check_fusion(seed: int, break_shift: bool = False) -> PropertyResult:
 
     # every strategy preserves the feature-map shape
     shapes_ok = True
-    for strategy in ALL_STRATEGIES:
+    for strategy in Strategy:
         p = init_fusion_params(strategy, c, seed=seed + 3, heads=heads)
         if fuse(f2d, f3d, p).shape != (h, w, c):
             shapes_ok = False
@@ -448,8 +443,7 @@ def _loss_oracle(trajectories: list[Trajectory]) -> float:
     return total / count
 
 
-def check_loss(seed: int, break_shift: bool = False) -> PropertyResult:
-    del break_shift
+def check_loss(seed: int) -> PropertyResult:
     rng = np.random.default_rng(seed)
     max_dev = 0.0
     for _ in range(LOSS_DATASETS):
@@ -493,8 +487,7 @@ def check_loss(seed: int, break_shift: bool = False) -> PropertyResult:
 # file format round trips
 
 
-def check_files(seed: int, break_shift: bool = False) -> PropertyResult:
-    del break_shift
+def check_files(seed: int) -> PropertyResult:
     rng = np.random.default_rng(seed)
     with tempfile.TemporaryDirectory() as tmp:
         # PLY round trip is float32-exact, colors and grid tag included
@@ -591,10 +584,10 @@ def render_report_json(results: list[PropertyResult], seed: int) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def check_determinism(seed: int, break_shift: bool = False) -> PropertyResult:
+def check_determinism(seed: int) -> PropertyResult:
     """Running every core check twice must render byte-identical reports."""
-    first = [_CHECKS[name](seed, break_shift) for name in CORE_PROPS]
-    second = [_CHECKS[name](seed, break_shift) for name in CORE_PROPS]
+    first = [_CHECKS[name](seed) for name in CORE_PROPS]
+    second = [_CHECKS[name](seed) for name in CORE_PROPS]
     text_same = render_report(first, seed) == render_report(second, seed)
     json_same = render_report_json(first, seed) == render_report_json(second, seed)
     return PropertyResult(
@@ -613,8 +606,12 @@ def run_properties(
     seed: int,
     break_shift: bool = False,
 ) -> list[PropertyResult]:
-    """Run the named checks in canonical order and return their results."""
+    """Run the named checks in canonical order and return their results.
+
+    ``break_shift`` reaches only the ``affine`` check, its negative control.
+    """
     checks = dict(_CHECKS)
+    checks["affine"] = lambda s: check_affine(s, break_shift)
     checks["determinism"] = check_determinism
     unknown = [n for n in names if n not in checks]
     if unknown:
@@ -622,4 +619,4 @@ def run_properties(
             f"unknown properties: {', '.join(unknown)}; expected from {', '.join(ALL_PROPS)}"
         )
     ordered = [n for n in ALL_PROPS if n in set(names)]
-    return [checks[name](seed, break_shift) for name in ordered]
+    return [checks[name](seed) for name in ordered]

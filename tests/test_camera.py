@@ -103,6 +103,13 @@ class TestProject:
             project(pts, intr)
         assert exc_info.value.indices == (1, 2)
 
+    def test_rejects_nan_z_with_index(self):
+        intr = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0)
+        pts = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, np.nan]])
+        with pytest.raises(NonPositiveDepthError) as exc_info:
+            project(pts, intr)
+        assert exc_info.value.indices == (1,)
+
     def test_rejects_bad_trailing_axis(self):
         intr = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0)
         with pytest.raises(ValueError):

@@ -87,6 +87,18 @@ class TestGenCloud:
         assert "degenerate depth" in proc.stderr
         assert "stage=normalize" in proc.stderr
 
+    def test_overflowing_depth_range_fails_in_normalize_stage(
+        self, tmp_path, fov_intrinsics
+    ):
+        wide = tmp_path / "wide.csv"
+        write_csv(str(wide), np.array([[-1e308, 1e308]]))
+        proc = run_cli("gen-cloud", "--depth", str(wide), "--format", "csv",
+                       "--intrinsics", fov_intrinsics, "--out", str(tmp_path / "o.ply"))
+        assert proc.returncode == 1
+        assert "overflows float64" in proc.stderr
+        assert "stage=normalize" in proc.stderr
+        assert "Warning" not in proc.stderr
+
     def test_missing_depth_file_names_read_stage(self, tmp_path, fov_intrinsics):
         proc = run_cli("gen-cloud", "--depth", str(tmp_path / "absent.csv"),
                        "--format", "csv", "--intrinsics", fov_intrinsics,
@@ -124,6 +136,16 @@ class TestGenCloud:
         assert proc.returncode == 1
 
 
+class TestParser:
+    def test_fuse_bench_is_not_a_subcommand(self):
+        proc = run_cli("fuse-bench", "--shape", "4x4x4")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage: pseudo3d")
+        assert "invalid choice" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 class TestVerify:
     def test_default_run_passes(self):
         proc = run_cli("verify", "--seed", "0")
@@ -155,6 +177,15 @@ class TestVerify:
         assert "prop=affine status=fail" in proc.stdout
         assert proc.stdout.count("status=fail") == 1
 
+        plain = run_cli("verify", "--seed", "0")
+
+        def other_props(stdout):
+            return [l for l in stdout.splitlines()
+                    if l.startswith("prop=") and not l.startswith("prop=affine ")]
+
+        assert len(other_props(plain.stdout)) == 8
+        assert other_props(proc.stdout) == other_props(plain.stdout)
+
     def test_reports_byte_identical_across_runs(self):
         a = run_cli("verify", "--seed", "33")
         b = run_cli("verify", "--seed", "33")
@@ -183,63 +214,3 @@ class TestVerify:
         proc = run_cli("verify", "--props", "files", env=env)
         assert proc.returncode == 1
         assert "PSEUDO3D_SEED" in proc.stderr
-
-
-class TestFuseBench:
-    def test_fixed_strategy_order(self):
-        proc = run_cli("fuse-bench", "--shape", "6x5x8", "--reps", "1", "--seed", "2")
-        assert proc.returncode == 0
-        names = [l.split()[0] for l in proc.stdout.splitlines() if l.startswith("strategy=")]
-        assert names == ["strategy=add", "strategy=concat",
-                         "strategy=xattn", "strategy=sattn"]
-
-    def test_fusion_filter(self):
-        proc = run_cli("fuse-bench", "--shape", "4x4x4", "--fusion", "add",
-                       "--reps", "0", "--seed", "1")
-        lines = [l for l in proc.stdout.splitlines() if l.startswith("strategy=")]
-        assert len(lines) == 1
-        assert lines[0].startswith("strategy=add")
-
-    def test_identical_seeds_identical_checksums(self):
-        a = run_cli("fuse-bench", "--shape", "5x6x4", "--reps", "0", "--seed", "9")
-        b = run_cli("fuse-bench", "--shape", "5x6x4", "--reps", "0", "--seed", "9")
-
-        def checksums(stdout):
-            return [f.split("=")[1] for l in stdout.splitlines()
-                    for f in l.split() if f.startswith("checksum=")]
-
-        assert checksums(a.stdout) == checksums(b.stdout)
-        assert len(checksums(a.stdout)) == 4
-
-    def test_zero_reps_omits_timings(self):
-        proc = run_cli("fuse-bench", "--shape", "4x4x4", "--reps", "0", "--seed", "1")
-        assert "mean_ms" not in proc.stdout
-        assert "reps=0" in proc.stdout
-
-    def test_json_report(self):
-        proc = run_cli("fuse-bench", "--shape", "4x4x8", "--reps", "2",
-                       "--seed", "3", "--json")
-        payload = json.loads(proc.stdout)
-        assert payload["shape"] == [4, 4, 8]
-        assert len(payload["results"]) == 4
-        assert all(len(r["timings_ms"]) == 2 for r in payload["results"])
-
-    def test_malformed_shape_is_input_error(self):
-        proc = run_cli("fuse-bench", "--shape", "16x16")
-        assert proc.returncode == 1
-        assert "HxWxC" in proc.stderr
-
-    def test_indivisible_heads_is_input_error(self):
-        proc = run_cli("fuse-bench", "--shape", "4x4x6", "--heads", "4")
-        assert proc.returncode == 1
-        assert "divisible" in proc.stderr
-
-    def test_heads_not_required_for_pointwise_strategies(self):
-        proc = run_cli("fuse-bench", "--shape", "4x4x6", "--heads", "4",
-                       "--fusion", "add,concat", "--reps", "0")
-        assert proc.returncode == 0
-
-    def test_env_seed(self):
-        env = {**os.environ, "PSEUDO3D_SEED": "77"}
-        proc = run_cli("fuse-bench", "--shape", "4x4x4", "--reps", "0", env=env)
-        assert proc.stdout.startswith("seed=77 ")

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -237,3 +238,15 @@ class TestPly:
     def test_read_missing_file(self, tmp_path):
         with pytest.raises(CloudIoError, match="cannot read"):
             read_ply(str(tmp_path / "absent.ply"))
+
+    @pytest.mark.parametrize("element_line", [
+        b"element", b"element vertex", b"element vertex abc",
+        b"element vertex 1e3", b"element vertex -2",
+    ], ids=["bare", "no-count", "word", "exponent", "negative"])
+    def test_bad_vertex_element_names_path(self, tmp_path, element_line):
+        path = tmp_path / "bad.ply"
+        path.write_bytes(b"ply\nformat binary_little_endian 1.0\n" + element_line + b"\n"
+                         b"property float x\nproperty float y\nproperty float z\n"
+                         b"end_header\n")
+        with pytest.raises(CloudIoError, match=re.escape(str(path))):
+            read_ply(str(path))

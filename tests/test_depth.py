@@ -85,6 +85,17 @@ class TestNormalize:
         with pytest.raises(DegenerateDepthError, match="degenerate depth"):
             normalize(relative(np.full((3, 3), 2.5)))
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_range_is_degenerate(self):
+        with pytest.raises(DegenerateDepthError, match="overflows float64"):
+            normalize(relative([[-1e308, 1e308]]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_widest_finite_range_keeps_arithmetic(self):
+        d = np.array([[-8e307, 0.0, 8e307]])
+        out = normalize(relative(d))
+        assert_array_equal(out.values, (d - d.min()) / (d.max() - d.min()))
+
     def test_rejects_wrong_kind(self):
         metric = DepthMap(np.ones((2, 2)) * 3, DepthKind.METRIC)
         with pytest.raises(WrongKindError):
@@ -135,11 +146,6 @@ class TestDisparityFromMetric:
         out = disparity_from_metric(metric, 3.0, -0.25)
         assert_array_equal(out.values, 3.0 * (1.0 / z) - 0.25)
         assert out.kind is DepthKind.PREDICTED_RELATIVE
-        assert not out.from_negative_scale
-
-    def test_negative_scale_sets_flag(self):
-        metric = DepthMap([[1.0, 2.0]], DepthKind.METRIC)
-        assert disparity_from_metric(metric, -1.0, 0.0).from_negative_scale
 
     def test_zero_scale_rejected(self):
         metric = DepthMap([[1.0, 2.0]], DepthKind.METRIC)

@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from pseudo3d.errors import BadHeadCountError, ShapeMismatchError, WrongStrategyError
 from pseudo3d.fusion import (
-    ALL_STRATEGIES,
     FusionParams,
     Strategy,
     fuse,
@@ -12,7 +11,6 @@ from pseudo3d.fusion import (
     fuse_concat,
     fuse_cross_attention,
     fuse_self_attention,
-    fusion_bench,
     init_fusion_params,
     layer_norm,
     multi_head_attention,
@@ -233,7 +231,7 @@ class TestMultiHead:
 class TestDispatchAndShapes:
     def test_every_strategy_preserves_shape(self):
         a, b = random_pair(h=3, w=5, c=4, seed=32)
-        for strategy in ALL_STRATEGIES:
+        for strategy in Strategy:
             params = init_fusion_params(strategy, 4, seed=33, heads=2)
             assert fuse(a, b, params).shape == (3, 5, 4)
 
@@ -243,28 +241,3 @@ class TestDispatchAndShapes:
         assert_array_equal(p1.wq, p2.wq)
         assert_array_equal(p1.w_ff1, p2.w_ff1)
         assert_array_equal(p1.b_ff1, 0.0)
-
-
-class TestBench:
-    def test_fixed_strategy_order(self):
-        results = fusion_bench(4, 4, 4, reps=0, seed=1, heads=2)
-        assert [r.strategy for r in results] == list(ALL_STRATEGIES)
-
-    def test_checksums_reproducible(self):
-        a = fusion_bench(4, 5, 4, reps=0, seed=42, heads=2)
-        b = fusion_bench(4, 5, 4, reps=1, seed=42, heads=2)
-        assert [r.checksum for r in a] == [r.checksum for r in b]
-
-    def test_checksums_depend_on_seed(self):
-        a = fusion_bench(4, 4, 4, reps=0, seed=1, heads=2)
-        b = fusion_bench(4, 4, 4, reps=0, seed=2, heads=2)
-        assert a[0].checksum != b[0].checksum
-
-    def test_zero_reps_keeps_timings_empty(self):
-        results = fusion_bench(4, 4, 4, reps=0, seed=1, heads=2)
-        assert all(r.timings_s == () for r in results)
-
-    def test_reps_counted(self):
-        results = fusion_bench(4, 4, 4, strategies=(Strategy.ADD,), reps=5, seed=1)
-        assert len(results) == 1
-        assert len(results[0].timings_s) == 5

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pseudo3d.errors import EmptyDatasetError, NonFiniteInputError, ShapeMismatchError
+from pseudo3d.errors import (
+    ActionsFileError,
+    EmptyDatasetError,
+    NonFiniteInputError,
+    ShapeMismatchError,
+)
 from pseudo3d.policy_loss import (
     Action,
     BCE_EPS,
@@ -208,20 +213,26 @@ class TestCsvActions:
     def test_wrong_column_count(self, tmp_path):
         path = tmp_path / "acts.csv"
         path.write_text("1,2,3\n")
-        with pytest.raises(ValueError, match="columns"):
+        with pytest.raises(ActionsFileError, match="columns"):
             read_actions_csv(str(path))
 
     def test_non_numeric_mid_file(self, tmp_path):
         path = tmp_path / "acts.csv"
         path.write_text("1,2,3,1,0,0,0,1\nx,y,z,qw,qx,qy,qz,open\n")
-        with pytest.raises(ValueError, match="not numeric"):
+        with pytest.raises(ActionsFileError, match="not numeric"):
             read_actions_csv(str(path))
 
     def test_header_only_rejected(self, tmp_path):
         path = tmp_path / "acts.csv"
         path.write_text("x,y,z,qw,qx,qy,qz,open\n")
-        with pytest.raises(ValueError, match="no action rows"):
+        with pytest.raises(ActionsFileError, match="no action rows"):
             read_actions_csv(str(path))
+
+    def test_missing_file_names_path(self, tmp_path):
+        path = str(tmp_path / "absent.csv")
+        with pytest.raises(ActionsFileError, match="cannot read") as exc_info:
+            read_actions_csv(path)
+        assert path in str(exc_info.value)
 
     def test_row_aligned_files_zip_into_trajectory(self, tmp_path):
         pred_path = tmp_path / "pred.csv"
