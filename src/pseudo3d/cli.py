@@ -7,10 +7,10 @@ Two subcommands:
 * ``verify``    -- run the seeded property suite; exit 2 when any
   property fails.
 
-Exit codes: 0 success, 1 input or configuration error, 2 property
-failure.  Diagnostics go to stderr and name the failing stage.  The
-``PSEUDO3D_SEED`` environment variable supplies the default seed; an
-explicit ``--seed`` wins over it.
+Exit codes: 0 success, 1 input or configuration error (or a closed
+stdout), 2 property failure.  Diagnostics go to stderr and name the
+failing stage.  The ``PSEUDO3D_SEED`` environment variable supplies the
+default seed; an explicit ``--seed`` wins over it.
 """
 
 from __future__ import annotations
@@ -188,7 +188,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout is gone; send the rest to devnull so the
+        # flush at interpreter exit does not raise a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .cloud import CoordinateMap
 from .errors import BadChannelsError, ParamsIoError, ShapeMismatchError, TooSmallError
@@ -101,19 +102,21 @@ def _as_planar(grid: CoordinateMap | np.ndarray) -> np.ndarray:
     return arr
 
 
-def _conv_s2p1(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """3x3 stride-2 pad-1 convolution; x (Ci, H, W) -> (Co, ceil(H/2), ceil(W/2))."""
+def _columns(x: np.ndarray) -> np.ndarray:
+    """im2col: (Ci, H, W) -> (Ci*9, Ho*Wo), rows ordered like ``w.reshape(Co, -1)``."""
     ci, h, wd = x.shape
-    ho = (h - 1) // STRIDE + 1
-    wo = (wd - 1) // STRIDE + 1
     xp = np.zeros((ci, h + 2 * PAD, wd + 2 * PAD), dtype=np.float64)
     xp[:, PAD:PAD + h, PAD:PAD + wd] = x
-    out = np.zeros((w.shape[0], ho, wo), dtype=np.float64)
-    for k in range(KERNEL):
-        for l in range(KERNEL):
-            patch = xp[:, k:k + 2 * ho - 1:STRIDE, l:l + 2 * wo - 1:STRIDE]
-            out += np.einsum("oi,ihw->ohw", w[:, :, k, l], patch)
-    return out + b[:, np.newaxis, np.newaxis]
+    windows = sliding_window_view(xp, (KERNEL, KERNEL), axis=(1, 2))[:, ::STRIDE, ::STRIDE]
+    return windows.transpose(0, 3, 4, 1, 2).reshape(ci * KERNEL * KERNEL, -1)
+
+
+def _conv_s2p1(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """3x3 stride-2 pad-1 convolution; x (Ci, H, W) -> (Co, ceil(H/2), ceil(W/2))."""
+    _, h, wd = x.shape
+    out = w.reshape(w.shape[0], -1) @ _columns(x)
+    out += b[:, np.newaxis]
+    return out.reshape(w.shape[0], (h - 1) // STRIDE + 1, (wd - 1) // STRIDE + 1)
 
 
 def _conv_s2p1_backward(
@@ -121,28 +124,23 @@ def _conv_s2p1_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of the stride-2 conv: returns (dx, dw, db) for upstream g."""
     ci, h, wd = x.shape
-    _, ho, wo = g.shape
-    xp = np.zeros((ci, h + 2 * PAD, wd + 2 * PAD), dtype=np.float64)
-    xp[:, PAD:PAD + h, PAD:PAD + wd] = x
-    dw = np.zeros_like(w)
-    dxp = np.zeros_like(xp)
+    co, ho, wo = g.shape
+    g = g.reshape(co, ho * wo)
+    dw = (g @ _columns(x).T).reshape(w.shape)
+    # col2im one tap at a time, so no (Ci*9, Ho*Wo) gradient buffer exists
+    dxp = np.zeros((ci, h + 2 * PAD, wd + 2 * PAD), dtype=np.float64)
     for k in range(KERNEL):
         for l in range(KERNEL):
-            patch = xp[:, k:k + 2 * ho - 1:STRIDE, l:l + 2 * wo - 1:STRIDE]
-            dw[:, :, k, l] = np.einsum("ohw,ihw->oi", g, patch)
-            dxp[:, k:k + 2 * ho - 1:STRIDE, l:l + 2 * wo - 1:STRIDE] += np.einsum(
-                "oi,ohw->ihw", w[:, :, k, l], g
-            )
-    db = g.sum(axis=(1, 2))
-    dx = dxp[:, PAD:PAD + h, PAD:PAD + wd]
-    return dx, dw, db
+            tap = (w[:, :, k, l].T @ g).reshape(ci, ho, wo)
+            dxp[:, k:k + 2 * ho - 1:STRIDE, l:l + 2 * wo - 1:STRIDE] += tap
+    return dxp[:, PAD:PAD + h, PAD:PAD + wd], dw, g.sum(axis=1)
 
 
 def encode(grid: CoordinateMap | np.ndarray, params: EncoderParams) -> np.ndarray:
     """Run the encoder; returns a channels-last (H', W', C) feature map."""
     x = _as_planar(grid)
-    z1 = _conv_s2p1(x, params.w1, params.b1)
-    a1 = np.maximum(z1, 0.0)
+    a1 = _conv_s2p1(x, params.w1, params.b1)
+    np.maximum(a1, 0.0, out=a1)
     z2 = _conv_s2p1(a1, params.w2, params.b2)
     return np.ascontiguousarray(z2.transpose(1, 2, 0))
 
@@ -172,7 +170,7 @@ def encode_backward(
 ) -> EncoderGradients:
     """Backpropagate ``grad_out`` (channels-last, matching :func:`encode`).
 
-    Recomputes the forward pass internally, so callers never manage
+    Recomputes the hidden layer from ``grid``, so callers never manage
     intermediate activations.
     """
     x = _as_planar(grid)
@@ -182,12 +180,13 @@ def encode_backward(
         raise ShapeMismatchError(
             f"grad_out shape {g.shape} does not match encoder output {expected}"
         )
-    z1 = _conv_s2p1(x, params.w1, params.b1)
-    a1 = np.maximum(z1, 0.0)
+    a1 = _conv_s2p1(x, params.w1, params.b1)
+    np.maximum(a1, 0.0, out=a1)
     g2 = np.ascontiguousarray(g.transpose(2, 0, 1))
     da1, dw2, db2 = _conv_s2p1_backward(a1, params.w2, g2)
-    dz1 = da1 * (z1 > 0.0)
-    dx, dw1, db1 = _conv_s2p1_backward(x, params.w1, dz1)
+    da1 *= a1 > 0.0  # a1 > 0 exactly where z1 > 0
+    del a1, g2  # not alive beside the first layer's columns
+    dx, dw1, db1 = _conv_s2p1_backward(x, params.w1, da1)
     return EncoderGradients(dx=dx, dw1=dw1, db1=db1, dw2=dw2, db2=db2)
 
 

@@ -148,6 +148,8 @@ def read_actions_csv(path: str) -> list[Action]:
             if i == 0:
                 continue  # header row
             raise ActionsFileError(f"{path}: row {i + 1} is not numeric: {row}") from None
+        if not all(math.isfinite(v) for v in values):
+            raise ActionsFileError(f"{path}: row {i + 1} is not finite: {row}")
         actions.append(Action(xyz=np.array(values[0:3]),
                               quat=np.array(values[3:7]),
                               open_prob=values[7]))

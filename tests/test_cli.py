@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -144,6 +146,34 @@ class TestParser:
         assert proc.stderr.startswith("usage: pseudo3d")
         assert "invalid choice" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+class TestClosedStdout:
+    # unbuffered, the write in the command fails; buffered, the flush after it
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    @pytest.mark.parametrize("command", ["verify", "gen-cloud"])
+    def test_exits_one_without_traceback(
+        self, tmp_path, wedge_csv, fov_intrinsics, command, unbuffered
+    ):
+        argv = {
+            "verify": ["verify", "--seed", "0", "--props", "files"],
+            "gen-cloud": ["gen-cloud", "--depth", wedge_csv, "--format", "csv",
+                          "--intrinsics", fov_intrinsics, "--out", str(tmp_path / "w.ply"),
+                          "--json"],
+        }[command]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to write_end now fails with EPIPE
+        try:
+            proc = subprocess.run([sys.executable, "-m", "pseudo3d", *argv], env=env,
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
 
 
 class TestVerify:

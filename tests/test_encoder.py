@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -51,6 +53,36 @@ def encode_oracle(x, params):
     z1 = conv_oracle(x, params.w1, params.b1)
     z2 = conv_oracle(np.maximum(z1, 0.0), params.w2, params.b2)
     return z2.transpose(1, 2, 0)
+
+
+def conv_oracle_backward(x, w, g):
+    """Adjoint of conv_oracle: each output gradient flows back along its taps."""
+    ci, h, wd = x.shape
+    co, ho, wo = g.shape
+    dx = np.zeros_like(x)
+    dw = np.zeros_like(w)
+    db = np.zeros(co)
+    for o in range(co):
+        for oy in range(ho):
+            for ox in range(wo):
+                db[o] += g[o, oy, ox]
+                for i in range(ci):
+                    for ky in range(3):
+                        for kx in range(3):
+                            sy = 2 * oy + ky - 1
+                            sx = 2 * ox + kx - 1
+                            if 0 <= sy < h and 0 <= sx < wd:
+                                dw[o, i, ky, kx] += g[o, oy, ox] * x[i, sy, sx]
+                                dx[i, sy, sx] += g[o, oy, ox] * w[o, i, ky, kx]
+    return dx, dw, db
+
+
+def encode_backward_oracle(x, params, grad_out):
+    z1 = conv_oracle(x, params.w1, params.b1)
+    da1, dw2, db2 = conv_oracle_backward(np.maximum(z1, 0.0), params.w2,
+                                         grad_out.transpose(2, 0, 1))
+    dx, dw1, db1 = conv_oracle_backward(x, params.w1, da1 * (z1 > 0.0))
+    return {"dx": dx, "dw1": dw1, "db1": db1, "dw2": dw2, "db2": db2}
 
 
 class TestForward:
@@ -132,6 +164,17 @@ class TestBackward:
                 denom = max(abs(an), abs(fd), 1e-8)
                 assert abs(an - fd) / denom < 1e-4, f"{name}{coords}: {an} vs {fd}"
 
+    # odd sides put the last stride-2 tap on the padding
+    @pytest.mark.parametrize("h,w", [(4, 4), (5, 7), (7, 5), (9, 6)])
+    def test_matches_loop_adjoint_oracle(self, h, w):
+        rng = np.random.default_rng(h * 100 + w)
+        params = init_params(out_channels=5, seed=3)
+        x = rng.standard_normal((3, h, w))
+        r = rng.standard_normal(output_shape(h, w, 5))
+        grads = encode_backward(x, params, r)
+        for name, expected in encode_backward_oracle(x, params, r).items():
+            assert_allclose(getattr(grads, name), expected, atol=1e-12, err_msg=name)
+
     def test_bias_gradient_is_upstream_sum(self):
         # db2 never passes through a nonlinearity: it is exactly sum(grad)
         rng = np.random.default_rng(99)
@@ -155,6 +198,27 @@ class TestBackward:
         params = init_params(out_channels=5, seed=1)
         with pytest.raises(ShapeMismatchError):
             encode_backward(np.zeros((3, 8, 8)), params, np.zeros((2, 2, 4)))
+
+
+class TestMemory:
+    def test_peak_is_a_small_multiple_of_the_input(self):
+        """A kept pre-activation, or a (Ci*9, Ho*Wo) column-gradient buffer
+        alive beside the columns, pushes a pass over its bound."""
+        rng = np.random.default_rng(4)
+        params = init_params(out_channels=32, seed=4)
+        x = rng.standard_normal((3, 240, 320))
+        r = rng.standard_normal(output_shape(240, 320, 32))
+        tracemalloc.start()
+        try:
+            encode(x, params)
+            _, encode_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            encode_backward(x, params, r)
+            _, backward_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert encode_peak <= 6 * x.nbytes, encode_peak / x.nbytes
+        assert backward_peak <= 7 * x.nbytes, backward_peak / x.nbytes
 
 
 class TestInit:

@@ -228,6 +228,14 @@ class TestCsvActions:
         with pytest.raises(ActionsFileError, match="no action rows"):
             read_actions_csv(str(path))
 
+    @pytest.mark.parametrize("row", ["1,2,3,1,0,0,0,nan", "1,inf,3,1,0,0,0,1"])
+    def test_non_finite_row_names_path_and_row(self, tmp_path, row):
+        path = tmp_path / "acts.csv"
+        path.write_text("x,y,z,qw,qx,qy,qz,open\n1,2,3,1,0,0,0,1\n" + row + "\n")
+        with pytest.raises(ActionsFileError, match="row 3 is not finite") as exc_info:
+            read_actions_csv(str(path))
+        assert str(path) in str(exc_info.value)
+
     def test_missing_file_names_path(self, tmp_path):
         path = str(tmp_path / "absent.csv")
         with pytest.raises(ActionsFileError, match="cannot read") as exc_info:
