@@ -54,10 +54,6 @@ from .fusion import (
     FusionParams,
     Strategy,
     fuse,
-    fuse_add,
-    fuse_concat,
-    fuse_cross_attention,
-    fuse_self_attention,
     init_fusion_params,
     multi_head_attention,
 )
@@ -99,10 +95,6 @@ __all__ = [
     "estimate_intrinsics_from_fov",
     "export_ply",
     "fuse",
-    "fuse_add",
-    "fuse_concat",
-    "fuse_cross_attention",
-    "fuse_self_attention",
     "init_fusion_params",
     "init_params",
     "invert",

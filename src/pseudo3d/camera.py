@@ -199,7 +199,7 @@ def parse_intrinsics_config(text: str) -> CameraIntrinsics:
         )
     width_f = _number("width")
     height_f = _number("height")
-    if width_f != int(width_f) or height_f != int(height_f):
+    if not all(math.isfinite(v) and v == int(v) for v in (width_f, height_f)):
         raise IntrinsicsConfigError("width and height must be integers")
     fov_y = _number("fov_y_deg") if "fov_y_deg" in entries else None
     try:
@@ -215,6 +215,6 @@ def load_intrinsics(path: str) -> CameraIntrinsics:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IntrinsicsConfigError(f"cannot read {path}: {exc}") from exc
     return parse_intrinsics_config(text)

@@ -60,40 +60,24 @@ def _split_tokens(raw: list[str]) -> list[str]:
 
 
 def cmd_gen_cloud(args: argparse.Namespace) -> int:
-    command = "gen-cloud"
+    stage = "read"
     try:
         depth = load_depth_map(args.depth, args.format, DepthKind.PREDICTED_RELATIVE)
-    except Pseudo3dError as exc:
-        _diag(command, "read", str(exc))
-        return 1
-
-    try:
+        stage = "intrinsics"
         intrinsics = load_intrinsics(args.intrinsics)
-    except Pseudo3dError as exc:
-        _diag(command, "intrinsics", str(exc))
-        return 1
-
-    try:
         if args.naive_reciprocal:
+            stage = "reciprocal"
             d_r = reciprocal_depth(depth)
         else:
+            stage = "normalize"
             d_r = pipeline_relative_to_dr(depth)
-    except Pseudo3dError as exc:
-        stage = "reciprocal" if args.naive_reciprocal else "normalize"
-        _diag(command, stage, str(exc))
-        return 1
-
-    try:
+        stage = "backproject"
         cloud = cloud_from_depth(d_r, intrinsics)
         stats = local_continuity(cloud)
-    except Pseudo3dError as exc:
-        _diag(command, "backproject", str(exc))
-        return 1
-
-    try:
+        stage = "export"
         export_ply(args.out, cloud)
     except Pseudo3dError as exc:
-        _diag(command, "export", str(exc))
+        _diag("gen-cloud", stage, str(exc))
         return 1
 
     h, w = cloud.grid_shape

@@ -137,7 +137,7 @@ def read_csv(path: str) -> np.ndarray:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DepthFileError(f"{path}: cannot read: {exc}") from exc
     if not text.strip():
         raise DepthFileError(f"{path}: empty CSV grid")

@@ -260,9 +260,12 @@ def load_params(path: str) -> EncoderParams:
     for name, count in sizes.items():
         arrays[name] = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
         offset += 8 * count
-    return EncoderParams(
-        w1=arrays["w1"].reshape(HIDDEN_CHANNELS, 3, KERNEL, KERNEL),
-        b1=arrays["b1"],
-        w2=arrays["w2"].reshape(c, HIDDEN_CHANNELS, KERNEL, KERNEL),
-        b2=arrays["b2"],
-    )
+    try:
+        return EncoderParams(
+            w1=arrays["w1"].reshape(HIDDEN_CHANNELS, 3, KERNEL, KERNEL),
+            b1=arrays["b1"],
+            w2=arrays["w2"].reshape(c, HIDDEN_CHANNELS, KERNEL, KERNEL),
+            b2=arrays["b2"],
+        )
+    except ValueError as exc:  # a non-finite weight
+        raise ParamsIoError(f"{path}: {exc}") from exc

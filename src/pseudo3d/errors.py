@@ -73,10 +73,6 @@ class ShapeMismatchError(Pseudo3dError):
     """Tensor shapes incompatible with the requested operation."""
 
 
-class WrongStrategyError(Pseudo3dError):
-    """Fusion parameters built for a different strategy."""
-
-
 class BadHeadCountError(Pseudo3dError):
     """Channel count not divisible by the attention head count."""
 

@@ -1,7 +1,7 @@
 """Fusing a 2-D image feature map with a 3-D coordinate feature map.
 
-All strategies take two (H, W, C) channels-last feature maps and return
-one of the same shape:
+:func:`fuse` takes two (H, W, C) channels-last feature maps and returns
+one of the same shape, by the strategy its parameters were built for:
 
 * ``add``    -- elementwise sum; strictly per-position.
 * ``concat`` -- channel concatenation followed by a learned 1x1
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadHeadCountError, ShapeMismatchError, WrongStrategyError
+from .errors import BadHeadCountError, ShapeMismatchError
 
 LN_EPS = 1e-5
 FFN_EXPANSION = 4
@@ -34,6 +34,22 @@ class Strategy(enum.Enum):
     CONCAT = "concat"
     CROSS_ATTENTION = "xattn"
     SELF_ATTENTION = "sattn"
+
+
+_ATTENTION = (Strategy.CROSS_ATTENTION, Strategy.SELF_ATTENTION)
+
+
+def _weight_shapes(strategy: Strategy, c: int) -> dict[str, tuple[int, ...]]:
+    """The arrays ``strategy`` needs at C channels, in initialization order."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    if strategy is Strategy.CONCAT:
+        shapes.update(proj_weight=(c, 2 * c), proj_bias=(c,))
+    if strategy in _ATTENTION:
+        shapes.update(wq=(c, c), wk=(c, c), wv=(c, c), wo=(c, c))
+    if strategy is Strategy.SELF_ATTENTION:
+        hidden = FFN_EXPANSION * c
+        shapes.update(w_ff1=(hidden, c), b_ff1=(hidden,), w_ff2=(c, hidden), b_ff2=(c,))
+    return shapes
 
 
 def _check_weight(name: str, arr: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:
@@ -78,26 +94,12 @@ class FusionParams:
             raise ValueError(f"channels must be >= 1, got {c}")
         if self.heads < 1:
             raise BadHeadCountError(f"heads must be >= 1, got {self.heads}")
-        attention = self.strategy in (Strategy.CROSS_ATTENTION, Strategy.SELF_ATTENTION)
-        if attention and c % self.heads != 0:
+        if self.strategy in _ATTENTION and c % self.heads != 0:
             raise BadHeadCountError(
                 f"channels {c} not divisible by heads {self.heads}"
             )
-        if self.strategy is Strategy.CONCAT:
-            object.__setattr__(self, "proj_weight",
-                               _check_weight("proj_weight", self.proj_weight, (c, 2 * c)))
-            object.__setattr__(self, "proj_bias",
-                               _check_weight("proj_bias", self.proj_bias, (c,)))
-        if attention:
-            for name in ("wq", "wk", "wv", "wo"):
-                object.__setattr__(self, name,
-                                   _check_weight(name, getattr(self, name), (c, c)))
-        if self.strategy is Strategy.SELF_ATTENTION:
-            hidden = FFN_EXPANSION * c
-            object.__setattr__(self, "w_ff1", _check_weight("w_ff1", self.w_ff1, (hidden, c)))
-            object.__setattr__(self, "b_ff1", _check_weight("b_ff1", self.b_ff1, (hidden,)))
-            object.__setattr__(self, "w_ff2", _check_weight("w_ff2", self.w_ff2, (c, hidden)))
-            object.__setattr__(self, "b_ff2", _check_weight("b_ff2", self.b_ff2, (c,)))
+        for name, shape in _weight_shapes(self.strategy, c).items():
+            object.__setattr__(self, name, _check_weight(name, getattr(self, name), shape))
 
 
 def init_fusion_params(
@@ -105,48 +107,14 @@ def init_fusion_params(
 ) -> FusionParams:
     """Seeded uniform +-1/sqrt(fan_in) weights, zero biases."""
     rng = np.random.default_rng(seed)
-    c = channels
-
-    def _uniform(rows: int, cols: int) -> np.ndarray:
-        bound = 1.0 / np.sqrt(cols)
-        return rng.uniform(-bound, bound, size=(rows, cols))
-
-    kwargs: dict[str, np.ndarray] = {}
-    if strategy is Strategy.CONCAT:
-        kwargs["proj_weight"] = _uniform(c, 2 * c)
-        kwargs["proj_bias"] = np.zeros(c)
-    if strategy in (Strategy.CROSS_ATTENTION, Strategy.SELF_ATTENTION):
-        for name in ("wq", "wk", "wv", "wo"):
-            kwargs[name] = _uniform(c, c)
-    if strategy is Strategy.SELF_ATTENTION:
-        kwargs["w_ff1"] = _uniform(FFN_EXPANSION * c, c)
-        kwargs["b_ff1"] = np.zeros(FFN_EXPANSION * c)
-        kwargs["w_ff2"] = _uniform(c, FFN_EXPANSION * c)
-        kwargs["b_ff2"] = np.zeros(c)
-    return FusionParams(strategy=strategy, channels=c, heads=heads, **kwargs)
-
-
-def _check_pair(f2d: np.ndarray, f3d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(f2d, dtype=np.float64)
-    b = np.asarray(f3d, dtype=np.float64)
-    if a.ndim != 3:
-        raise ShapeMismatchError(f"feature maps must be (H, W, C), got {a.shape}")
-    if a.shape != b.shape:
-        raise ShapeMismatchError(
-            f"feature maps must match: {a.shape} vs {b.shape}"
-        )
-    return a, b
-
-
-def _require(params: FusionParams, strategy: Strategy, channels: int) -> None:
-    if params.strategy is not strategy:
-        raise WrongStrategyError(
-            f"params built for {params.strategy.value!r}, called as {strategy.value!r}"
-        )
-    if params.channels != channels:
-        raise ShapeMismatchError(
-            f"params expect {params.channels} channels, features have {channels}"
-        )
+    weights: dict[str, np.ndarray] = {}
+    for name, shape in _weight_shapes(strategy, channels).items():
+        if len(shape) == 2:
+            bound = 1.0 / np.sqrt(shape[1])
+            weights[name] = rng.uniform(-bound, bound, size=shape)
+        else:
+            weights[name] = np.zeros(shape)
+    return FusionParams(strategy=strategy, channels=channels, heads=heads, **weights)
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -193,62 +161,38 @@ def multi_head_attention(
     return _merge_heads(attn @ v) @ params.wo.T
 
 
-def fuse_add(f2d: np.ndarray, f3d: np.ndarray) -> np.ndarray:
-    """Elementwise sum of the two feature maps."""
-    a, b = _check_pair(f2d, f3d)
-    return a + b
-
-
-def fuse_concat(f2d: np.ndarray, f3d: np.ndarray, params: FusionParams) -> np.ndarray:
-    """Channel-concatenate, then project 2C -> C with a 1x1 convolution."""
-    a, b = _check_pair(f2d, f3d)
-    _require(params, Strategy.CONCAT, a.shape[2])
-    h, w, c = a.shape
-    cat = np.concatenate([a, b], axis=2).reshape(h * w, 2 * c)
-    out = cat @ params.proj_weight.T + params.proj_bias
-    return out.reshape(h, w, c)
-
-
-def fuse_cross_attention(
-    f2d: np.ndarray, f3d: np.ndarray, params: FusionParams
-) -> np.ndarray:
-    """2-D features query the 3-D features; residual on the 2-D map."""
-    a, b = _check_pair(f2d, f3d)
-    _require(params, Strategy.CROSS_ATTENTION, a.shape[2])
-    h, w, c = a.shape
-    q_seq = a.reshape(h * w, c)
-    kv_seq = b.reshape(h * w, c)
-    out = q_seq + multi_head_attention(q_seq, kv_seq, params)
-    return out.reshape(h, w, c)
-
-
-def fuse_self_attention(
-    f2d: np.ndarray, f3d: np.ndarray, params: FusionParams
-) -> np.ndarray:
-    """One pre-norm self-attention block over the concatenated sequence.
-
-    x = x + MHSA(LN(x)); x = x + FFN(LN(x)).  The 2-D map's positions
-    come first in the sequence and are the positions returned.
-    """
-    a, b = _check_pair(f2d, f3d)
-    _require(params, Strategy.SELF_ATTENTION, a.shape[2])
-    h, w, c = a.shape
-    n = h * w
-    x = np.concatenate([a.reshape(n, c), b.reshape(n, c)], axis=0)
-    normed = layer_norm(x)
-    x = x + multi_head_attention(normed, normed, params)
-    hidden = np.maximum(layer_norm(x) @ params.w_ff1.T + params.b_ff1, 0.0)
-    x = x + (hidden @ params.w_ff2.T + params.b_ff2)
-    return x[:n].reshape(h, w, c)
-
-
 def fuse(f2d: np.ndarray, f3d: np.ndarray, params: FusionParams) -> np.ndarray:
-    """Dispatch to the strategy recorded in ``params``."""
-    if params.strategy is Strategy.ADD:
-        return fuse_add(f2d, f3d)
-    if params.strategy is Strategy.CONCAT:
-        return fuse_concat(f2d, f3d, params)
-    if params.strategy is Strategy.CROSS_ATTENTION:
-        return fuse_cross_attention(f2d, f3d, params)
-    return fuse_self_attention(f2d, f3d, params)
+    """Fuse two (H, W, C) feature maps by the strategy recorded in ``params``.
 
+    sattn: x = x + MHSA(LN(x)); x = x + FFN(LN(x)) over the 2-D positions
+    followed by the 3-D ones; the 2-D positions are returned.
+    """
+    a = np.asarray(f2d, dtype=np.float64)
+    b = np.asarray(f3d, dtype=np.float64)
+    if a.ndim != 3:
+        raise ShapeMismatchError(f"feature maps must be (H, W, C), got {a.shape}")
+    if a.shape != b.shape:
+        raise ShapeMismatchError(
+            f"feature maps must match: {a.shape} vs {b.shape}"
+        )
+    h, w, c = a.shape
+    if params.channels != c:
+        raise ShapeMismatchError(
+            f"params expect {params.channels} channels, features have {c}"
+        )
+    if params.strategy is Strategy.ADD:
+        return a + b
+    n = h * w
+    if params.strategy is Strategy.CONCAT:
+        cat = np.concatenate([a, b], axis=2).reshape(n, 2 * c)
+        out = cat @ params.proj_weight.T + params.proj_bias
+    elif params.strategy is Strategy.CROSS_ATTENTION:
+        q_seq = a.reshape(n, c)
+        out = q_seq + multi_head_attention(q_seq, b.reshape(n, c), params)
+    else:
+        x = np.concatenate([a.reshape(n, c), b.reshape(n, c)], axis=0)
+        normed = layer_norm(x)
+        x = x + multi_head_attention(normed, normed, params)
+        hidden = np.maximum(layer_norm(x) @ params.w_ff1.T + params.b_ff1, 0.0)
+        out = (x + (hidden @ params.w_ff2.T + params.b_ff2))[:n]
+    return out.reshape(h, w, c)

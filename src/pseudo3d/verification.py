@@ -21,16 +21,7 @@ from .camera import CameraIntrinsics, backproject, estimate_intrinsics_from_fov,
 from .cloud import PseudoPointCloud, synth_random, synth_wedge
 from .depth import disparity_from_metric, normalize, pipeline_relative_to_dr, reciprocal_depth
 from .encoder import EncoderParams, encode, encode_backward, init_params
-from .fusion import (
-    FusionParams,
-    Strategy,
-    fuse,
-    fuse_add,
-    fuse_concat,
-    fuse_cross_attention,
-    fuse_self_attention,
-    init_fusion_params,
-)
+from .fusion import FusionParams, Strategy, fuse, init_fusion_params
 from .policy_loss import Action, BCE_EPS, Trajectory, dataset_loss, step_loss
 
 
@@ -348,12 +339,13 @@ def check_fusion(seed: int) -> PropertyResult:
         strategy=Strategy.CONCAT, channels=c,
         proj_weight=np.hstack([np.eye(c), np.eye(c)]), proj_bias=np.zeros(c),
     )
-    concat_dev = float(np.abs(fuse_concat(f2d, f3d, eye_cat) - fuse_add(f2d, f3d)).max())
+    add = FusionParams(strategy=Strategy.ADD, channels=c)
+    concat_dev = float(np.abs(fuse(f2d, f3d, eye_cat) - fuse(f2d, f3d, add)).max())
 
     # addition is strictly per-position
     bumped = f2d.copy()
     bumped[1, 2, 0] += 3.5
-    delta = fuse_add(bumped, f3d) - fuse_add(f2d, f3d)
+    delta = fuse(bumped, f3d, add) - fuse(f2d, f3d, add)
     mask = np.zeros((h, w), dtype=bool)
     mask[1, 2] = True
     locality_ok = bool(np.all(delta[~mask] == 0.0)) and bool(delta[1, 2, 0] != 0.0)
@@ -364,7 +356,7 @@ def check_fusion(seed: int) -> PropertyResult:
     q_seq = f2d.reshape(n, c)
     kv_seq = f3d.reshape(n, c)
     xattn_oracle = (q_seq + _attention_oracle(q_seq, kv_seq, xp)).reshape(h, w, c)
-    xattn_dev = float(np.abs(fuse_cross_attention(f2d, f3d, xp) - xattn_oracle).max())
+    xattn_dev = float(np.abs(fuse(f2d, f3d, xp) - xattn_oracle).max())
 
     sp = init_fusion_params(Strategy.SELF_ATTENTION, c, seed=seed + 2, heads=heads)
     x_seq = np.concatenate([q_seq, kv_seq], axis=0)
@@ -376,7 +368,7 @@ def check_fusion(seed: int) -> PropertyResult:
         hidden = np.maximum(sp.w_ff1 @ n1[i] + sp.b_ff1, 0.0)
         ffn[i] = sp.w_ff2 @ hidden + sp.b_ff2
     sattn_oracle = (x1 + ffn)[:n].reshape(h, w, c)
-    sattn_dev = float(np.abs(fuse_self_attention(f2d, f3d, sp) - sattn_oracle).max())
+    sattn_dev = float(np.abs(fuse(f2d, f3d, sp) - sattn_oracle).max())
 
     # every strategy preserves the feature-map shape
     shapes_ok = True

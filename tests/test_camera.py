@@ -195,6 +195,14 @@ class TestIntrinsicsConfig:
         with pytest.raises(IntrinsicsConfigError, match="integers"):
             parse_intrinsics_config("fov_x_deg = 60\nwidth = 4.5\nheight = 3\n")
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e400"])
+    @pytest.mark.parametrize("key", ["width", "height"])
+    def test_non_finite_size_rejected(self, key, value):
+        sizes = {"width": "4", "height": "3", key: value}
+        text = f"fov_x_deg = 60\nwidth = {sizes['width']}\nheight = {sizes['height']}\n"
+        with pytest.raises(IntrinsicsConfigError, match="integers"):
+            parse_intrinsics_config(text)
+
     def test_empty_config_rejected(self):
         with pytest.raises(IntrinsicsConfigError):
             parse_intrinsics_config("# nothing here\n")
@@ -217,3 +225,9 @@ class TestIntrinsicsConfig:
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(IntrinsicsConfigError, match="cannot read"):
             load_intrinsics(str(tmp_path / "absent.cfg"))
+
+    def test_load_non_utf8_file_names_path(self, tmp_path):
+        path = tmp_path / "utf16.cfg"
+        path.write_bytes(b"\xff\xfefx = 1\n")
+        with pytest.raises(IntrinsicsConfigError, match="utf16.cfg"):
+            load_intrinsics(str(path))

@@ -126,6 +126,32 @@ class TestGenCloud:
         assert proc.returncode == 1
         assert "stage=reciprocal" in proc.stderr
 
+    def test_single_pixel_fails_in_backproject_stage(self, tmp_path, fov_intrinsics):
+        pixel = tmp_path / "pixel.csv"
+        write_csv(str(pixel), np.array([[2.0]]))
+        proc = run_cli("gen-cloud", "--depth", str(pixel), "--format", "csv",
+                       "--intrinsics", fov_intrinsics, "--naive-reciprocal",
+                       "--out", str(tmp_path / "o.ply"))
+        assert proc.returncode == 1
+        assert "stage=backproject" in proc.stderr
+
+    @pytest.mark.parametrize("depth, intrinsics, stage", [
+        (b"1,2\n3,4\n", b"fov_x_deg = 60\nwidth = inf\nheight = 2\n", "intrinsics"),
+        (b"1,2\n3,4\n", b"\xff\xfefov_x_deg = 60\n", "intrinsics"),
+        (b"\xff\xfe1,2\n", b"fov_x_deg = 60\nwidth = 2\nheight = 2\n", "read"),
+    ], ids=["infinite-width", "utf16-intrinsics", "utf16-depth"])
+    def test_bad_input_bytes_name_stage_without_traceback(
+        self, tmp_path, depth, intrinsics, stage
+    ):
+        (tmp_path / "d.csv").write_bytes(depth)
+        (tmp_path / "i.cfg").write_bytes(intrinsics)
+        proc = run_cli("gen-cloud", "--depth", str(tmp_path / "d.csv"), "--format", "csv",
+                       "--intrinsics", str(tmp_path / "i.cfg"), "--out", str(tmp_path / "o.ply"))
+        assert proc.returncode == 1
+        assert f"stage={stage}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+
     def test_unwritable_output_names_export_stage(self, tmp_path, wedge_csv, fov_intrinsics):
         proc = run_cli("gen-cloud", "--depth", wedge_csv, "--format", "csv",
                        "--intrinsics", fov_intrinsics,

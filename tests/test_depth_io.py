@@ -160,6 +160,13 @@ class TestCsv:
             read_csv(str(path))
 
 
+    def test_non_utf8_rejected_with_path(self, tmp_path):
+        path = tmp_path / "utf16.csv"
+        path.write_bytes(b"\xff\xfe1,2\n")
+        with pytest.raises(DepthFileError, match="utf16.csv"):
+            read_csv(str(path))
+
+
 class TestCrossFormat:
     def test_same_ramp_through_all_readers(self, tmp_path):
         """k/16 is exact in every format: CSV text, PFM float32, PGM 256k/4096."""

@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 
 import numpy as np
@@ -308,6 +309,17 @@ class TestSerialization:
         save_params(str(path), params)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ParamsIoError, match="bytes"):
+            load_params(str(path))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_weight_names_path(self, tmp_path, value):
+        params = init_params(out_channels=2, seed=1)
+        path = tmp_path / "bad.penc"
+        save_params(str(path), params)
+        raw = bytearray(path.read_bytes())
+        raw[12:20] = struct.pack("<d", value)  # the first w1 weight, after magic and header
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ParamsIoError, match="bad.penc.*w1"):
             load_params(str(path))
 
     def test_missing_file(self, tmp_path):
