@@ -217,4 +217,7 @@ def load_intrinsics(path: str) -> CameraIntrinsics:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise IntrinsicsConfigError(f"cannot read {path}: {exc}") from exc
-    return parse_intrinsics_config(text)
+    try:
+        return parse_intrinsics_config(text)
+    except IntrinsicsConfigError as exc:
+        raise IntrinsicsConfigError(f"{path}: {exc}") from exc

@@ -11,6 +11,7 @@ differences in the test suite.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -19,6 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .cloud import CoordinateMap
 from .errors import BadChannelsError, ParamsIoError, ShapeMismatchError, TooSmallError
+from .fusion import _check_weight, _init_weights
 
 HIDDEN_CHANNELS = 16
 KERNEL = 3
@@ -28,6 +30,16 @@ MIN_SIDE = 4
 
 _MAGIC = b"PENC"
 _VERSION = 1
+
+
+def _param_shapes(c: int) -> dict[str, tuple[int, ...]]:
+    """The parameter arrays at C output channels, in file and initialization order."""
+    return {
+        "w1": (HIDDEN_CHANNELS, 3, KERNEL, KERNEL),
+        "b1": (HIDDEN_CHANNELS,),
+        "w2": (c, HIDDEN_CHANNELS, KERNEL, KERNEL),
+        "b2": (c,),
+    }
 
 
 @dataclass(frozen=True)
@@ -40,24 +52,9 @@ class EncoderParams:
     b2: np.ndarray  # (C,)
 
     def __post_init__(self) -> None:
-        w1 = np.asarray(self.w1, dtype=np.float64)
-        b1 = np.asarray(self.b1, dtype=np.float64)
-        w2 = np.asarray(self.w2, dtype=np.float64)
-        b2 = np.asarray(self.b2, dtype=np.float64)
-        if w1.shape != (HIDDEN_CHANNELS, 3, KERNEL, KERNEL):
-            raise ShapeMismatchError(f"w1 must be (16, 3, 3, 3), got {w1.shape}")
-        if b1.shape != (HIDDEN_CHANNELS,):
-            raise ShapeMismatchError(f"b1 must be (16,), got {b1.shape}")
-        if w2.ndim != 4 or w2.shape[1:] != (HIDDEN_CHANNELS, KERNEL, KERNEL) or w2.shape[0] < 1:
-            raise ShapeMismatchError(f"w2 must be (C, 16, 3, 3), got {w2.shape}")
-        if b2.shape != (w2.shape[0],):
-            raise ShapeMismatchError(f"b2 must be ({w2.shape[0]},), got {b2.shape}")
-        for name, arr in (("w1", w1), ("b1", b1), ("w2", w2), ("b2", b2)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite values")
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        c = max(np.shape(self.w2)[0], 1) if np.ndim(self.w2) == 4 else 1
+        for name, shape in _param_shapes(c).items():
+            object.__setattr__(self, name, _check_weight(name, getattr(self, name), shape))
 
     @property
     def out_channels(self) -> int:
@@ -65,24 +62,10 @@ class EncoderParams:
 
 
 def init_params(out_channels: int, seed: int) -> EncoderParams:
-    """Seeded initialization: uniform +-1/sqrt(fan_in) weights, zero biases.
-
-    Uses :class:`numpy.random.default_rng` so the same seed yields the
-    same parameters on every platform.
-    """
+    """Seeded initialization: uniform +-1/sqrt(fan_in) weights, zero biases."""
     if out_channels < 1:
         raise ValueError(f"out_channels must be >= 1, got {out_channels}")
-    rng = np.random.default_rng(seed)
-    bound1 = 1.0 / np.sqrt(3 * KERNEL * KERNEL)
-    bound2 = 1.0 / np.sqrt(HIDDEN_CHANNELS * KERNEL * KERNEL)
-    w1 = rng.uniform(-bound1, bound1, size=(HIDDEN_CHANNELS, 3, KERNEL, KERNEL))
-    w2 = rng.uniform(-bound2, bound2, size=(out_channels, HIDDEN_CHANNELS, KERNEL, KERNEL))
-    return EncoderParams(
-        w1=w1,
-        b1=np.zeros(HIDDEN_CHANNELS),
-        w2=w2,
-        b2=np.zeros(out_channels),
-    )
+    return EncoderParams(**_init_weights(_param_shapes(out_channels), seed))
 
 
 def _as_planar(grid: CoordinateMap | np.ndarray) -> np.ndarray:
@@ -223,8 +206,8 @@ def save_params(path: str, params: EncoderParams) -> None:
         with open(path, "wb") as fh:
             fh.write(_MAGIC)
             fh.write(struct.pack("<II", _VERSION, c))
-            for arr in (params.w1, params.b1, params.w2, params.b2):
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            for name in _param_shapes(c):
+                fh.write(np.ascontiguousarray(getattr(params, name), dtype="<f8").tobytes())
     except OSError as exc:
         raise ParamsIoError(f"{path}: cannot write: {exc}") from exc
 
@@ -244,28 +227,19 @@ def load_params(path: str) -> EncoderParams:
         raise ParamsIoError(f"{path}: unsupported version {version}")
     if c < 1:
         raise ParamsIoError(f"{path}: invalid channel count {c}")
-    sizes = {
-        "w1": HIDDEN_CHANNELS * 3 * KERNEL * KERNEL,
-        "b1": HIDDEN_CHANNELS,
-        "w2": c * HIDDEN_CHANNELS * KERNEL * KERNEL,
-        "b2": c,
-    }
-    expected = head + 8 * sum(sizes.values())
+    shapes = _param_shapes(c)
+    expected = head + 8 * sum(math.prod(shape) for shape in shapes.values())
     if len(data) != expected:
         raise ParamsIoError(
             f"{path}: blob is {len(data)} bytes, expected {expected} for C={c}"
         )
     offset = head
     arrays = {}
-    for name, count in sizes.items():
-        arrays[name] = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
+    for name, shape in shapes.items():
+        count = math.prod(shape)
+        arrays[name] = np.frombuffer(data, "<f8", count, offset).reshape(shape)
         offset += 8 * count
     try:
-        return EncoderParams(
-            w1=arrays["w1"].reshape(HIDDEN_CHANNELS, 3, KERNEL, KERNEL),
-            b1=arrays["b1"],
-            w2=arrays["w2"].reshape(c, HIDDEN_CHANNELS, KERNEL, KERNEL),
-            b2=arrays["b2"],
-        )
+        return EncoderParams(**arrays)
     except ValueError as exc:  # a non-finite weight
         raise ParamsIoError(f"{path}: {exc}") from exc

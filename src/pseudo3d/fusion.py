@@ -19,6 +19,7 @@ Attention is scaled dot-product, implemented directly in numpy.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +54,9 @@ def _weight_shapes(strategy: Strategy, c: int) -> dict[str, tuple[int, ...]]:
 
 
 def _check_weight(name: str, arr: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:
+    """A float64, finite, read-only copy of ``arr``, which must have ``shape``."""
     if arr is None:
-        raise ValueError(f"strategy requires {name}")
+        raise ValueError(f"{name} is required")
     out = np.asarray(arr, dtype=np.float64)
     if out.shape != shape:
         raise ShapeMismatchError(f"{name} must have shape {shape}, got {out.shape}")
@@ -63,6 +65,23 @@ def _check_weight(name: str, arr: np.ndarray | None, shape: tuple[int, ...]) -> 
     out = out.copy()
     out.setflags(write=False)
     return out
+
+
+def _init_weights(shapes: dict[str, tuple[int, ...]], seed: int) -> dict[str, np.ndarray]:
+    """Uniform +-1/sqrt(fan_in) weights and zero (1-D) biases, drawn in table order.
+
+    Fan-in is the product of all but the first axis; ``default_rng(seed)``
+    gives the same arrays on every platform.
+    """
+    rng = np.random.default_rng(seed)
+    weights: dict[str, np.ndarray] = {}
+    for name, shape in shapes.items():
+        if len(shape) == 1:
+            weights[name] = np.zeros(shape)
+        else:
+            bound = 1.0 / np.sqrt(math.prod(shape[1:]))
+            weights[name] = rng.uniform(-bound, bound, size=shape)
+    return weights
 
 
 @dataclass(frozen=True)
@@ -106,14 +125,7 @@ def init_fusion_params(
     strategy: Strategy, channels: int, seed: int, heads: int = 1
 ) -> FusionParams:
     """Seeded uniform +-1/sqrt(fan_in) weights, zero biases."""
-    rng = np.random.default_rng(seed)
-    weights: dict[str, np.ndarray] = {}
-    for name, shape in _weight_shapes(strategy, channels).items():
-        if len(shape) == 2:
-            bound = 1.0 / np.sqrt(shape[1])
-            weights[name] = rng.uniform(-bound, bound, size=shape)
-        else:
-            weights[name] = np.zeros(shape)
+    weights = _init_weights(_weight_shapes(strategy, channels), seed)
     return FusionParams(strategy=strategy, channels=channels, heads=heads, **weights)
 
 

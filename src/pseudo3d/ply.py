@@ -119,6 +119,9 @@ def read_ply(path: str) -> PlyContents:
 
     if not fmt_seen or n_vertices is None:
         raise CloudIoError(f"{path}: incomplete PLY header")
+    if grid_shape is not None and (min(grid_shape) < 1
+                                   or grid_shape[0] * grid_shape[1] != n_vertices):
+        raise CloudIoError(f"{path}: grid {grid_shape} does not match {n_vertices} vertices")
     if properties == _XYZ_PROPS:
         fields = _XYZ_FIELDS
         has_colors = False

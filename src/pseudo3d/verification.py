@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -228,38 +228,26 @@ def check_gradcheck(seed: int) -> PropertyResult:
     r = rng.standard_normal(encode(x, params).shape)
     grads = encode_backward(x, params, r)
 
-    tensors = {
-        "x": (x, grads.dx),
-        "w1": (params.w1, grads.dw1),
-        "b1": (params.b1, grads.db1),
-        "w2": (params.w2, grads.dw2),
-        "b2": (params.b2, grads.db2),
-    }
+    base = {"x": x, **{f.name: getattr(params, f.name) for f in fields(params)}}
     plan = {"x": 40, "w1": 25, "b1": 8, "w2": 25, "b2": 8}
 
-    def _loss(x_now: np.ndarray, p_now: dict[str, np.ndarray]) -> float:
-        pp = EncoderParams(w1=p_now["w1"], b1=p_now["b1"],
-                           w2=p_now["w2"], b2=p_now["b2"])
-        return float(np.sum(encode(x_now, pp) * r))
+    def _loss(arrays: dict[str, np.ndarray]) -> float:
+        x_now = arrays.pop("x")
+        return float(np.sum(encode(x_now, EncoderParams(**arrays)) * r))
 
     n_coords = 0
     max_rel = 0.0
     for name, n_samples in plan.items():
-        value, analytic = tensors[name]
-        flat_size = value.size
-        idx = rng.choice(flat_size, size=min(n_samples, flat_size), replace=False)
+        value, analytic = base[name], getattr(grads, "d" + name)
+        idx = rng.choice(value.size, size=min(n_samples, value.size), replace=False)
         for flat in idx:
             coords = np.unravel_index(int(flat), value.shape)
-            base_arrays = {
-                "x": x.copy(), "w1": params.w1.copy(), "b1": params.b1.copy(),
-                "w2": params.w2.copy(), "b2": params.b2.copy(),
-            }
-            target = base_arrays[name]
+            target = value.copy()
             original = target[coords]
             target[coords] = original + GRADCHECK_H
-            plus = _loss(base_arrays["x"], base_arrays)
+            plus = _loss({**base, name: target})
             target[coords] = original - GRADCHECK_H
-            minus = _loss(base_arrays["x"], base_arrays)
+            minus = _loss({**base, name: target})
             fd = (plus - minus) / (2.0 * GRADCHECK_H)
             an = float(analytic[coords])
             scale = max(abs(an), abs(fd))

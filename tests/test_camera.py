@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -163,6 +164,18 @@ class TestIntrinsicsConfig:
         assert_allclose(intr.fx, 100.0, rtol=1e-12)
         assert intr.cx == 99.5
 
+    def test_fov_y_sets_fy(self):
+        intr = parse_intrinsics_config(
+            "fov_x_deg = 90\nfov_y_deg = 60\nwidth = 200\nheight = 100\n"
+        )
+        assert_allclose(intr.fx, 100.0, rtol=1e-12)
+        assert_allclose(intr.fy, 50.0 / math.tan(math.radians(30.0)), rtol=1e-12)
+        assert intr.fy != intr.fx
+
+    def test_fy_equals_fx_without_fov_y(self):
+        intr = parse_intrinsics_config("fov_x_deg = 75\nwidth = 64\nheight = 48\n")
+        assert intr.fy == intr.fx
+
     def test_colon_separator_and_comments(self):
         intr = parse_intrinsics_config(
             "# camera A\nfx: 10\nfy: 11\n\ncx: 1\ncy: 2\n"
@@ -225,6 +238,15 @@ class TestIntrinsicsConfig:
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(IntrinsicsConfigError, match="cannot read"):
             load_intrinsics(str(tmp_path / "absent.cfg"))
+
+    @pytest.mark.parametrize("text", [
+        "\x00x = 1\n", "fx = 1\nwidth = 8\n", "fov_x_deg = 60\nwidth = 4\n", "# empty\n",
+        "fov_x_deg = 200\nwidth = 4\nheight = 3\n",
+    ], ids=["unknown-key", "mixed-modes", "missing-key", "empty", "bad-fov"])
+    def test_parse_errors_name_the_path(self, intrinsics_file, text):
+        path = intrinsics_file(text, name="camera-a.cfg")
+        with pytest.raises(IntrinsicsConfigError, match=re.escape(path)):
+            load_intrinsics(path)
 
     def test_load_non_utf8_file_names_path(self, tmp_path):
         path = tmp_path / "utf16.cfg"

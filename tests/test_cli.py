@@ -114,6 +114,7 @@ class TestGenCloud:
                        "--intrinsics", cfg, "--out", str(tmp_path / "o.ply"))
         assert proc.returncode == 1
         assert "stage=intrinsics" in proc.stderr
+        assert cfg in proc.stderr
 
     def test_nonpositive_input_fails_in_reciprocal_stage(
         self, tmp_path, fov_intrinsics

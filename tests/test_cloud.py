@@ -250,3 +250,25 @@ class TestPly:
                          b"end_header\n")
         with pytest.raises(CloudIoError, match=re.escape(str(path))):
             read_ply(str(path))
+
+    @pytest.mark.parametrize("grid", [b"5 7", b"-1 3", b"0 3", b"3 0", b"-3 -1", b"1 2"])
+    def test_grid_comment_must_match_vertex_count(self, tmp_path, grid):
+        path = _three_vertex_ply(tmp_path, b"comment grid " + grid)
+        with pytest.raises(CloudIoError, match=re.escape(path) + ".*grid"):
+            read_ply(path)
+
+    @pytest.mark.parametrize("comment, grid_shape", [
+        (b"comment grid 3 1", (3, 1)), (b"comment grid 1 3", (1, 3)),
+        (b"comment grid of points", None),
+    ])
+    def test_grid_comment_read_when_consistent(self, tmp_path, comment, grid_shape):
+        assert read_ply(_three_vertex_ply(tmp_path, comment)).grid_shape == grid_shape
+
+
+def _three_vertex_ply(tmp_path, comment):
+    path = tmp_path / "grid.ply"
+    path.write_bytes(b"ply\nformat binary_little_endian 1.0\n" + comment + b"\n"
+                     b"element vertex 3\n"
+                     b"property float x\nproperty float y\nproperty float z\n"
+                     b"end_header\n" + bytes(3 * 12))
+    return str(path)

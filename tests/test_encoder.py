@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import tracemalloc
 
@@ -248,6 +249,57 @@ class TestInit:
     def test_rejects_bad_channel_count(self):
         with pytest.raises(ValueError):
             init_params(out_channels=0, seed=0)
+
+    def test_missing_weight_rejected(self):
+        p = init_params(out_channels=2, seed=0)
+        with pytest.raises(ValueError, match="w1 is required"):
+            EncoderParams(w1=None, b1=p.b1, w2=p.w2, b2=p.b2)
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+# sha256 of each init_params array as little-endian float64 and of the
+# save_params file; fixed so a refactor cannot move the RNG stream or layout
+GOLDEN_SHA256 = {
+    (1, 0): {
+        "w1": "7c5fc5259a3d0c64be4365aa413778bd7806e0ec876d4ac4cd7a63d0d94ea641",
+        "b1": "38723a2e5e8a17aa7950dc008209944e898f69a7bd10a23c839d341e935fd5ca",
+        "w2": "4d0426c74bc74f5cac2dca262150dc271a37f440e50713743c0e45876469f994",
+        "b2": "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+        "file": "88d3e01fedada64f90387dc903c2acd9af81d7a8a705ffd504da704259947f91",
+    },
+    (8, 7): {
+        "w1": "563f74c883ab7fba94c181f160416557d77b4b2e896953f741ef7955e7d5bb90",
+        "b1": "38723a2e5e8a17aa7950dc008209944e898f69a7bd10a23c839d341e935fd5ca",
+        "w2": "f335a6f57ee7b430b7449158c389ecab716106d83292b337990e8f18f763ec89",
+        "b2": "f5a5fd42d16a20302798ef6ed309979b43003d2320d9f0e8ea9831a92759fb4b",
+        "file": "e823bca015db238f046a2c66994553e1e98213f279aec7d6b82569bdf6474863",
+    },
+    (32, 11): {
+        "w1": "86fbdcf26e49248d277c2a6d0cc4c34df28ec9887f7bdf77065fcda087fda4c7",
+        "b1": "38723a2e5e8a17aa7950dc008209944e898f69a7bd10a23c839d341e935fd5ca",
+        "w2": "af21a878865dd6135d370c3c7df8ff4ebbda50fad2b4232940b1ac0b52127ee0",
+        "b2": "5341e6b2646979a70e57653007a1f310169421ec9bdd9f1a5648f75ade005af1",
+        "file": "72d0fa489dc323bf258959b652603c1e2acd3f460ce404d3ba8a3c3ec1ad3399",
+    },
+}
+
+
+class TestGolden:
+    @pytest.mark.parametrize("c, seed", list(GOLDEN_SHA256))
+    def test_init_and_file_bytes_are_pinned(self, tmp_path, c, seed):
+        params = init_params(c, seed)
+        path = tmp_path / "p.penc"
+        save_params(str(path), params)
+        digests = {name: _sha256(np.ascontiguousarray(getattr(params, name), dtype="<f8").tobytes())
+                   for name in ("w1", "b1", "w2", "b2")}
+        digests["file"] = _sha256(path.read_bytes())
+        assert digests == GOLDEN_SHA256[(c, seed)]
+        back = load_params(str(path))
+        for name in ("w1", "b1", "w2", "b2"):
+            assert_array_equal(getattr(back, name), getattr(params, name))
 
 
 class TestNormalizeCoordinateMap:
