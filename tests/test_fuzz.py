@@ -5,15 +5,22 @@ valid object or raise a :class:`Pseudo3dError` subclass whose message names
 the file.  Runs are derandomized so the suite sees the same inputs each time.
 """
 
+import contextlib
+import io
+
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from pseudo3d import cli
 from pseudo3d.camera import CameraIntrinsics, load_intrinsics
 from pseudo3d.cloud import PseudoPointCloud
+from pseudo3d.depth_io import read_csv, read_pfm, read_pgm, write_csv, write_pfm, write_pgm
 from pseudo3d.encoder import EncoderParams, init_params, load_params, save_params
 from pseudo3d.errors import Pseudo3dError
 from pseudo3d.ply import PlyContents, export_ply, read_ply
+from pseudo3d.policy_loss import Action, read_actions_csv
 
 FUZZ = settings(max_examples=200, derandomize=True, database=None, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -107,5 +114,66 @@ def test_intrinsics(tmp_path):
     def run(data):
         out = _check(path, data, load_intrinsics)
         assert out is None or isinstance(out, CameraIntrinsics)
+
+    run()
+
+
+_DEPTH = np.linspace(0.5, 4.0, 12).reshape(3, 4)
+_DEPTH_WRITERS = {
+    "pfm": [lambda p: write_pfm(p, _DEPTH)],
+    "pgm": [lambda p: write_pgm(p, np.arange(12).reshape(3, 4) * 20, maxval=255),
+            lambda p: write_pgm(p, np.arange(12).reshape(3, 4) * 300, maxval=4096)],
+    "csv": [lambda p: write_csv(p, _DEPTH)],
+}
+_DEPTH_READERS = {"pfm": read_pfm, "pgm": read_pgm, "csv": read_csv}
+
+
+@pytest.mark.parametrize("fmt", sorted(_DEPTH_READERS))
+def test_depth_readers(tmp_path, fmt):
+    seeds = _seed_files(tmp_path, f"d.{fmt}", _DEPTH_WRITERS[fmt])
+    path = tmp_path / f"fuzzed.{fmt}"
+
+    @FUZZ
+    @given(mutations(seeds))
+    def run(data):
+        out = _check(path, data, _DEPTH_READERS[fmt])
+        assert out is None or (out.ndim == 2 and out.dtype == np.float64)
+
+    run()
+
+
+def test_actions_csv(tmp_path):
+    seeds = [b"x,y,z,qw,qx,qy,qz,open\n0.1,0.2,0.3,1,0,0,0,1\n-1.5,2,0.25,0,1,0,0,0\n",
+             b"0.5,-0.5,1e-3,0.5,0.5,0.5,0.5,0\r\n\r\n1,2,3,0,0,0,1,1\r\n"]
+    path = tmp_path / "fuzzed-actions.csv"
+
+    @FUZZ
+    @given(mutations(seeds))
+    def run(data):
+        out = _check(path, data, read_actions_csv)
+        assert out is None or all(isinstance(a, Action) for a in out)
+
+    run()
+
+
+@pytest.mark.parametrize("fmt", sorted(_DEPTH_READERS))
+def test_gen_cloud_exits_cleanly(tmp_path, fmt):
+    """The CLI on the same bytes exits 0 or 1 with at most one diagnostic line."""
+    seeds = _seed_files(tmp_path, f"d.{fmt}", _DEPTH_WRITERS[fmt])
+    path = tmp_path / f"fuzzed.{fmt}"
+    intrinsics = tmp_path / "cam.cfg"
+    intrinsics.write_text("fx = 4\nfy = 4\ncx = 1.5\ncy = 1\n")
+    argv = ["gen-cloud", "--depth", str(path), "--format", fmt,
+            "--intrinsics", str(intrinsics), "--out", str(tmp_path / "out.ply")]
+
+    @settings(FUZZ, max_examples=50)
+    @given(mutations(seeds))
+    def run(data):
+        path.write_bytes(data)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 1)
+        assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
 
     run()
