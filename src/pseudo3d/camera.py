@@ -17,6 +17,7 @@ from .errors import (
     InvalidFovError,
     InvalidIntrinsicsError,
     NonPositiveDepthError,
+    reading,
 )
 
 
@@ -212,12 +213,5 @@ def parse_intrinsics_config(text: str) -> CameraIntrinsics:
 
 def load_intrinsics(path: str) -> CameraIntrinsics:
     """Read and parse an intrinsics config file from disk."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IntrinsicsConfigError(f"cannot read {path}: {exc}") from exc
-    try:
+    with reading(path, IntrinsicsConfigError, text=True) as text:
         return parse_intrinsics_config(text)
-    except IntrinsicsConfigError as exc:
-        raise IntrinsicsConfigError(f"{path}: {exc}") from exc

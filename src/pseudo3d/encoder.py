@@ -19,7 +19,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .cloud import CoordinateMap
-from .errors import BadChannelsError, ParamsIoError, ShapeMismatchError, TooSmallError
+from .errors import (BadChannelsError, ParamsIoError, ShapeMismatchError, TooSmallError,
+                     reading, write_output)
 from .fusion import _check_weight, _init_weights
 
 HIDDEN_CHANNELS = 16
@@ -202,44 +203,34 @@ def normalize_coordinate_map(
 def save_params(path: str, params: EncoderParams) -> None:
     """Serialize parameters as a little-endian binary blob."""
     c = params.out_channels
-    try:
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<II", _VERSION, c))
-            for name in _param_shapes(c):
-                fh.write(np.ascontiguousarray(getattr(params, name), dtype="<f8").tobytes())
-    except OSError as exc:
-        raise ParamsIoError(f"{path}: cannot write: {exc}") from exc
+    arrays = (np.ascontiguousarray(getattr(params, name), dtype="<f8") for name in _param_shapes(c))
+    write_output(path, ParamsIoError, _MAGIC, struct.pack("<II", _VERSION, c), *arrays)
 
 
 def load_params(path: str) -> EncoderParams:
     """Inverse of :func:`save_params`; validates magic, version, and size."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise ParamsIoError(f"{path}: cannot read: {exc}") from exc
-    head = len(_MAGIC) + 8
-    if len(data) < head or data[:4] != _MAGIC:
-        raise ParamsIoError(f"{path}: not an encoder parameter file")
-    version, c = struct.unpack("<II", data[4:head])
-    if version != _VERSION:
-        raise ParamsIoError(f"{path}: unsupported version {version}")
-    if c < 1:
-        raise ParamsIoError(f"{path}: invalid channel count {c}")
-    shapes = _param_shapes(c)
-    expected = head + 8 * sum(math.prod(shape) for shape in shapes.values())
-    if len(data) != expected:
-        raise ParamsIoError(
-            f"{path}: blob is {len(data)} bytes, expected {expected} for C={c}"
-        )
-    offset = head
-    arrays = {}
-    for name, shape in shapes.items():
-        count = math.prod(shape)
-        arrays[name] = np.frombuffer(data, "<f8", count, offset).reshape(shape)
-        offset += 8 * count
-    try:
-        return EncoderParams(**arrays)
-    except ValueError as exc:  # a non-finite weight
-        raise ParamsIoError(f"{path}: {exc}") from exc
+    with reading(path, ParamsIoError) as data:
+        head = len(_MAGIC) + 8
+        if len(data) < head or data[:4] != _MAGIC:
+            raise ParamsIoError("not an encoder parameter file")
+        version, c = struct.unpack("<II", data[4:head])
+        if version != _VERSION:
+            raise ParamsIoError(f"unsupported version {version}")
+        if c < 1:
+            raise ParamsIoError(f"invalid channel count {c}")
+        shapes = _param_shapes(c)
+        expected = head + 8 * sum(math.prod(shape) for shape in shapes.values())
+        if len(data) != expected:
+            raise ParamsIoError(
+                f"blob is {len(data)} bytes, expected {expected} for C={c}"
+            )
+        offset = head
+        arrays = {}
+        for name, shape in shapes.items():
+            count = math.prod(shape)
+            arrays[name] = np.frombuffer(data, "<f8", count, offset).reshape(shape)
+            offset += 8 * count
+        try:
+            return EncoderParams(**arrays)
+        except ValueError as exc:  # a non-finite weight
+            raise ParamsIoError(str(exc)) from exc

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all pseudo3d modules."""
+"""Exception hierarchy shared by all pseudo3d modules, and the one file boundary."""
+
+from contextlib import contextmanager
 
 
 class Pseudo3dError(Exception):
@@ -87,7 +89,7 @@ class EmptyDatasetError(Pseudo3dError):
     """Dataset loss requires at least one trajectory."""
 
 
-# --- file readers ---
+# --- the file boundary ---
 
 class DepthFileError(Pseudo3dError):
     """Depth map file could not be parsed; carries the path."""
@@ -95,3 +97,30 @@ class DepthFileError(Pseudo3dError):
 
 class ActionsFileError(Pseudo3dError):
     """Actions CSV could not be read or parsed; carries the path."""
+
+
+@contextmanager
+def reading(path: str, error: type[Pseudo3dError], text: bool = False):
+    """Yield the bytes of ``path``, or with ``text`` its UTF-8 text with universal newlines.
+
+    A failed read, and any ``error`` raised in the block, becomes an ``error``
+    whose message starts with the path.  Other exceptions pass through.
+    """
+    try:
+        with open(path, "r" if text else "rb", encoding="utf-8" if text else None) as fh:
+            data = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"{path}: cannot read: {exc}") from exc
+    try:
+        yield data
+    except error as exc:
+        raise error(f"{path}: {exc}") from exc
+
+
+def write_output(path: str, error: type[Pseudo3dError], *chunks) -> None:
+    """Write ``chunks`` to ``path`` in order; a failure becomes an ``error`` naming the path."""
+    try:
+        with open(path, "wb") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise error(f"{path}: cannot write: {exc}") from exc

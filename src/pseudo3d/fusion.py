@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -117,7 +117,11 @@ class FusionParams:
             raise BadHeadCountError(
                 f"channels {c} not divisible by heads {self.heads}"
             )
-        for name, shape in _weight_shapes(self.strategy, c).items():
+        shapes = _weight_shapes(self.strategy, c)
+        for f in fields(self)[3:]:  # the arrays, after strategy, channels, heads
+            if f.name not in shapes and getattr(self, f.name) is not None:
+                raise ValueError(f"{f.name} is not used by strategy {self.strategy.value!r}")
+        for name, shape in shapes.items():
             object.__setattr__(self, name, _check_weight(name, getattr(self, name), shape))
 
 

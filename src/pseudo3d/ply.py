@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PseudoPointCloud
-from .errors import CloudIoError
+from .errors import CloudIoError, reading, write_output
 
 _XYZ_FIELDS = [("x", "<f4"), ("y", "<f4"), ("z", "<f4")]
 _RGB_FIELDS = [("red", "u1"), ("green", "u1"), ("blue", "u1")]
@@ -52,12 +52,7 @@ def export_ply(path: str, cloud: PseudoPointCloud) -> None:
         record["green"] = flat_cols[:, 1]
         record["blue"] = flat_cols[:, 2]
 
-    try:
-        with open(path, "wb") as fh:
-            fh.write(("\n".join(header) + "\n").encode("ascii"))
-            fh.write(record.tobytes())
-    except OSError as exc:
-        raise CloudIoError(f"{path}: cannot write: {exc}") from exc
+    write_output(path, CloudIoError, ("\n".join(header) + "\n").encode("ascii"), record)
 
 
 @dataclass(frozen=True)
@@ -71,75 +66,71 @@ class PlyContents:
 
 def read_ply(path: str) -> PlyContents:
     """Parse a binary little-endian PLY with the layouts this module writes."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise CloudIoError(f"{path}: cannot read: {exc}") from exc
+    with reading(path, CloudIoError) as data:
+        end_marker = b"end_header\n"
+        end = data.find(end_marker)
+        if not data.startswith(b"ply\n") or end < 0:
+            raise CloudIoError("not a PLY file")
+        header_lines = data[:end].decode("ascii", errors="replace").splitlines()[1:]
+        body = data[end + len(end_marker):]
 
-    end_marker = b"end_header\n"
-    end = data.find(end_marker)
-    if not data.startswith(b"ply\n") or end < 0:
-        raise CloudIoError(f"{path}: not a PLY file")
-    header_lines = data[:end].decode("ascii", errors="replace").splitlines()[1:]
-    body = data[end + len(end_marker):]
+        n_vertices: int | None = None
+        properties: list[tuple[str, str]] = []
+        grid_shape: tuple[int, int] | None = None
+        fmt_seen = False
+        for line in header_lines:
+            parts = line.split()
+            if not parts:
+                continue
+            if parts[0] == "format":
+                if parts[1:] != ["binary_little_endian", "1.0"]:
+                    raise CloudIoError(f"unsupported PLY format {line!r}")
+                fmt_seen = True
+            elif parts[0] == "comment":
+                if len(parts) == 4 and parts[1] == "grid":
+                    try:
+                        grid_shape = (int(parts[2]), int(parts[3]))
+                    except ValueError:
+                        pass  # unrelated comment that merely starts with "grid"
+            elif parts[0] == "element":
+                if parts[1:2] != ["vertex"] or n_vertices is not None:
+                    raise CloudIoError("only a single vertex element is supported")
+                # 10**18 vertices (19 digits) fit no file; int() refuses 4,301 digits
+                if len(parts) != 3 or not parts[2].isdigit() or len(parts[2]) > 18:
+                    raise CloudIoError(f"bad vertex count in {line!r}")
+                n_vertices = int(parts[2])
+            elif parts[0] == "property":
+                if n_vertices is None:
+                    raise CloudIoError("property before element")
+                if len(parts) != 3:
+                    raise CloudIoError(f"unsupported property {line!r}")
+                properties.append((parts[1], parts[2]))
+            else:
+                raise CloudIoError(f"unsupported PLY header line {line!r}")
 
-    n_vertices: int | None = None
-    properties: list[tuple[str, str]] = []
-    grid_shape: tuple[int, int] | None = None
-    fmt_seen = False
-    for line in header_lines:
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] == "format":
-            if parts[1:] != ["binary_little_endian", "1.0"]:
-                raise CloudIoError(f"{path}: unsupported PLY format {line!r}")
-            fmt_seen = True
-        elif parts[0] == "comment":
-            if len(parts) == 4 and parts[1] == "grid":
-                try:
-                    grid_shape = (int(parts[2]), int(parts[3]))
-                except ValueError:
-                    pass  # unrelated comment that merely starts with "grid"
-        elif parts[0] == "element":
-            if parts[1:2] != ["vertex"] or n_vertices is not None:
-                raise CloudIoError(f"{path}: only a single vertex element is supported")
-            if len(parts) != 3 or not parts[2].isdigit():
-                raise CloudIoError(f"{path}: bad vertex count in {line!r}")
-            n_vertices = int(parts[2])
-        elif parts[0] == "property":
-            if n_vertices is None:
-                raise CloudIoError(f"{path}: property before element")
-            if len(parts) != 3:
-                raise CloudIoError(f"{path}: unsupported property {line!r}")
-            properties.append((parts[1], parts[2]))
+        if not fmt_seen or n_vertices is None:
+            raise CloudIoError("incomplete PLY header")
+        if grid_shape is not None and (min(grid_shape) < 1
+                                       or grid_shape[0] * grid_shape[1] != n_vertices):
+            raise CloudIoError(f"grid {grid_shape} does not match {n_vertices} vertices")
+        if properties == _XYZ_PROPS:
+            fields = _XYZ_FIELDS
+            has_colors = False
+        elif properties == _XYZ_PROPS + _RGB_PROPS:
+            fields = _XYZ_FIELDS + _RGB_FIELDS
+            has_colors = True
         else:
-            raise CloudIoError(f"{path}: unsupported PLY header line {line!r}")
+            raise CloudIoError(f"unsupported vertex layout {properties}")
 
-    if not fmt_seen or n_vertices is None:
-        raise CloudIoError(f"{path}: incomplete PLY header")
-    if grid_shape is not None and (min(grid_shape) < 1
-                                   or grid_shape[0] * grid_shape[1] != n_vertices):
-        raise CloudIoError(f"{path}: grid {grid_shape} does not match {n_vertices} vertices")
-    if properties == _XYZ_PROPS:
-        fields = _XYZ_FIELDS
-        has_colors = False
-    elif properties == _XYZ_PROPS + _RGB_PROPS:
-        fields = _XYZ_FIELDS + _RGB_FIELDS
-        has_colors = True
-    else:
-        raise CloudIoError(f"{path}: unsupported vertex layout {properties}")
-
-    dtype = np.dtype(fields)
-    expected_bytes = n_vertices * dtype.itemsize
-    if len(body) < expected_bytes:
-        raise CloudIoError(
-            f"{path}: vertex data truncated ({len(body)} bytes, need {expected_bytes})"
-        )
-    record = np.frombuffer(body[:expected_bytes], dtype=dtype)
-    points = np.stack([record["x"], record["y"], record["z"]], axis=1)
-    colors = None
-    if has_colors:
-        colors = np.stack([record["red"], record["green"], record["blue"]], axis=1)
-    return PlyContents(points=points, colors=colors, grid_shape=grid_shape)
+        dtype = np.dtype(fields)
+        expected_bytes = n_vertices * dtype.itemsize
+        if len(body) < expected_bytes:
+            raise CloudIoError(
+                f"vertex data truncated ({len(body)} bytes, need {expected_bytes})"
+            )
+        record = np.frombuffer(body[:expected_bytes], dtype=dtype)
+        points = np.stack([record["x"], record["y"], record["z"]], axis=1)
+        colors = None
+        if has_colors:
+            colors = np.stack([record["red"], record["green"], record["blue"]], axis=1)
+        return PlyContents(points=points, colors=colors, grid_shape=grid_shape)

@@ -14,13 +14,15 @@ number of steps across all trajectories.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ActionsFileError, EmptyDatasetError, NonFiniteInputError, ShapeMismatchError
+from .errors import (ActionsFileError, EmptyDatasetError, NonFiniteInputError,
+                     ShapeMismatchError, reading)
 
 BCE_EPS = 1e-7
 _UNIT_TOL = 1e-6
@@ -134,28 +136,29 @@ def read_actions_csv(path: str) -> list[Action]:
     target files are row-aligned by convention.
     """
     actions: list[Action] = []
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise ActionsFileError(f"{path}: cannot read: {exc}") from exc
-    for i, row in enumerate(rows):
-        if len(row) != 8:
-            raise ActionsFileError(f"{path}: row {i + 1} has {len(row)} columns, expected 8")
+    with reading(path, ActionsFileError) as data:
         try:
-            values = [float(cell) for cell in row]
-        except ValueError:
-            if i == 0:
-                continue  # header row
-            raise ActionsFileError(f"{path}: row {i + 1} is not numeric: {row}") from None
-        if not all(math.isfinite(v) for v in values):
-            raise ActionsFileError(f"{path}: row {i + 1} is not finite: {row}")
-        actions.append(Action(xyz=np.array(values[0:3]),
-                              quat=np.array(values[3:7]),
-                              open_prob=values[7]))
-    if not actions:
-        raise ActionsFileError(f"{path}: no action rows found")
-    return actions
+            lines = io.StringIO(data.decode("utf-8"), newline="")  # csv wants newlines as written
+            rows = [row for row in csv.reader(lines) if row and any(cell.strip() for cell in row)]
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ActionsFileError(f"cannot read: {exc}") from exc
+        for i, row in enumerate(rows):
+            if len(row) != 8:
+                raise ActionsFileError(f"row {i + 1} has {len(row)} columns, expected 8")
+            try:
+                values = [float(cell) for cell in row]
+            except ValueError:
+                if i == 0:
+                    continue  # header row
+                raise ActionsFileError(f"row {i + 1} is not numeric: {row}") from None
+            if not all(math.isfinite(v) for v in values):
+                raise ActionsFileError(f"row {i + 1} is not finite: {row}")
+            actions.append(Action(xyz=np.array(values[0:3]),
+                                  quat=np.array(values[3:7]),
+                                  open_prob=values[7]))
+        if not actions:
+            raise ActionsFileError("no action rows found")
+        return actions
 
 
 def trajectory_from_rows(

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+# pyproject.toml puts src/ on this process's path; the CLI tests' child
+# processes inherit it through PYTHONPATH, so no install is needed
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 def run_cli(*argv: str, env: dict[str, str] | None = None) -> subprocess.CompletedProcess:

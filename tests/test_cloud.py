@@ -251,6 +251,14 @@ class TestPly:
         with pytest.raises(CloudIoError, match=re.escape(str(path))):
             read_ply(str(path))
 
+    @pytest.mark.parametrize("digits", [19, 5000])  # 5000 is past int()'s digit limit
+    def test_vertex_count_too_long_for_any_file(self, tmp_path, digits):
+        path = tmp_path / "huge.ply"
+        path.write_bytes(b"ply\nformat binary_little_endian 1.0\nelement vertex " + b"1" * digits
+                         + b"\nproperty float x\nproperty float y\nproperty float z\nend_header\n")
+        with pytest.raises(CloudIoError, match=re.escape(f"{path}: bad vertex count")):
+            read_ply(str(path))
+
     @pytest.mark.parametrize("grid", [b"5 7", b"-1 3", b"0 3", b"3 0", b"-3 -1", b"1 2"])
     def test_grid_comment_must_match_vertex_count(self, tmp_path, grid):
         path = _three_vertex_ply(tmp_path, b"comment grid " + grid)

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -181,6 +182,17 @@ class TestCrossFormat:
         assert_array_equal(a, ramp)
         assert_array_equal(b, ramp)
         assert_array_equal(c, ramp)
+
+
+class TestWriters:
+    @pytest.mark.parametrize("write", [
+        lambda p: write_pfm(p, np.ones((2, 2))),
+        lambda p: write_pgm(p, np.ones((2, 2), dtype=int), maxval=255),
+        lambda p: write_csv(p, np.ones((2, 2))),
+    ], ids=["pfm", "pgm", "csv"])
+    def test_unwritable_path_names_path(self, tmp_path, write):
+        with pytest.raises(DepthFileError, match=re.escape(f"{tmp_path}: cannot write")):
+            write(str(tmp_path))
 
 
 class TestLoadDepthMap:

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import struct
 import tracemalloc
 
@@ -377,6 +378,10 @@ class TestSerialization:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParamsIoError, match="cannot read"):
             load_params(str(tmp_path / "absent.bin"))
+
+    def test_unwritable_path_names_path(self, tmp_path):
+        with pytest.raises(ParamsIoError, match=re.escape(f"{tmp_path}: cannot write")):
+            save_params(str(tmp_path), init_params(out_channels=2, seed=1))
 
     def test_loaded_params_encode_identically(self, tmp_path):
         params = init_params(out_channels=4, seed=5)

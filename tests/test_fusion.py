@@ -228,6 +228,17 @@ class TestDispatchAndShapes:
             params = init_fusion_params(strategy, 4, seed=33, heads=2)
             assert fuse(a, b, params).shape == (3, 5, 4)
 
+    @pytest.mark.parametrize("strategy, extra", [
+        (Strategy.ADD, {"proj_weight": np.array([[np.nan]]), "wq": "junk"}),
+        (Strategy.CONCAT, {"wq": np.eye(4)}),
+        (Strategy.CROSS_ATTENTION, {"w_ff1": np.ones((16, 4))}),
+    ], ids=["add", "concat", "xattn"])
+    def test_arrays_the_strategy_does_not_use_are_rejected(self, strategy, extra):
+        weights = dataclasses.asdict(init_fusion_params(strategy, 4, seed=0, heads=2))
+        weights.update(extra)
+        with pytest.raises(ValueError, match=next(iter(extra))):
+            FusionParams(**weights)
+
     def test_init_deterministic(self):
         p1 = init_fusion_params(Strategy.SELF_ATTENTION, 8, seed=1234, heads=4)
         p2 = init_fusion_params(Strategy.SELF_ATTENTION, 8, seed=1234, heads=4)
