@@ -123,13 +123,19 @@ _EXPLICIT_KEYS = {"fx", "fy", "cx", "cy"}
 _FOV_KEYS = {"fov_x_deg", "fov_y_deg", "width", "height"}
 
 
-def parse_intrinsics_config(text: str) -> CameraIntrinsics:
+def parse_intrinsics_config(
+    text: str, grid_shape: tuple[int, int] | None = None
+) -> CameraIntrinsics:
     """Parse a flat key=value intrinsics file.
 
     Two mutually exclusive modes:
 
     * explicit:   fx, fy, cx, cy
     * estimation: fov_x_deg [, fov_y_deg], width, height
+
+    When ``grid_shape`` (H, W) of the depth grid the camera will be
+    applied to is given, an estimation-mode width/height that differs from
+    it raises :class:`IntrinsicsConfigError`.
 
     Lines may use ``=`` or ``:`` as the separator; blank lines and lines
     starting with ``#`` are ignored.  Mixing modes, unknown keys,
@@ -202,16 +208,21 @@ def parse_intrinsics_config(text: str) -> CameraIntrinsics:
     height_f = _number("height")
     if not all(math.isfinite(v) and v == int(v) for v in (width_f, height_f)):
         raise IntrinsicsConfigError("width and height must be integers")
+    width, height = int(width_f), int(height_f)
+    if grid_shape is not None and grid_shape != (height, width):
+        grid_h, grid_w = grid_shape
+        raise IntrinsicsConfigError(
+            f"camera size {width}x{height} does not match the {grid_w}x{grid_h} "
+            "depth grid (width x height)"
+        )
     fov_y = _number("fov_y_deg") if "fov_y_deg" in entries else None
     try:
-        return estimate_intrinsics_from_fov(
-            int(width_f), int(height_f), _number("fov_x_deg"), fov_y
-        )
+        return estimate_intrinsics_from_fov(width, height, _number("fov_x_deg"), fov_y)
     except (InvalidFovError, InvalidIntrinsicsError) as exc:
         raise IntrinsicsConfigError(str(exc)) from exc
 
 
-def load_intrinsics(path: str) -> CameraIntrinsics:
-    """Read and parse an intrinsics config file from disk."""
+def load_intrinsics(path: str, grid_shape: tuple[int, int] | None = None) -> CameraIntrinsics:
+    """Read and parse an intrinsics config file from disk; see :func:`parse_intrinsics_config`."""
     with reading(path, IntrinsicsConfigError, text=True) as text:
-        return parse_intrinsics_config(text)
+        return parse_intrinsics_config(text, grid_shape)

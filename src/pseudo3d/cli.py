@@ -64,7 +64,7 @@ def cmd_gen_cloud(args: argparse.Namespace) -> int:
     try:
         depth = load_depth_map(args.depth, args.format, DepthKind.PREDICTED_RELATIVE)
         stage = "intrinsics"
-        intrinsics = load_intrinsics(args.intrinsics)
+        intrinsics = load_intrinsics(args.intrinsics, depth.values.shape)
         if args.naive_reciprocal:
             stage = "reciprocal"
             d_r = reciprocal_depth(depth)

@@ -111,8 +111,15 @@ def reading(path: str, error: type[Pseudo3dError], text: bool = False):
             data = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"{path}: cannot read: {exc}") from exc
-    try:
+    with naming(path, error):
         yield data
+
+
+@contextmanager
+def naming(path: str, error: type[Pseudo3dError]):
+    """Raise any ``error`` from the block again with ``path`` in front of its message."""
+    try:
+        yield
     except error as exc:
         raise error(f"{path}: {exc}") from exc
 

@@ -13,7 +13,12 @@ one of the same shape, by the strategy its parameters were built for:
   feed-forward, both residual); the positions belonging to the 2-D map
   are returned.
 
-Attention is scaled dot-product, implemented directly in numpy.
+Attention is scaled dot-product, implemented directly in numpy.  It is
+key-blocked with an online softmax: queries go in blocks of ``_BLOCK_Q``
+rows, each meets the keys ``_BLOCK_K`` at a time, and a running row max
+and row sum rescale what has been accumulated so far.  The largest
+temporary is one ``(heads, _BLOCK_Q, _BLOCK_K)`` score block, so memory
+does not grow with N^2.
 """
 
 from __future__ import annotations
@@ -28,6 +33,10 @@ from .errors import BadHeadCountError, ShapeMismatchError
 
 LN_EPS = 1e-5
 FFN_EXPANSION = 4
+
+# query rows and keys per score block of multi_head_attention
+_BLOCK_Q = 128
+_BLOCK_K = 2048
 
 
 class Strategy(enum.Enum):
@@ -133,13 +142,6 @@ def init_fusion_params(
     return FusionParams(strategy=strategy, channels=channels, heads=heads, **weights)
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax (max-subtracted)."""
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
-
-
 def layer_norm(x: np.ndarray) -> np.ndarray:
     """Parameter-free layer normalization over the channel (last) axis."""
     mean = x.mean(axis=-1, keepdims=True)
@@ -166,15 +168,38 @@ def multi_head_attention(
     """Scaled dot-product attention over flat (N, C) sequences.
 
     Head j works on channel slice [j*dk, (j+1)*dk) of the projected
-    tensors; scores are scaled by 1/sqrt(dk).
+    tensors; scores are scaled by 1/sqrt(dk).  The softmax over keys is
+    computed online (Milakov & Gimelshein 2018): for each block of keys
+    the running max ``m`` rises to ``m_new``, the running sum ``l`` and the
+    accumulated output ``acc`` are rescaled by exp(m - m_new), and the
+    block's exp(s - m_new) is added to both.
     """
     q = _split_heads(queries @ params.wq.T, params.heads)
     k = _split_heads(keys_values @ params.wk.T, params.heads)
     v = _split_heads(keys_values @ params.wv.T, params.heads)
-    dk = q.shape[2]
-    scores = q @ k.transpose(0, 2, 1) / np.sqrt(dk)
-    attn = softmax(scores, axis=-1)
-    return _merge_heads(attn @ v) @ params.wo.T
+    heads, nq, dk = q.shape
+    nk = k.shape[1]
+    q = q * (1.0 / np.sqrt(dk))
+    kt = k.transpose(0, 2, 1)
+    out = np.empty((heads, nq, dk))
+    for i in range(0, nq, _BLOCK_Q):
+        qb = q[:, i:i + _BLOCK_Q]
+        m = np.full((heads, qb.shape[1], 1), -np.inf)
+        l = np.zeros_like(m)
+        acc = np.zeros(qb.shape)
+        for j in range(0, nk, _BLOCK_K):
+            s = qb @ kt[:, :, j:j + _BLOCK_K]
+            m_new = np.maximum(m, s.max(axis=-1, keepdims=True))
+            rescale = np.exp(m - m_new)
+            l *= rescale
+            acc *= rescale
+            s -= m_new
+            np.exp(s, out=s)
+            l += s.sum(axis=-1, keepdims=True)
+            acc += s @ v[:, j:j + _BLOCK_K]
+            m = m_new
+        np.divide(acc, l, out=out[:, i:i + _BLOCK_Q])
+    return _merge_heads(out) @ params.wo.T
 
 
 def fuse(f2d: np.ndarray, f3d: np.ndarray, params: FusionParams) -> np.ndarray:

@@ -230,6 +230,21 @@ class TestIntrinsicsConfig:
         with pytest.raises(IntrinsicsConfigError):
             parse_intrinsics_config("fov_x_deg = 200\nwidth = 4\nheight = 3\n")
 
+    def test_fov_size_checked_against_grid_shape(self):
+        text = "fov_x_deg = 60\nwidth = 640\nheight = 480\n"
+        assert parse_intrinsics_config(text, grid_shape=(480, 640)) == parse_intrinsics_config(text)
+        with pytest.raises(IntrinsicsConfigError, match="640x480.*3x2"):
+            parse_intrinsics_config(text, grid_shape=(2, 3))
+
+    def test_explicit_mode_ignores_grid_shape(self):
+        text = "fx = 500\nfy = 480\ncx = 320\ncy = 240\n"
+        assert parse_intrinsics_config(text, grid_shape=(2, 3)) == parse_intrinsics_config(text)
+
+    def test_size_mismatch_names_the_path(self, intrinsics_file):
+        path = intrinsics_file("fov_x_deg = 60\nwidth = 4\nheight = 3\n", name="camera-b.cfg")
+        with pytest.raises(IntrinsicsConfigError, match=re.escape(f"{path}: ")):
+            load_intrinsics(path, grid_shape=(4, 3))
+
     def test_load_from_file(self, intrinsics_file):
         path = intrinsics_file("fx = 2\nfy = 3\ncx = 0.5\ncy = 0.5\n")
         intr = load_intrinsics(path)

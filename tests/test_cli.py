@@ -27,6 +27,12 @@ def fov_intrinsics(intrinsics_file):
     return intrinsics_file("fov_x_deg = 60\nwidth = 8\nheight = 6\n")
 
 
+@pytest.fixture
+def explicit_intrinsics(intrinsics_file):
+    """A camera with no image size, for grids other than the 8x6 wedge."""
+    return intrinsics_file("fx = 4\nfy = 4\ncx = 1.5\ncy = 1\n")
+
+
 class TestGenCloud:
     def test_wedge_matches_library_pipeline_within_float32(
         self, tmp_path, wedge_csv, fov_intrinsics
@@ -79,23 +85,23 @@ class TestGenCloud:
         assert not np.array_equal(read_ply(straight).points, read_ply(naive).points)
 
     def test_constant_depth_fails_with_degenerate_diagnostic(
-        self, tmp_path, fov_intrinsics
+        self, tmp_path, explicit_intrinsics
     ):
         flat = tmp_path / "flat.csv"
         write_csv(str(flat), np.full((4, 4), 5.0))
         proc = run_cli("gen-cloud", "--depth", str(flat), "--format", "csv",
-                       "--intrinsics", fov_intrinsics, "--out", str(tmp_path / "o.ply"))
+                       "--intrinsics", explicit_intrinsics, "--out", str(tmp_path / "o.ply"))
         assert proc.returncode == 1
         assert "degenerate depth" in proc.stderr
         assert "stage=normalize" in proc.stderr
 
     def test_overflowing_depth_range_fails_in_normalize_stage(
-        self, tmp_path, fov_intrinsics
+        self, tmp_path, explicit_intrinsics
     ):
         wide = tmp_path / "wide.csv"
         write_csv(str(wide), np.array([[-1e308, 1e308]]))
         proc = run_cli("gen-cloud", "--depth", str(wide), "--format", "csv",
-                       "--intrinsics", fov_intrinsics, "--out", str(tmp_path / "o.ply"))
+                       "--intrinsics", explicit_intrinsics, "--out", str(tmp_path / "o.ply"))
         assert proc.returncode == 1
         assert "overflows float64" in proc.stderr
         assert "stage=normalize" in proc.stderr
@@ -116,22 +122,36 @@ class TestGenCloud:
         assert "stage=intrinsics" in proc.stderr
         assert cfg in proc.stderr
 
+    def test_fov_size_must_match_depth_grid(self, tmp_path, intrinsics_file):
+        grid = tmp_path / "grid.csv"
+        write_csv(str(grid), np.arange(1.0, 7.0).reshape(2, 3))  # 3 wide, 2 high
+        cfg = intrinsics_file("fov_x_deg = 60\nwidth = 640\nheight = 480\n")
+        out = tmp_path / "o.ply"
+        proc = run_cli("gen-cloud", "--depth", str(grid), "--format", "csv",
+                       "--intrinsics", cfg, "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert line.startswith(f"gen-cloud: stage=intrinsics: {cfg}: ")
+        assert "640x480" in line and "3x2" in line
+        assert not out.exists()
+
     def test_nonpositive_input_fails_in_reciprocal_stage(
-        self, tmp_path, fov_intrinsics
+        self, tmp_path, explicit_intrinsics
     ):
         signed = tmp_path / "signed.csv"
         write_csv(str(signed), np.array([[1.0, -2.0], [3.0, 4.0]]))
         proc = run_cli("gen-cloud", "--depth", str(signed), "--format", "csv",
-                       "--intrinsics", fov_intrinsics, "--naive-reciprocal",
+                       "--intrinsics", explicit_intrinsics, "--naive-reciprocal",
                        "--out", str(tmp_path / "o.ply"))
         assert proc.returncode == 1
         assert "stage=reciprocal" in proc.stderr
 
-    def test_single_pixel_fails_in_backproject_stage(self, tmp_path, fov_intrinsics):
+    def test_single_pixel_fails_in_backproject_stage(self, tmp_path, explicit_intrinsics):
         pixel = tmp_path / "pixel.csv"
         write_csv(str(pixel), np.array([[2.0]]))
         proc = run_cli("gen-cloud", "--depth", str(pixel), "--format", "csv",
-                       "--intrinsics", fov_intrinsics, "--naive-reciprocal",
+                       "--intrinsics", explicit_intrinsics, "--naive-reciprocal",
                        "--out", str(tmp_path / "o.ply"))
         assert proc.returncode == 1
         assert "stage=backproject" in proc.stderr

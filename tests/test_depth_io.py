@@ -1,5 +1,6 @@
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,20 @@ class TestPfm:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DepthFileError, match="cannot read"):
             read_pfm(str(tmp_path / "nope.pfm"))
+
+    def test_value_beyond_float32_range_rejected(self, tmp_path):
+        path = str(tmp_path / "huge.pfm")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DepthFileError, match=re.escape(f"{path}: ") + ".*float32"):
+                write_pfm(path, np.array([[1.0, 1.7976931348623157e308], [2.0, 3.0]]))
+        assert not (tmp_path / "huge.pfm").exists()
+
+    def test_non_finite_values_are_written_as_is(self, tmp_path):
+        path = str(tmp_path / "inf.pfm")
+        grid = np.array([[np.inf, -np.inf, 1.0]])
+        write_pfm(path, grid)
+        assert_array_equal(read_pfm(path), grid)
 
 
 class TestPgm:

@@ -1,11 +1,13 @@
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from pseudo3d.errors import BadHeadCountError, ShapeMismatchError
+from pseudo3d import fusion
 from pseudo3d.fusion import (
     FusionParams,
     Strategy,
@@ -13,7 +15,6 @@ from pseudo3d.fusion import (
     init_fusion_params,
     layer_norm,
     multi_head_attention,
-    softmax,
 )
 
 
@@ -24,23 +25,6 @@ def random_pair(h=3, w=4, c=8, seed=0):
 
 def add_params(c=8):
     return FusionParams(strategy=Strategy.ADD, channels=c)
-
-
-class TestSoftmax:
-    def test_rows_sum_to_one(self):
-        x = np.random.default_rng(1).standard_normal((5, 9))
-        s = softmax(x)
-        assert_allclose(s.sum(axis=-1), 1.0, rtol=1e-14)
-        assert (s > 0).all()
-
-    def test_shift_invariance(self):
-        x = np.random.default_rng(2).standard_normal((4, 6))
-        assert_allclose(softmax(x + 123.0), softmax(x), atol=1e-15)
-
-    def test_survives_huge_logits(self):
-        s = softmax(np.array([[1e300, 1e300, 0.0]]))
-        assert np.isfinite(s).all()
-        assert_allclose(s[0, :2], 0.5, rtol=1e-12)
 
 
 class TestLayerNorm:
@@ -206,7 +190,9 @@ class TestMultiHead:
         kv = rng.standard_normal((7, 4))
         params = init_fusion_params(Strategy.CROSS_ATTENTION, 4, seed=29, heads=1)
         scores = (q @ params.wq.T) @ (kv @ params.wk.T).T / 2.0  # sqrt(4)
-        expected = softmax(scores) @ (kv @ params.wv.T) @ params.wo.T
+        weights = np.exp(scores - scores.max(axis=1, keepdims=True))
+        weights /= weights.sum(axis=1, keepdims=True)
+        expected = weights @ (kv @ params.wv.T) @ params.wo.T
         assert_allclose(multi_head_attention(q, kv, params), expected, atol=1e-12)
 
     def test_heads_partition_channels(self):
@@ -219,6 +205,76 @@ class TestMultiHead:
                               wq=base.wq, wk=base.wk, wv=base.wv, wo=np.eye(6))
         out = multi_head_attention(q, kv, params)
         assert_allclose(out, naive_attention(q, kv, params), atol=1e-12)
+
+
+def dense_attention(q_in, kv_in, params):
+    """The whole (heads, Nq, Nk) score tensor at once, one max-subtracted softmax."""
+    def split(x):
+        return x.reshape(len(x), params.heads, -1).transpose(1, 0, 2)
+
+    q, k, v = split(q_in @ params.wq.T), split(kv_in @ params.wk.T), split(kv_in @ params.wv.T)
+    scores = q @ k.transpose(0, 2, 1) / np.sqrt(q.shape[2])
+    weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights /= weights.sum(axis=-1, keepdims=True)
+    return (weights @ v).transpose(1, 0, 2).reshape(len(q_in), -1) @ params.wo.T
+
+
+class TestBlockedAttention:
+    DEFAULT_BLOCKS = (fusion._BLOCK_Q, fusion._BLOCK_K)
+
+    @pytest.mark.parametrize("blocks", [(1, 1), (3, 5), (4, 7), DEFAULT_BLOCKS],
+                             ids=["1x1", "3x5", "4x7", "default"])
+    @pytest.mark.parametrize("nq, nk", [(23, 37), (12, 35), (2, 3)])
+    def test_output_does_not_depend_on_block_size(self, monkeypatch, blocks, nq, nk):
+        # 23 and 37 divide by no block size, 12 and 35 by each small one, and
+        # (2, 3) is smaller than every block but 1x1
+        monkeypatch.setattr(fusion, "_BLOCK_Q", blocks[0])
+        monkeypatch.setattr(fusion, "_BLOCK_K", blocks[1])
+        rng = np.random.default_rng(nq * 100 + nk)
+        q = rng.standard_normal((nq, 8)) * 3.0
+        kv = rng.standard_normal((nk, 8)) * 3.0
+        params = init_fusion_params(Strategy.CROSS_ATTENTION, 8, seed=35, heads=2)
+        assert_allclose(multi_head_attention(q, kv, params), dense_attention(q, kv, params),
+                        rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("block_scores", [(0.0, 999.0, 1000.0), (1000.0, 0.0, 999.0)],
+                             ids=["rising", "dip"])
+    def test_rescale_underflow_to_zero(self, monkeypatch, block_scores):
+        """Key blocks of 4 with scores near the three given values.  Rising:
+        the first block's running sum and accumulator are rescaled by
+        exp(-999) == 0.  Dip: the running max must not fall to the middle
+        block's, or the rescale is exp(+1000) == inf."""
+        monkeypatch.setattr(fusion, "_BLOCK_Q", 2)
+        monkeypatch.setattr(fusion, "_BLOCK_K", 4)
+        rng = np.random.default_rng(36)
+        offsets = np.repeat(block_scores, 4)
+        # with wq = wk = I at C = 2, a query [1, r] scores key [x, y] as (x + r*y)/sqrt(2)
+        queries = np.column_stack([np.ones(5), rng.uniform(-1, 1, 5)])
+        keys = np.column_stack([np.sqrt(2.0) * offsets + rng.uniform(-1, 1, 12),
+                                rng.uniform(-1, 1, 12)])
+        base = init_fusion_params(Strategy.CROSS_ATTENTION, 2, seed=37)
+        params = FusionParams(strategy=Strategy.CROSS_ATTENTION, channels=2,
+                              wq=np.eye(2), wk=np.eye(2), wv=base.wv, wo=base.wo)
+        assert np.exp(-999.0 + 2.0) == 0.0  # the premise, with the noise above
+        out = multi_head_attention(queries, keys, params)
+        assert np.isfinite(out).all()
+        assert_allclose(out, naive_attention(queries, keys, params), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("strategy, limit_mb", [
+        (Strategy.CROSS_ATTENTION, 32), (Strategy.SELF_ATTENTION, 64),
+    ], ids=["xattn", "sattn"])
+    def test_fuse_peak_memory_is_bounded(self, strategy, limit_mb):
+        # 32x32 positions: a full (4, N, N) score tensor is 32 MB for xattn
+        # and 128 MB for sattn, before the softmax's temporaries
+        a, b = random_pair(h=32, w=32, c=32, seed=38)
+        params = init_fusion_params(strategy, 32, seed=39, heads=4)
+        tracemalloc.start()
+        try:
+            fuse(a, b, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mb * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestDispatchAndShapes:
@@ -260,14 +316,14 @@ GOLDEN_SHA256 = {
         "proj_bias": "66687aadf862bd776c8fc18b8e9f8e20089714856ee233b3902a591d0d5f2925",
     },
     Strategy.CROSS_ATTENTION: {
-        "out": "11d68f4963397b9167ae630fd710a4d42fe21354ee36a5f8dd858a9037027fff",
+        "out": "78e2fadc7becfc024aa2157e8fafdef57427899b3dec33e3d74a622753b44020",
         "wq": "36ec76445dc043a6aeb41357b1f3826188fdf12d88b0ad0d151a2246bef70484",
         "wk": "39cbf2e141a354be1516e06a0296a5e341c7d84d2644d3b4b243f1fbc27561a1",
         "wv": "c038be08d7830af91f9d5314232892897d862aa4abb50aeea0a6cbba7ee04ba2",
         "wo": "dd1d89f952709bfc1636821bb4da109c644f384b036d6691e1ee0562ecb4d2e8",
     },
     Strategy.SELF_ATTENTION: {
-        "out": "04791dc059bed948b40f3fef3ab08050f91f4c11b6b5f840f1aee80b0168a3b0",
+        "out": "f39c10c756c8baa4ec5b8a634923a9a909b8d20685e5a68daeec73b4cb716124",
         "wq": "36ec76445dc043a6aeb41357b1f3826188fdf12d88b0ad0d151a2246bef70484",
         "wk": "39cbf2e141a354be1516e06a0296a5e341c7d84d2644d3b4b243f1fbc27561a1",
         "wv": "c038be08d7830af91f9d5314232892897d862aa4abb50aeea0a6cbba7ee04ba2",
