@@ -18,14 +18,11 @@ from .camera import (
 )
 from .cloud import (
     ContinuityStats,
-    CoordinateMap,
     PseudoPointCloud,
     cloud_from_depth,
     local_continuity,
-    synth_plane,
     synth_random,
     synth_wedge,
-    to_cloud,
     to_coordinate_map,
 )
 from .depth import (
@@ -74,7 +71,6 @@ __all__ = [
     "Action",
     "CameraIntrinsics",
     "ContinuityStats",
-    "CoordinateMap",
     "DepthKind",
     "DepthMap",
     "EncoderGradients",
@@ -117,10 +113,8 @@ __all__ = [
     "reciprocal_depth",
     "save_params",
     "step_loss",
-    "synth_plane",
     "synth_random",
     "synth_wedge",
-    "to_cloud",
     "to_coordinate_map",
     "trajectory_from_rows",
     "write_csv",

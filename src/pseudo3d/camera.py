@@ -57,8 +57,9 @@ def backproject(depth_values: np.ndarray, intrinsics: CameraIntrinsics) -> np.nd
     uu = np.arange(w, dtype=np.float64)[np.newaxis, :]
     vv = np.arange(h, dtype=np.float64)[:, np.newaxis]
     points = np.empty((h, w, 3), dtype=np.float64)
-    points[:, :, 0] = d * (uu - intrinsics.cx) / intrinsics.fx
-    points[:, :, 1] = d * (vv - intrinsics.cy) / intrinsics.fy
+    with np.errstate(over="ignore"):  # an overflow is inf, which PseudoPointCloud rejects
+        points[:, :, 0] = d * (uu - intrinsics.cx) / intrinsics.fx
+        points[:, :, 1] = d * (vv - intrinsics.cy) / intrinsics.fy
     points[:, :, 2] = d
     return points
 

@@ -2,8 +2,8 @@
 
 A pseudo point cloud is the back-projection of a full depth grid: one 3-D
 point per pixel, stored as an (H, W, 3) array so that grid neighbors stay
-array neighbors.  A coordinate map is the same data laid out planar-first,
-(3, H, W), which is the layout the convolutional encoder consumes.
+array neighbors.  :func:`to_coordinate_map` lays the same data out
+planar-first, (3, H, W), the layout the convolutional encoder consumes.
 """
 
 from __future__ import annotations
@@ -14,78 +14,43 @@ import numpy as np
 
 from .camera import CameraIntrinsics, backproject
 from .depth import DepthKind, DepthMap
-from .errors import InvalidDepthError, InvalidRangeError, ShapeMismatchError, TooSmallError
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
+from .errors import (InvalidDepthError, InvalidRangeError, ShapeMismatchError, TooSmallError,
+                     frozen_array)
 
 
 @dataclass(frozen=True)
 class PseudoPointCloud:
-    """(H, W, 3) float64 grid of camera-frame points, optional uint8 colors."""
+    """(H, W, 3) float64 grid of finite camera-frame points, optional uint8 colors."""
 
     points: np.ndarray
     colors: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim != 3 or pts.shape[2] != 3:
-            raise ValueError(f"points must be (H, W, 3), got {pts.shape}")
-        if pts.shape[0] < 1 or pts.shape[1] < 1:
-            raise ValueError("point grid must be non-empty")
-        object.__setattr__(self, "points", _read_only(pts))
+        object.__setattr__(self, "points", frozen_array("point grid", self.points, (None, None, 3)))
         if self.colors is not None:
-            cols = np.asarray(self.colors)
+            cols = np.array(self.colors)  # a copy
             if cols.dtype != np.uint8:
                 raise ValueError(f"colors must be uint8, got {cols.dtype}")
-            if cols.shape != pts.shape:
+            if cols.shape != self.points.shape:
                 raise ShapeMismatchError(
-                    f"colors shape {cols.shape} does not match points {pts.shape}"
+                    f"colors shape {cols.shape} does not match points {self.points.shape}"
                 )
-            object.__setattr__(self, "colors", _read_only(cols))
+            cols.setflags(write=False)
+            object.__setattr__(self, "colors", cols)
 
     @property
     def grid_shape(self) -> tuple[int, int]:
         return self.points.shape[:2]  # type: ignore[return-value]
 
 
-@dataclass(frozen=True)
-class CoordinateMap:
-    """(3, H, W) float64 planar layout of a pseudo point cloud."""
-
-    data: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.data, dtype=np.float64)
-        if arr.ndim != 3 or arr.shape[0] != 3:
-            raise ValueError(f"coordinate map must be (3, H, W), got {arr.shape}")
-        object.__setattr__(self, "data", _read_only(arr))
-
-    @property
-    def grid_shape(self) -> tuple[int, int]:
-        return self.data.shape[1:]  # type: ignore[return-value]
-
-
-def cloud_from_depth(
-    depth: DepthMap,
-    intrinsics: CameraIntrinsics,
-    colors: np.ndarray | None = None,
-) -> PseudoPointCloud:
+def cloud_from_depth(depth: DepthMap, intrinsics: CameraIntrinsics) -> PseudoPointCloud:
     """Back-project a depth grid into a grid-preserving point cloud."""
-    return PseudoPointCloud(backproject(depth.values, intrinsics), colors=colors)
+    return PseudoPointCloud(backproject(depth.values, intrinsics))
 
 
-def to_coordinate_map(cloud: PseudoPointCloud) -> CoordinateMap:
-    """Repack (H, W, 3) points as (3, H, W) planes.  Pure layout change."""
-    return CoordinateMap(np.ascontiguousarray(cloud.points.transpose(2, 0, 1)))
-
-
-def to_cloud(cmap: CoordinateMap) -> PseudoPointCloud:
-    """Inverse of :func:`to_coordinate_map`; round trips bit-exactly."""
-    return PseudoPointCloud(np.ascontiguousarray(cmap.data.transpose(1, 2, 0)))
+def to_coordinate_map(cloud: PseudoPointCloud) -> np.ndarray:
+    """Repack (H, W, 3) points as a (3, H, W) array of planes.  Pure layout change."""
+    return np.ascontiguousarray(cloud.points.transpose(2, 0, 1))
 
 
 @dataclass(frozen=True)
@@ -120,15 +85,6 @@ def local_continuity(cloud: PseudoPointCloud) -> ContinuityStats:
         max_step=float(steps.max()),
         n_pairs=int(steps.size),
     )
-
-
-def synth_plane(height: int, width: int, z: float) -> DepthMap:
-    """Constant-depth wall at distance z: the simplest closed-form scene."""
-    if height < 1 or width < 1:
-        raise TooSmallError(f"scene must be at least 1x1, got {height}x{width}")
-    if not z > 0.0:
-        raise InvalidDepthError(f"plane depth must be positive, got {z}")
-    return DepthMap(np.full((height, width), z, dtype=np.float64), DepthKind.METRIC)
 
 
 def synth_wedge(height: int, width: int, z_near: float, z_far: float) -> DepthMap:

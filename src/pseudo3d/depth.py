@@ -23,9 +23,9 @@ import numpy as np
 from .errors import (
     DegenerateDepthError,
     InvalidDepthError,
-    NonFiniteInputError,
     WrongKindError,
     ZeroScaleError,
+    frozen_array,
 )
 
 
@@ -38,19 +38,6 @@ class DepthKind(enum.Enum):
     METRIC = "metric"
 
 
-def _as_depth_array(values: np.ndarray) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"depth grid must be 2-D, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValueError("depth grid must be non-empty")
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteInputError("depth grid contains NaN or infinite values")
-    arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class DepthMap:
     """An (H, W) float64 grid of depth-like values plus its semantic kind."""
@@ -59,7 +46,7 @@ class DepthMap:
     kind: DepthKind
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _as_depth_array(self.values))
+        object.__setattr__(self, "values", frozen_array("depth grid", self.values, (None, None)))
         if not isinstance(self.kind, DepthKind):
             raise TypeError(f"kind must be a DepthKind, got {self.kind!r}")
 

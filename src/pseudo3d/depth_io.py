@@ -14,7 +14,7 @@ import re
 import numpy as np
 
 from .depth import DepthKind, DepthMap
-from .errors import DepthFileError, naming, reading, write_output
+from .errors import DepthFileError, reading, to_float32, write_output
 
 # magic, width, height, scale, then exactly one whitespace byte before raster
 _PFM_HEADER = re.compile(rb"^(P[fF])\s+(\d+)\s+(\d+)\s+([-+]?[0-9.eE+-]+)\s")
@@ -63,16 +63,7 @@ def write_pfm(path: str, values: np.ndarray) -> None:
     wide = np.asarray(values, dtype=np.float64)
     if wide.ndim != 2:
         raise ValueError(f"PFM writer needs a 2-D array, got {wide.shape}")
-    with np.errstate(over="ignore"):
-        arr = wide.astype(np.float32)
-    overflow = np.argwhere(np.isinf(arr) & np.isfinite(wide))
-    if overflow.size:
-        row, col = overflow[0]
-        with naming(path, DepthFileError):
-            raise DepthFileError(
-                f"{len(overflow)} value(s) beyond float32's range, first "
-                f"{float(wide[row, col])!r} at row {row}, column {col}"
-            )
+    arr = to_float32(path, DepthFileError, wide)
     h, w = arr.shape
     write_output(path, DepthFileError, b"Pf\n%d %d\n-1.0\n" % (w, h),
                  np.flipud(arr).astype("<f4").tobytes())

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .cloud import CoordinateMap
-from .errors import (BadChannelsError, ParamsIoError, ShapeMismatchError, TooSmallError,
-                     reading, write_output)
-from .fusion import _check_weight, _init_weights
+from .errors import (BadChannelsError, DegenerateDepthError, NonFiniteInputError, ParamsIoError,
+                     ShapeMismatchError, TooSmallError, check_finite, frozen_array, reading,
+                     write_output)
+from .fusion import _init_weights
 
 HIDDEN_CHANNELS = 16
 KERNEL = 3
@@ -55,7 +55,7 @@ class EncoderParams:
     def __post_init__(self) -> None:
         c = max(np.shape(self.w2)[0], 1) if np.ndim(self.w2) == 4 else 1
         for name, shape in _param_shapes(c).items():
-            object.__setattr__(self, name, _check_weight(name, getattr(self, name), shape))
+            object.__setattr__(self, name, frozen_array(name, getattr(self, name), shape))
 
     @property
     def out_channels(self) -> int:
@@ -69,17 +69,19 @@ def init_params(out_channels: int, seed: int) -> EncoderParams:
     return EncoderParams(**_init_weights(_param_shapes(out_channels), seed))
 
 
-def _as_planar(grid: CoordinateMap | np.ndarray) -> np.ndarray:
-    if isinstance(grid, CoordinateMap):
-        arr = grid.data
-    else:
-        arr = np.asarray(grid, dtype=np.float64)
-        if arr.ndim != 3:
-            raise ShapeMismatchError(f"encoder input must be (3, H, W), got {arr.shape}")
-        if arr.shape[0] != 3:
-            raise BadChannelsError(
-                f"encoder input must have exactly 3 channels, got {arr.shape[0]}"
-            )
+def _as_planar(grid: np.ndarray) -> np.ndarray:
+    """``grid`` as a float64 (3, H, W) array, checked finite but not copied."""
+    arr = np.asarray(grid, dtype=np.float64)
+    if arr.ndim != 3:
+        raise ShapeMismatchError(f"encoder input must be (3, H, W), got {arr.shape}")
+    if arr.shape[0] != 3:
+        raise BadChannelsError(f"encoder input must have exactly 3 channels, got {arr.shape[0]}")
+    check_finite("coordinate map", arr)
+    return arr
+
+
+def _encoder_input(grid: np.ndarray) -> np.ndarray:
+    arr = _as_planar(grid)
     _, h, w = arr.shape
     if h < MIN_SIDE or w < MIN_SIDE:
         raise TooSmallError(f"encoder needs at least {MIN_SIDE}x{MIN_SIDE}, got {h}x{w}")
@@ -120,9 +122,9 @@ def _conv_s2p1_backward(
     return dxp[:, PAD:PAD + h, PAD:PAD + wd], dw, g.sum(axis=1)
 
 
-def encode(grid: CoordinateMap | np.ndarray, params: EncoderParams) -> np.ndarray:
-    """Run the encoder; returns a channels-last (H', W', C) feature map."""
-    x = _as_planar(grid)
+def encode(grid: np.ndarray, params: EncoderParams) -> np.ndarray:
+    """Run the encoder on a (3, H, W) coordinate map; returns (H', W', C) features."""
+    x = _encoder_input(grid)
     a1 = _conv_s2p1(x, params.w1, params.b1)
     np.maximum(a1, 0.0, out=a1)
     z2 = _conv_s2p1(a1, params.w2, params.b2)
@@ -148,7 +150,7 @@ class EncoderGradients:
 
 
 def encode_backward(
-    grid: CoordinateMap | np.ndarray,
+    grid: np.ndarray,
     params: EncoderParams,
     grad_out: np.ndarray,
 ) -> EncoderGradients:
@@ -157,13 +159,14 @@ def encode_backward(
     Recomputes the hidden layer from ``grid``, so callers never manage
     intermediate activations.
     """
-    x = _as_planar(grid)
+    x = _encoder_input(grid)
     g = np.asarray(grad_out, dtype=np.float64)
     expected = output_shape(x.shape[1], x.shape[2], params.out_channels)
     if g.shape != expected:
         raise ShapeMismatchError(
             f"grad_out shape {g.shape} does not match encoder output {expected}"
         )
+    check_finite("grad_out", g)
     a1 = _conv_s2p1(x, params.w1, params.b1)
     np.maximum(a1, 0.0, out=a1)
     g2 = np.ascontiguousarray(g.transpose(2, 0, 1))
@@ -175,29 +178,34 @@ def encode_backward(
 
 
 def normalize_coordinate_map(
-    cmap: CoordinateMap,
-) -> tuple[CoordinateMap, tuple[bool, bool, bool]]:
-    """Standardize each coordinate channel to zero mean, unit spread.
+    cmap: np.ndarray,
+) -> tuple[np.ndarray, tuple[bool, bool, bool]]:
+    """Standardize each channel of a (3, H, W) coordinate map to zero mean, unit spread.
 
     Uses the population standard deviation.  A channel with zero spread
     (for example Z on a constant-depth wall) is passed through untouched;
     the returned flags mark which channels were constant so callers can
-    see the skip rather than silently dividing by zero.
+    see the skip rather than silently dividing by zero.  A channel whose
+    mean or spread overflows float64 raises :class:`DegenerateDepthError`.
     """
-    data = cmap.data
+    data = _as_planar(cmap)
     out = np.empty_like(data)
     flags = []
     for c in range(3):
         channel = data[c]
-        mean = channel.mean()
-        std = channel.std()
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = channel.mean()
+            std = channel.std()
+        if not np.isfinite(std):
+            raise DegenerateDepthError(f"coordinate map channel {'XYZ'[c]}: spread "
+                                       "overflows float64, cannot normalize")
         if std == 0.0:
             out[c] = channel
             flags.append(True)
         else:
             out[c] = (channel - mean) / std
             flags.append(False)
-    return CoordinateMap(out), (flags[0], flags[1], flags[2])
+    return out, (flags[0], flags[1], flags[2])
 
 
 def save_params(path: str, params: EncoderParams) -> None:
@@ -232,5 +240,5 @@ def load_params(path: str) -> EncoderParams:
             offset += 8 * count
         try:
             return EncoderParams(**arrays)
-        except ValueError as exc:  # a non-finite weight
+        except NonFiniteInputError as exc:
             raise ParamsIoError(str(exc)) from exc

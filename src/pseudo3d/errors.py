@@ -1,6 +1,11 @@
-"""Exception hierarchy shared by all pseudo3d modules, and the one file boundary."""
+"""Exception hierarchy shared by all pseudo3d modules, the one file boundary,
+and the one array contract: every array a value type stores is a float64,
+finite, read-only copy of the required shape made by :func:`frozen_array`.
+"""
 
 from contextlib import contextmanager
+
+import numpy as np
 
 
 class Pseudo3dError(Exception):
@@ -9,12 +14,13 @@ class Pseudo3dError(Exception):
 
 # --- depth processing ---
 
-class NonFiniteInputError(Pseudo3dError):
-    """A depth grid contains NaN or infinity."""
+class NonFiniteInputError(Pseudo3dError, ValueError):
+    """An input array contains NaN or infinity."""
 
 
 class DegenerateDepthError(Pseudo3dError):
-    """Depth range is zero or overflows float64: normalization is undefined."""
+    """A depth range is zero, or a depth or coordinate range overflows float64:
+    normalization is undefined."""
 
 
 class WrongKindError(Pseudo3dError):
@@ -71,7 +77,7 @@ class BadChannelsError(Pseudo3dError):
     """Encoder input must have exactly 3 channels."""
 
 
-class ShapeMismatchError(Pseudo3dError):
+class ShapeMismatchError(Pseudo3dError, ValueError):
     """Tensor shapes incompatible with the requested operation."""
 
 
@@ -111,15 +117,8 @@ def reading(path: str, error: type[Pseudo3dError], text: bool = False):
             data = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"{path}: cannot read: {exc}") from exc
-    with naming(path, error):
-        yield data
-
-
-@contextmanager
-def naming(path: str, error: type[Pseudo3dError]):
-    """Raise any ``error`` from the block again with ``path`` in front of its message."""
     try:
-        yield
+        yield data
     except error as exc:
         raise error(f"{path}: {exc}") from exc
 
@@ -131,3 +130,44 @@ def write_output(path: str, error: type[Pseudo3dError], *chunks) -> None:
             fh.writelines(chunks)
     except OSError as exc:
         raise error(f"{path}: cannot write: {exc}") from exc
+
+
+def to_float32(path: str, error: type[Pseudo3dError], values: np.ndarray) -> np.ndarray:
+    """``values`` as float32; a finite value beyond its range raises ``error`` naming ``path``."""
+    with np.errstate(over="ignore"):
+        narrow = values.astype(np.float32)
+    overflow = np.isinf(narrow)
+    if overflow.any():  # rare: the float64 pass and np.argwhere's scan cost ms per frame
+        overflow &= np.isfinite(values)
+        if overflow.any():
+            first = tuple(np.argwhere(overflow)[0])
+            raise error(f"{path}: {np.count_nonzero(overflow)} value(s) beyond float32's range, "
+                        f"first {float(values[first])!r} at row {first[0]}, column {first[1]}")
+    return narrow
+
+
+# --- the array contract ---
+
+def check_finite(name: str, values: np.ndarray) -> None:
+    """Raise :class:`NonFiniteInputError` naming ``name`` if any value is NaN or infinite."""
+    if not np.isfinite(values).all():
+        raise NonFiniteInputError(f"{name} contains NaN or infinite values")
+
+
+def frozen_array(name: str, values, shape: tuple[int | None, ...]) -> np.ndarray:
+    """A float64, finite, read-only copy of ``values``, which must have ``shape``.
+
+    A ``None`` side of ``shape`` matches any length >= 1.  Raises
+    :class:`ShapeMismatchError` for a wrong shape and
+    :class:`NonFiniteInputError` for a NaN or infinite value.
+    """
+    if values is None:
+        raise ValueError(f"{name} is required")
+    arr = np.array(values, dtype=np.float64)  # a copy
+    if arr.ndim != len(shape) or not all(
+            n >= 1 if want is None else n == want for n, want in zip(arr.shape, shape)):
+        raise ShapeMismatchError(
+            f"{name} must have shape {str(shape).replace('None', '*')}, got {arr.shape}")
+    check_finite(name, arr)
+    arr.setflags(write=False)
+    return arr

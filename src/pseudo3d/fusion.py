@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import BadHeadCountError, ShapeMismatchError
+from .errors import BadHeadCountError, ShapeMismatchError, check_finite, frozen_array
 
 LN_EPS = 1e-5
 FFN_EXPANSION = 4
@@ -60,20 +60,6 @@ def _weight_shapes(strategy: Strategy, c: int) -> dict[str, tuple[int, ...]]:
         hidden = FFN_EXPANSION * c
         shapes.update(w_ff1=(hidden, c), b_ff1=(hidden,), w_ff2=(c, hidden), b_ff2=(c,))
     return shapes
-
-
-def _check_weight(name: str, arr: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:
-    """A float64, finite, read-only copy of ``arr``, which must have ``shape``."""
-    if arr is None:
-        raise ValueError(f"{name} is required")
-    out = np.asarray(arr, dtype=np.float64)
-    if out.shape != shape:
-        raise ShapeMismatchError(f"{name} must have shape {shape}, got {out.shape}")
-    if not np.all(np.isfinite(out)):
-        raise ValueError(f"{name} contains non-finite values")
-    out = out.copy()
-    out.setflags(write=False)
-    return out
 
 
 def _init_weights(shapes: dict[str, tuple[int, ...]], seed: int) -> dict[str, np.ndarray]:
@@ -131,7 +117,7 @@ class FusionParams:
             if f.name not in shapes and getattr(self, f.name) is not None:
                 raise ValueError(f"{f.name} is not used by strategy {self.strategy.value!r}")
         for name, shape in shapes.items():
-            object.__setattr__(self, name, _check_weight(name, getattr(self, name), shape))
+            object.__setattr__(self, name, frozen_array(name, getattr(self, name), shape))
 
 
 def init_fusion_params(
@@ -205,6 +191,8 @@ def multi_head_attention(
 def fuse(f2d: np.ndarray, f3d: np.ndarray, params: FusionParams) -> np.ndarray:
     """Fuse two (H, W, C) feature maps by the strategy recorded in ``params``.
 
+    A NaN or infinity in either map raises :class:`NonFiniteInputError`.
+
     sattn: x = x + MHSA(LN(x)); x = x + FFN(LN(x)) over the 2-D positions
     followed by the 3-D ones; the 2-D positions are returned.
     """
@@ -221,6 +209,8 @@ def fuse(f2d: np.ndarray, f3d: np.ndarray, params: FusionParams) -> np.ndarray:
         raise ShapeMismatchError(
             f"params expect {params.channels} channels, features have {c}"
         )
+    check_finite("f2d", a)
+    check_finite("f3d", b)
     if params.strategy is Strategy.ADD:
         return a + b
     n = h * w

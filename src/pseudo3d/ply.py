@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PseudoPointCloud
-from .errors import CloudIoError, reading, write_output
+from .errors import CloudIoError, reading, to_float32, write_output
 
 _XYZ_FIELDS = [("x", "<f4"), ("y", "<f4"), ("z", "<f4")]
 _RGB_FIELDS = [("red", "u1"), ("green", "u1"), ("blue", "u1")]
@@ -23,7 +23,10 @@ _RGB_PROPS = [("uchar", "red"), ("uchar", "green"), ("uchar", "blue")]
 
 
 def export_ply(path: str, cloud: PseudoPointCloud) -> None:
-    """Write a cloud as binary little-endian PLY 1.0."""
+    """Write a cloud as binary little-endian PLY 1.0.
+
+    A point beyond float32's range raises :class:`CloudIoError` and nothing is written.
+    """
     h, w = cloud.grid_shape
     n = h * w
     has_colors = cloud.colors is not None
@@ -42,7 +45,7 @@ def export_ply(path: str, cloud: PseudoPointCloud) -> None:
 
     fields = _XYZ_FIELDS + (_RGB_FIELDS if has_colors else [])
     record = np.empty(n, dtype=np.dtype(fields))
-    flat_pts = cloud.points.reshape(n, 3).astype(np.float32)
+    flat_pts = to_float32(path, CloudIoError, cloud.points).reshape(n, 3)
     record["x"] = flat_pts[:, 0]
     record["y"] = flat_pts[:, 1]
     record["z"] = flat_pts[:, 2]

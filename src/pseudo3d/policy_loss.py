@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import (ActionsFileError, EmptyDatasetError, NonFiniteInputError,
-                     ShapeMismatchError, reading)
+                     ShapeMismatchError, frozen_array, reading)
 
 BCE_EPS = 1e-7
 _UNIT_TOL = 1e-6
@@ -43,21 +43,10 @@ class Action:
     open_prob: float
 
     def __post_init__(self) -> None:
-        xyz = np.asarray(self.xyz, dtype=np.float64)
-        quat = np.asarray(self.quat, dtype=np.float64)
-        if xyz.shape != (3,):
-            raise ShapeMismatchError(f"xyz must be a 3-vector, got {xyz.shape}")
-        if quat.shape != (4,):
-            raise ShapeMismatchError(f"quat must be a 4-vector, got {quat.shape}")
-        if not (np.all(np.isfinite(xyz)) and np.all(np.isfinite(quat))
-                and math.isfinite(self.open_prob)):
-            raise NonFiniteInputError("action contains non-finite values")
-        xyz = xyz.copy()
-        xyz.setflags(write=False)
-        quat = quat.copy()
-        quat.setflags(write=False)
-        object.__setattr__(self, "xyz", xyz)
-        object.__setattr__(self, "quat", quat)
+        object.__setattr__(self, "xyz", frozen_array("xyz", self.xyz, (3,)))
+        object.__setattr__(self, "quat", frozen_array("quat", self.quat, (4,)))
+        if not math.isfinite(self.open_prob):  # not check_finite: numpy costs 1 us a scalar
+            raise NonFiniteInputError("open_prob contains NaN or infinite values")
         object.__setattr__(self, "open_prob", float(self.open_prob))
 
 

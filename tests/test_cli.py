@@ -11,7 +11,7 @@ from conftest import run_cli
 from pseudo3d.cloud import cloud_from_depth, synth_wedge
 from pseudo3d.camera import estimate_intrinsics_from_fov
 from pseudo3d.depth import DepthKind, DepthMap, pipeline_relative_to_dr
-from pseudo3d.depth_io import write_csv
+from pseudo3d.depth_io import write_csv, write_pfm
 from pseudo3d.ply import read_ply
 
 
@@ -106,6 +106,26 @@ class TestGenCloud:
         assert "overflows float64" in proc.stderr
         assert "stage=normalize" in proc.stderr
         assert "Warning" not in proc.stderr
+
+    # a tiny focal length puts points beyond float32 (1e-37) or beyond float64 (1e-320)
+    @pytest.mark.parametrize("focal, stage, names_out", [
+        ("1e-37", "export", True), ("1e-320", "backproject", False),
+    ])
+    def test_out_of_range_points_fail_with_one_line(
+        self, tmp_path, intrinsics_file, focal, stage, names_out
+    ):
+        depth = tmp_path / "d.pfm"
+        write_pfm(str(depth), np.random.default_rng(0).uniform(0.1, 1.0, (6, 8)))
+        cfg = intrinsics_file(f"fx = {focal}\nfy = {focal}\ncx = -100\ncy = 2.5\n")
+        out = tmp_path / "o.ply"
+        proc = run_cli("gen-cloud", "--depth", str(depth), "--format", "pfm",
+                       "--intrinsics", cfg, "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        prefix = f"gen-cloud: stage={stage}: " + (f"{out}: " if names_out else "")
+        assert line.startswith(prefix), line
+        assert not out.exists()
 
     def test_missing_depth_file_names_read_stage(self, tmp_path, fov_intrinsics):
         proc = run_cli("gen-cloud", "--depth", str(tmp_path / "absent.csv"),

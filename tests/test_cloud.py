@@ -1,5 +1,6 @@
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,21 +8,21 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from pseudo3d.camera import CameraIntrinsics
 from pseudo3d.cloud import (
-    CoordinateMap,
     PseudoPointCloud,
     cloud_from_depth,
     local_continuity,
-    synth_plane,
     synth_random,
     synth_wedge,
-    to_cloud,
     to_coordinate_map,
 )
-from pseudo3d.depth import DepthKind
+from pseudo3d.depth import DepthKind, DepthMap
+from pseudo3d.encoder import normalize_coordinate_map
 from pseudo3d.errors import (
+    BadChannelsError,
     CloudIoError,
     InvalidDepthError,
     InvalidRangeError,
+    NonFiniteInputError,
     ShapeMismatchError,
     TooSmallError,
 )
@@ -30,7 +31,7 @@ from pseudo3d.ply import export_ply, read_ply
 
 def plane_cloud(h=4, w=5, z=3.0, fx=2.0, fy=4.0, cx=1.0, cy=0.5):
     intr = CameraIntrinsics(fx=fx, fy=fy, cx=cx, cy=cy)
-    return cloud_from_depth(synth_plane(h, w, z), intr), intr
+    return cloud_from_depth(DepthMap(np.full((h, w), z), DepthKind.METRIC), intr), intr
 
 
 class TestCloudGeometry:
@@ -61,24 +62,19 @@ class TestCoordinateMap:
     def test_round_trip_is_bit_exact(self):
         rng = np.random.default_rng(5)
         cloud = PseudoPointCloud(rng.standard_normal((6, 4, 3)))
-        back = to_cloud(to_coordinate_map(cloud))
+        back = PseudoPointCloud(to_coordinate_map(cloud).transpose(1, 2, 0))
         assert_array_equal(back.points, cloud.points)
 
     def test_planar_layout(self):
         cloud, _ = plane_cloud()
         cmap = to_coordinate_map(cloud)
-        assert cmap.data.shape == (3, 4, 5)
+        assert cmap.shape == (3, 4, 5)
         for channel in range(3):
-            assert_array_equal(cmap.data[channel], cloud.points[..., channel])
+            assert_array_equal(cmap[channel], cloud.points[..., channel])
 
     def test_rejects_wrong_leading_axis(self):
-        with pytest.raises(ValueError):
-            CoordinateMap(np.zeros((4, 2, 2)))
-
-    def test_data_read_only(self):
-        cmap = CoordinateMap(np.zeros((3, 2, 2)))
-        with pytest.raises(ValueError):
-            cmap.data[0, 0, 0] = 1.0
+        with pytest.raises(BadChannelsError):
+            normalize_coordinate_map(np.zeros((4, 2, 2)))
 
 
 class TestContinuity:
@@ -105,12 +101,6 @@ class TestContinuity:
 
 
 class TestSyntheticScenes:
-    def test_plane_validation(self):
-        with pytest.raises(InvalidDepthError):
-            synth_plane(2, 2, 0.0)
-        with pytest.raises(TooSmallError):
-            synth_plane(0, 2, 1.0)
-
     def test_wedge_validation(self):
         with pytest.raises(TooSmallError):
             synth_wedge(2, 1, 1.0, 2.0)
@@ -151,6 +141,18 @@ class TestCloudType:
         with pytest.raises(ValueError):
             cloud.points[0, 0, 0] = 1.0
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_points(self, value):
+        pts = np.zeros((2, 2, 3))
+        pts[1, 0, 2] = value
+        with pytest.raises(NonFiniteInputError, match="point grid"):
+            PseudoPointCloud(pts)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 2, 4), (0, 2, 3), (2, 0, 3)])
+    def test_rejects_wrong_shape(self, shape):
+        with pytest.raises(ShapeMismatchError, match=re.escape("(*, *, 3)")):
+            PseudoPointCloud(np.zeros(shape))
+
 
 class TestPly:
     def test_round_trip_is_float32_exact(self, tmp_path):
@@ -176,13 +178,23 @@ class TestPly:
         cloud = PseudoPointCloud(np.zeros((2, 2, 3)))
         path = str(tmp_path / "c.ply")
         export_ply(path, cloud)
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         assert raw.startswith(b"ply\nformat binary_little_endian 1.0\n")
         assert b"element vertex 4\n" in raw
         assert b"property float x\n" in raw
         # 4 vertices * 3 floats * 4 bytes after the header
         body = raw.split(b"end_header\n", 1)[1]
         assert len(body) == 4 * 3 * 4
+
+    def test_point_beyond_float32_range_rejected(self, tmp_path):
+        pts = np.zeros((2, 3, 3))
+        pts[1, 2, 0] = -1e39
+        pts[0, 1, 1] = 5e38
+        path = tmp_path / "huge.ply"
+        with pytest.raises(CloudIoError, match=re.escape(
+                f"{path}: 2 value(s) beyond float32's range, first 5e+38 at row 0, column 1")):
+            export_ply(str(path), PseudoPointCloud(pts))
+        assert not path.exists()
 
     def test_vertex_order_is_row_major(self, tmp_path):
         pts = np.arange(2 * 2 * 3, dtype=np.float64).reshape(2, 2, 3)
@@ -221,8 +233,7 @@ class TestPly:
         cloud = PseudoPointCloud(np.zeros((2, 2, 3)))
         path = str(tmp_path / "trunc.ply")
         export_ply(path, cloud)
-        raw = open(path, "rb").read()
-        open(path, "wb").write(raw[:-5])
+        Path(path).write_bytes(Path(path).read_bytes()[:-5])
         with pytest.raises(CloudIoError, match="truncated"):
             read_ply(path)
 

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from pseudo3d.cloud import CoordinateMap
 from pseudo3d.encoder import (
     EncoderParams,
     HIDDEN_CHANNELS,
@@ -21,6 +20,8 @@ from pseudo3d.encoder import (
 )
 from pseudo3d.errors import (
     BadChannelsError,
+    DegenerateDepthError,
+    NonFiniteInputError,
     ParamsIoError,
     ShapeMismatchError,
     TooSmallError,
@@ -104,12 +105,6 @@ class TestForward:
         assert out.shape == expected
         assert output_shape(h, w, 7) == expected
 
-    def test_accepts_coordinate_map(self):
-        rng = np.random.default_rng(8)
-        arr = rng.standard_normal((3, 6, 6))
-        params = init_params(out_channels=4, seed=3)
-        assert_array_equal(encode(CoordinateMap(arr), params), encode(arr, params))
-
     def test_zero_input_yields_bias_only(self):
         params = init_params(out_channels=4, seed=4)
         # biases are zero at init, so the whole output is zero
@@ -133,6 +128,16 @@ class TestForward:
         params = init_params(out_channels=4, seed=6)
         with pytest.raises(BadChannelsError):
             encode(np.zeros((4, 8, 8)), params)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_coordinate_map(self, value):
+        params = init_params(out_channels=4, seed=6)
+        x = np.zeros((3, 8, 8))
+        x[1, 5, 2] = value
+        for run in (lambda: encode(x, params),
+                    lambda: encode_backward(x, params, np.ones(output_shape(8, 8, 4)))):
+            with pytest.raises(NonFiniteInputError, match="coordinate map"):
+                run()
 
 
 class TestBackward:
@@ -201,6 +206,14 @@ class TestBackward:
         params = init_params(out_channels=5, seed=1)
         with pytest.raises(ShapeMismatchError):
             encode_backward(np.zeros((3, 8, 8)), params, np.zeros((2, 2, 4)))
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_rejects_non_finite_upstream(self, value):
+        params = init_params(out_channels=5, seed=1)
+        g = np.ones(output_shape(8, 8, 5))
+        g[0, 1, 3] = value
+        with pytest.raises(NonFiniteInputError, match="grad_out"):
+            encode_backward(np.zeros((3, 8, 8)), params, g)
 
 
 class TestMemory:
@@ -306,27 +319,40 @@ class TestGolden:
 class TestNormalizeCoordinateMap:
     def test_standardizes_each_channel(self):
         rng = np.random.default_rng(55)
-        cmap = CoordinateMap(rng.uniform(-4, 9, (3, 6, 7)))
+        cmap = rng.uniform(-4, 9, (3, 6, 7))
         out, flags = normalize_coordinate_map(cmap)
         assert flags == (False, False, False)
         for c in range(3):
-            assert_allclose(out.data[c].mean(), 0.0, atol=1e-12)
-            assert_allclose(out.data[c].std(), 1.0, rtol=1e-12)
+            assert_allclose(out[c].mean(), 0.0, atol=1e-12)
+            assert_allclose(out[c].std(), 1.0, rtol=1e-12)
 
     def test_constant_channel_flagged_and_untouched(self):
         rng = np.random.default_rng(56)
         data = rng.standard_normal((3, 4, 4))
         data[2] = 2.5  # a constant-depth wall makes Z constant
-        out, flags = normalize_coordinate_map(CoordinateMap(data))
+        out, flags = normalize_coordinate_map(data)
         assert flags == (False, False, True)
-        assert_array_equal(out.data[2], data[2])
-        assert_allclose(out.data[0].std(), 1.0, rtol=1e-12)
+        assert_array_equal(out[2], data[2])
+        assert_allclose(out[0].std(), 1.0, rtol=1e-12)
 
     def test_all_constant_passes_through(self):
-        cmap = CoordinateMap(np.ones((3, 2, 2)))
+        cmap = np.ones((3, 2, 2))
         out, flags = normalize_coordinate_map(cmap)
         assert flags == (True, True, True)
-        assert_array_equal(out.data, cmap.data)
+        assert_array_equal(out, cmap)
+
+    @pytest.mark.parametrize("channel", [0, 1, 2])
+    def test_overflowing_spread_names_channel(self, channel):
+        cmap = np.random.default_rng(57).standard_normal((3, 4, 5))
+        cmap[channel] *= 1e200
+        with pytest.raises(DegenerateDepthError, match=f"channel {'XYZ'[channel]}"):
+            normalize_coordinate_map(cmap)
+
+    def test_rejects_non_finite(self):
+        cmap = np.zeros((3, 2, 2))
+        cmap[2, 1, 1] = np.nan
+        with pytest.raises(NonFiniteInputError, match="coordinate map"):
+            normalize_coordinate_map(cmap)
 
 
 class TestSerialization:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from pseudo3d.errors import BadHeadCountError, ShapeMismatchError
+from pseudo3d.errors import BadHeadCountError, NonFiniteInputError, ShapeMismatchError
 from pseudo3d import fusion
 from pseudo3d.fusion import (
     FusionParams,
@@ -283,6 +283,16 @@ class TestDispatchAndShapes:
         for strategy in Strategy:
             params = init_fusion_params(strategy, 4, seed=33, heads=2)
             assert fuse(a, b, params).shape == (3, 5, 4)
+
+    # one NaN in a 2x2x4 f3d used to reach 1 (add), 4 (concat) or all 16 (attention) outputs
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+    @pytest.mark.parametrize("side, value", [("f2d", np.inf), ("f3d", np.nan)])
+    def test_non_finite_features_rejected(self, strategy, side, value):
+        a, b = random_pair(h=2, w=2, c=4, seed=40)
+        (a if side == "f2d" else b)[1, 0, 2] = value
+        params = init_fusion_params(strategy, 4, seed=41, heads=2)
+        with pytest.raises(NonFiniteInputError, match=side):
+            fuse(a, b, params)
 
     @pytest.mark.parametrize("strategy, extra", [
         (Strategy.ADD, {"proj_weight": np.array([[np.nan]]), "wq": "junk"}),
