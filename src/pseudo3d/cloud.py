@@ -79,7 +79,10 @@ def local_continuity(cloud: PseudoPointCloud) -> ContinuityStats:
         diffs.append(pts[:, 1:, :] - pts[:, :-1, :])
     if h >= 2:
         diffs.append(pts[1:, :, :] - pts[:-1, :, :])
-    steps = np.concatenate([np.linalg.norm(d, axis=2).ravel() for d in diffs])
+    # a step beyond float64 becomes inf without a warning; export_ply rejects
+    # such a cloud anyway, since its points are beyond float32
+    with np.errstate(over="ignore"):
+        steps = np.concatenate([np.linalg.norm(d, axis=2).ravel() for d in diffs])
     return ContinuityStats(
         mean_step=float(steps.mean()),
         max_step=float(steps.max()),

@@ -73,12 +73,12 @@ class CloudIoError(Pseudo3dError):
 
 # --- encoder / fusion ---
 
-class BadChannelsError(Pseudo3dError):
-    """Encoder input must have exactly 3 channels."""
-
-
 class ShapeMismatchError(Pseudo3dError, ValueError):
     """Tensor shapes incompatible with the requested operation."""
+
+
+class BadChannelsError(ShapeMismatchError):
+    """Encoder input must have exactly 3 channels."""
 
 
 class BadHeadCountError(Pseudo3dError):

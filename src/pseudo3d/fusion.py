@@ -11,7 +11,9 @@ one of the same shape, by the strategy its parameters were built for:
 * ``sattn``  -- both maps are flattened, concatenated along the sequence
   axis, and run through one pre-norm self-attention block (attention +
   feed-forward, both residual); the positions belonging to the 2-D map
-  are returned.
+  are returned.  Attention and the feed-forward block act row by row on
+  their queries, so only the N 2-D positions are queries; keys and values
+  are all 2N positions.
 
 Attention is scaled dot-product, implemented directly in numpy.  It is
 key-blocked with an online softmax: queries go in blocks of ``_BLOCK_Q``
@@ -194,7 +196,9 @@ def fuse(f2d: np.ndarray, f3d: np.ndarray, params: FusionParams) -> np.ndarray:
     A NaN or infinity in either map raises :class:`NonFiniteInputError`.
 
     sattn: x = x + MHSA(LN(x)); x = x + FFN(LN(x)) over the 2-D positions
-    followed by the 3-D ones; the 2-D positions are returned.
+    followed by the 3-D ones; the 2-D positions are returned.  Only those N
+    rows are computed: they are MHSA's queries, with all 2N rows of LN(x)
+    as keys and values, and the only rows the FFN sees.
     """
     a = np.asarray(f2d, dtype=np.float64)
     b = np.asarray(f3d, dtype=np.float64)
@@ -223,7 +227,7 @@ def fuse(f2d: np.ndarray, f3d: np.ndarray, params: FusionParams) -> np.ndarray:
     else:
         x = np.concatenate([a.reshape(n, c), b.reshape(n, c)], axis=0)
         normed = layer_norm(x)
-        x = x + multi_head_attention(normed, normed, params)
+        x = x[:n] + multi_head_attention(normed[:n], normed, params)
         hidden = np.maximum(layer_norm(x) @ params.w_ff1.T + params.b_ff1, 0.0)
-        out = (x + (hidden @ params.w_ff2.T + params.b_ff2))[:n]
+        out = x + (hidden @ params.w_ff2.T + params.b_ff2)
     return out.reshape(h, w, c)

@@ -354,6 +354,14 @@ class TestNormalizeCoordinateMap:
         with pytest.raises(NonFiniteInputError, match="coordinate map"):
             normalize_coordinate_map(cmap)
 
+    # a wrong channel count is a shape error like a wrong rank, not a class of its own
+    @pytest.mark.parametrize("shape", [(4, 2, 2), (3, 2)], ids=["channels", "rank"])
+    @pytest.mark.parametrize("caught", [ShapeMismatchError, ValueError],
+                             ids=lambda cls: cls.__name__)
+    def test_wrong_shape_is_a_shape_error(self, shape, caught):
+        with pytest.raises(caught, match=r"\(3, H, W\)|exactly 3 channels"):
+            normalize_coordinate_map(np.zeros(shape))
+
 
 class TestSerialization:
     def test_round_trip_bitwise(self, tmp_path):

@@ -158,16 +158,23 @@ class TestCrossAttention:
             init_fusion_params(Strategy.CROSS_ATTENTION, 6, seed=0, heads=4)
 
 
+def full_sequence_sattn(a, b, params, attention):
+    """The sattn block over all 2N positions, 2-D then 3-D, with ``attention``
+    as its MHSA; the first N rows, as an (H, W, C) map."""
+    h, w, c = a.shape
+    n = h * w
+    x = np.concatenate([a.reshape(n, c), b.reshape(n, c)], axis=0)
+    normed = layer_norm(x)
+    x1 = x + attention(normed, normed, params)
+    hidden = np.maximum(layer_norm(x1) @ params.w_ff1.T + params.b_ff1, 0.0)
+    return (x1 + hidden @ params.w_ff2.T + params.b_ff2)[:n].reshape(h, w, c)
+
+
 class TestSelfAttention:
     def test_matches_naive_oracle(self):
         a, b = random_pair(h=2, w=2, c=4, seed=21)
         params = init_fusion_params(Strategy.SELF_ATTENTION, 4, seed=22, heads=2)
-        n, c = 4, 4
-        x = np.concatenate([a.reshape(n, c), b.reshape(n, c)], axis=0)
-        normed = layer_norm(x)
-        x1 = x + naive_attention(normed, normed, params)
-        hidden = np.maximum(layer_norm(x1) @ params.w_ff1.T + params.b_ff1, 0.0)
-        expected = (x1 + hidden @ params.w_ff2.T + params.b_ff2)[:n].reshape(2, 2, 4)
+        expected = full_sequence_sattn(a, b, params, naive_attention)
         assert_allclose(fuse(a, b, params), expected, atol=1e-12)
 
     def test_invariant_to_3d_position_permutation(self):
@@ -260,12 +267,25 @@ class TestBlockedAttention:
         assert np.isfinite(out).all()
         assert_allclose(out, naive_attention(queries, keys, params), rtol=0, atol=1e-12)
 
+    def test_sattn_ragged_blocks_match_full_sequence(self):
+        # 33x33: N = 1089 query rows (eight blocks of 128 and a ragged 65)
+        # against 2N = 2178 keys (a block of 2048 and a ragged 130)
+        a, b = random_pair(h=33, w=33, c=4, seed=42)
+        n = a.shape[0] * a.shape[1]
+        assert n > fusion._BLOCK_Q and n % fusion._BLOCK_Q
+        assert 2 * n > fusion._BLOCK_K and 2 * n % fusion._BLOCK_K
+        params = init_fusion_params(Strategy.SELF_ATTENTION, 4, seed=43)
+        expected = full_sequence_sattn(a, b, params, dense_attention)
+        assert_allclose(fuse(a, b, params), expected, rtol=0, atol=1e-12)
+
+    # measured tracemalloc peaks at 32x32x32, 4 heads: xattn 9.1 MB, sattn 18.6 MB
     @pytest.mark.parametrize("strategy, limit_mb", [
-        (Strategy.CROSS_ATTENTION, 32), (Strategy.SELF_ATTENTION, 64),
+        (Strategy.CROSS_ATTENTION, 32), (Strategy.SELF_ATTENTION, 24),
     ], ids=["xattn", "sattn"])
     def test_fuse_peak_memory_is_bounded(self, strategy, limit_mb):
         # 32x32 positions: a full (4, N, N) score tensor is 32 MB for xattn
-        # and 128 MB for sattn, before the softmax's temporaries
+        # and 64 MB for sattn's N queries against 2N keys, before the
+        # softmax's temporaries
         a, b = random_pair(h=32, w=32, c=32, seed=38)
         params = init_fusion_params(strategy, 32, seed=39, heads=4)
         tracemalloc.start()
