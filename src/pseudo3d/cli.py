@@ -73,6 +73,7 @@ def cmd_gen_cloud(args: argparse.Namespace) -> int:
             d_r = pipeline_relative_to_dr(depth)
         stage = "backproject"
         cloud = cloud_from_depth(d_r, intrinsics)
+        stage = "continuity"
         stats = local_continuity(cloud)
         stage = "export"
         export_ply(args.out, cloud)

@@ -69,20 +69,30 @@ def local_continuity(cloud: PseudoPointCloud) -> ContinuityStats:
     points and reports the mean and maximum Euclidean distance.  A cloud
     from a smooth depth map yields small steps; shift-distorted naive
     reciprocals blow the ratio between near and far steps apart.
+
+    Memory: one float64 step buffer, horizontal steps then vertical ones,
+    plus one diff array at a time; 12.4 MB at 480x640.
     """
     h, w = cloud.grid_shape
     if h * w < 2:
         raise TooSmallError("continuity needs at least two grid points")
     pts = cloud.points
-    diffs = []
-    if w >= 2:
-        diffs.append(pts[:, 1:, :] - pts[:, :-1, :])
-    if h >= 2:
-        diffs.append(pts[1:, :, :] - pts[:-1, :, :])
+    n_horizontal = h * (w - 1)
+    steps = np.empty(n_horizontal + (h - 1) * w)
+    pairs = [(pts[:, 1:, :], pts[:, :-1, :], steps[:n_horizontal].reshape(h, w - 1)),
+             (pts[1:, :, :], pts[:-1, :, :], steps[n_horizontal:].reshape(h - 1, w))]
     # a step beyond float64 becomes inf without a warning; export_ply rejects
     # such a cloud anyway, since its points are beyond float32
     with np.errstate(over="ignore"):
-        steps = np.concatenate([np.linalg.norm(d, axis=2).ravel() for d in diffs])
+        for a, b, squared in pairs:
+            d = a - b
+            d *= d
+            # (x² + y²) + z², the order of np.linalg.norm's sum; einsum adds
+            # x² + z² first and so moves some steps by an ulp
+            np.add(d[..., 0], d[..., 1], out=squared)
+            squared += d[..., 2]
+            del d  # freed before the next diff is built
+    np.sqrt(steps, out=steps)
     return ContinuityStats(
         mean_step=float(steps.mean()),
         max_step=float(steps.max()),

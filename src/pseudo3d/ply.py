@@ -43,19 +43,21 @@ def export_ply(path: str, cloud: PseudoPointCloud) -> None:
         header += ["property uchar red", "property uchar green", "property uchar blue"]
     header.append("end_header")
 
-    fields = _XYZ_FIELDS + (_RGB_FIELDS if has_colors else [])
-    record = np.empty(n, dtype=np.dtype(fields))
-    flat_pts = to_float32(path, CloudIoError, cloud.points).reshape(n, 3)
-    record["x"] = flat_pts[:, 0]
-    record["y"] = flat_pts[:, 1]
-    record["z"] = flat_pts[:, 2]
+    # x, y, z little-endian float32 records are the bytes of a C-contiguous (n, 3) <f4 array
+    body = to_float32(path, CloudIoError, cloud.points).astype("<f4", order="C", copy=False)
+    body = body.reshape(n, 3)
     if has_colors:
+        record = np.empty(n, dtype=np.dtype(_XYZ_FIELDS + _RGB_FIELDS))
+        record["x"] = body[:, 0]
+        record["y"] = body[:, 1]
+        record["z"] = body[:, 2]
         flat_cols = cloud.colors.reshape(n, 3)
         record["red"] = flat_cols[:, 0]
         record["green"] = flat_cols[:, 1]
         record["blue"] = flat_cols[:, 2]
+        body = record
 
-    write_output(path, CloudIoError, ("\n".join(header) + "\n").encode("ascii"), record)
+    write_output(path, CloudIoError, ("\n".join(header) + "\n").encode("ascii"), body)
 
 
 @dataclass(frozen=True)

@@ -129,6 +129,19 @@ class TestGenCloud:
         assert line.startswith(prefix), line
         assert not out.exists()
 
+    def test_grid_step_beyond_float64_fails_with_one_line(self, tmp_path, intrinsics_file):
+        # the top row's points sit at about -1.25e308 and +1.25e308: finite, but
+        # their difference is not, and continuity runs before export rejects them
+        depth = tmp_path / "d.csv"
+        depth.write_text("1,1\n5,5\n")
+        cfg = intrinsics_file("fx = 4e-309\nfy = 1\ncx = 0.5\ncy = 0.5\n")
+        out = tmp_path / "o.ply"
+        proc = run_cli("gen-cloud", "--depth", str(depth), "--format", "csv",
+                       "--intrinsics", cfg, "--out", str(out))
+        assert proc.returncode == 1
+        [line] = proc.stderr.splitlines()
+        assert line.startswith(f"gen-cloud: stage=export: {out}: 2 value(s) beyond float32"), line
+
     def test_missing_depth_file_names_read_stage(self, tmp_path, fov_intrinsics):
         proc = run_cli("gen-cloud", "--depth", str(tmp_path / "absent.csv"),
                        "--format", "csv", "--intrinsics", fov_intrinsics,
@@ -169,14 +182,15 @@ class TestGenCloud:
         assert proc.returncode == 1
         assert "stage=reciprocal" in proc.stderr
 
-    def test_single_pixel_fails_in_backproject_stage(self, tmp_path, explicit_intrinsics):
+    def test_single_pixel_fails_in_continuity_stage(self, tmp_path, explicit_intrinsics):
         pixel = tmp_path / "pixel.csv"
         write_csv(str(pixel), np.array([[2.0]]))
         proc = run_cli("gen-cloud", "--depth", str(pixel), "--format", "csv",
                        "--intrinsics", explicit_intrinsics, "--naive-reciprocal",
                        "--out", str(tmp_path / "o.ply"))
         assert proc.returncode == 1
-        assert "stage=backproject" in proc.stderr
+        assert proc.stderr.endswith(
+            "stage=continuity: continuity needs at least two grid points\n")
 
     @pytest.mark.parametrize("depth, intrinsics, stage", [
         (b"1,2\n3,4\n", b"fov_x_deg = 60\nwidth = inf\nheight = 2\n", "intrinsics"),

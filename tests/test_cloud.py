@@ -1,5 +1,6 @@
 import re
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from pseudo3d.errors import (
     NonFiniteInputError,
     ShapeMismatchError,
     TooSmallError,
+    frozen_array,
 )
 from pseudo3d.ply import export_ply, read_ply
 
@@ -99,6 +101,49 @@ class TestContinuity:
         with pytest.raises(TooSmallError):
             local_continuity(cloud)
 
+    @pytest.mark.parametrize("shape", [(1, 6), (6, 1), (2, 2), (33, 47), (480, 640)])
+    def test_bit_identical_to_norm_oracle(self, shape):
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+        points = rng.uniform(-5.0, 5.0, (*shape, 3)) * rng.uniform(0.1, 10.0, shape)[..., None]
+        stats = local_continuity(PseudoPointCloud(points))
+        assert (stats.mean_step, stats.max_step, stats.n_pairs) == _continuity_oracle(points)
+
+    def test_each_step_is_bit_identical_to_norm(self):
+        # a two-point cloud's mean and max are its one step, so a step that
+        # moves by an ulp (einsum's x² + z² + y² order does, for about 1 in 9) shows
+        rng = np.random.default_rng(8)
+        for pair in rng.standard_normal((500, 1, 2, 3)) * rng.uniform(1e-3, 1e3, (500, 1, 1, 1)):
+            stats = local_continuity(PseudoPointCloud(pair))
+            assert (stats.mean_step, stats.max_step, stats.n_pairs) == _continuity_oracle(pair)
+
+    @pytest.mark.parametrize("x", [(1e308, -1e308), (1e200, -1e200)],
+                             ids=["difference-overflows", "square-overflows"])
+    def test_overflowing_step_is_inf_without_warning(self, x):
+        points = np.zeros((2, 3, 3))
+        points[0, :2, 0] = x
+        stats = local_continuity(PseudoPointCloud(points))
+        assert stats.max_step == np.inf
+        assert stats.mean_step == np.inf
+
+    def test_memory_is_one_diff_plus_steps(self):
+        # one (480, 639, 3) diff plus the 613,280 float64 steps: 12.4 MB
+        # measured; the norm-and-concatenate version peaked at 29.4 MB
+        cloud = PseudoPointCloud(np.random.default_rng(3).standard_normal((480, 640, 3)))
+        tracemalloc.start()
+        try:
+            local_continuity(cloud)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 14e6, peak
+
+
+def _continuity_oracle(points):
+    """The step lengths as first written: a norm per diff array, concatenated."""
+    diffs = [points[:, 1:, :] - points[:, :-1, :], points[1:, :, :] - points[:-1, :, :]]
+    steps = np.concatenate([np.linalg.norm(d, axis=2).ravel() for d in diffs])
+    return float(steps.mean()), float(steps.max()), int(steps.size)
+
 
 class TestSyntheticScenes:
     def test_wedge_validation(self):
@@ -153,6 +198,31 @@ class TestCloudType:
         with pytest.raises(ShapeMismatchError, match=re.escape("(*, *, 3)")):
             PseudoPointCloud(np.zeros(shape))
 
+    def test_cloud_from_depth_points_read_only(self):
+        cloud, _ = plane_cloud()
+        assert not cloud.points.flags.writeable
+        with pytest.raises(ValueError):
+            cloud.points[0, 0, 0] = 1.0
+
+
+class TestFrozenArray:
+    def test_copies_writable_caller_array(self):
+        points = np.random.default_rng(4).standard_normal((3, 2, 3))
+        cloud = PseudoPointCloud(points)
+        kept = cloud.points.copy()
+        points[...] = 7.0
+        assert_array_equal(cloud.points, kept)
+        assert not np.shares_memory(cloud.points, points)
+
+    def test_copies_read_only_view_of_writable_memory(self):
+        memory = np.zeros((3, 2, 3))
+        view = memory.view()
+        view.setflags(write=False)
+        stored = frozen_array("grid", view, (None, None, 3))
+        assert not np.shares_memory(stored, memory)
+        memory[...] = 1.0
+        assert_array_equal(stored, 0.0)
+
 
 class TestPly:
     def test_round_trip_is_float32_exact(self, tmp_path):
@@ -173,6 +243,38 @@ class TestPly:
         export_ply(path, cloud)
         back = read_ply(path)
         assert_array_equal(back.colors, colors.reshape(-1, 3))
+
+    @pytest.mark.parametrize("layout", ["C", "F", "transposed-row"])
+    def test_colorless_bytes_equal_record_oracle(self, tmp_path, layout):
+        rng = np.random.default_rng(23)
+        points = rng.uniform(-10, 10, (1, 5, 3) if layout == "transposed-row" else (4, 5, 3))
+        if layout == "F":
+            points = np.asfortranarray(points)
+        elif layout == "transposed-row":  # points of one row, stored plane by plane
+            points = np.ascontiguousarray(points.transpose(2, 0, 1)).transpose(1, 2, 0)
+        cloud = PseudoPointCloud(points)
+        h, w = cloud.grid_shape
+        record = np.empty(h * w, dtype=[("x", "<f4"), ("y", "<f4"), ("z", "<f4")])
+        for i, name in enumerate("xyz"):
+            record[name] = cloud.points[..., i].ravel()
+        header = (f"ply\nformat binary_little_endian 1.0\ncomment grid {h} {w}\n"
+                  f"element vertex {h * w}\nproperty float x\nproperty float y\n"
+                  "property float z\nend_header\n").encode("ascii")
+        path = tmp_path / "c.ply"
+        export_ply(str(path), cloud)
+        assert path.read_bytes() == header + record.tobytes()
+
+    def test_colorless_export_memory(self, tmp_path):
+        # the float32 grid (3.7 MB) and its overflow mask (0.9 MB): 4.6 MB measured;
+        # building a structured record as well peaked at 8.3 MB
+        cloud = PseudoPointCloud(np.random.default_rng(24).standard_normal((480, 640, 3)))
+        tracemalloc.start()
+        try:
+            export_ply(str(tmp_path / "c.ply"), cloud)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.5e6, peak
 
     def test_header_bytes(self, tmp_path):
         cloud = PseudoPointCloud(np.zeros((2, 2, 3)))
