@@ -54,7 +54,7 @@ from .fusion import (
     init_fusion_params,
     multi_head_attention,
 )
-from .ply import PlyContents, export_ply, read_ply
+from .ply import export_ply, read_ply
 from .policy_loss import (
     Action,
     StepLoss,
@@ -76,7 +76,6 @@ __all__ = [
     "EncoderGradients",
     "EncoderParams",
     "FusionParams",
-    "PlyContents",
     "Pseudo3dError",
     "PseudoPointCloud",
     "StepLoss",

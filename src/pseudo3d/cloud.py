@@ -1,9 +1,10 @@
 """Pseudo point clouds that keep the image's pixel grid, plus synthetic scenes.
 
 A pseudo point cloud is the back-projection of a full depth grid: one 3-D
-point per pixel, stored as an (H, W, 3) array so that grid neighbors stay
-array neighbors.  :func:`to_coordinate_map` lays the same data out
-planar-first, (3, H, W), the layout the convolutional encoder consumes.
+point per pixel and nothing else, stored as an (H, W, 3) float64 array so
+that grid neighbors stay array neighbors.  :func:`to_coordinate_map` lays
+the same data out planar-first, (3, H, W), the layout the convolutional
+encoder consumes.
 """
 
 from __future__ import annotations
@@ -14,29 +15,17 @@ import numpy as np
 
 from .camera import CameraIntrinsics, backproject
 from .depth import DepthKind, DepthMap
-from .errors import (InvalidDepthError, InvalidRangeError, ShapeMismatchError, TooSmallError,
-                     frozen_array)
+from .errors import InvalidDepthError, InvalidRangeError, TooSmallError, frozen_array
 
 
 @dataclass(frozen=True)
 class PseudoPointCloud:
-    """(H, W, 3) float64 grid of finite camera-frame points, optional uint8 colors."""
+    """(H, W, 3) float64 grid of finite camera-frame points."""
 
     points: np.ndarray
-    colors: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", frozen_array("point grid", self.points, (None, None, 3)))
-        if self.colors is not None:
-            cols = np.array(self.colors)  # a copy
-            if cols.dtype != np.uint8:
-                raise ValueError(f"colors must be uint8, got {cols.dtype}")
-            if cols.shape != self.points.shape:
-                raise ShapeMismatchError(
-                    f"colors shape {cols.shape} does not match points {self.points.shape}"
-                )
-            cols.setflags(write=False)
-            object.__setattr__(self, "colors", cols)
 
     @property
     def grid_shape(self) -> tuple[int, int]:

@@ -14,7 +14,7 @@ import re
 import numpy as np
 
 from .depth import DepthKind, DepthMap
-from .errors import DepthFileError, reading, to_float32, write_output
+from .errors import DepthFileError, NonFiniteInputError, reading, to_float32, write_output
 
 # magic, width, height, scale, then exactly one whitespace byte before raster
 _PFM_HEADER = re.compile(rb"^(P[fF])\s+(\d+)\s+(\d+)\s+([-+]?[0-9.eE+-]+)\s")
@@ -163,9 +163,16 @@ _READERS = {"pfm": read_pfm, "pgm": read_pgm, "csv": read_csv}
 
 
 def load_depth_map(path: str, fmt: str, kind: DepthKind) -> DepthMap:
-    """Read a depth file in the named format and tag it with a kind."""
+    """Read a depth file in the named format and tag it with a kind.
+
+    A NaN or infinite sample raises :class:`DepthFileError` naming the path.
+    """
     try:
         reader = _READERS[fmt]
     except KeyError:
         raise ValueError(f"unknown depth format {fmt!r}; expected one of {sorted(_READERS)}") from None
-    return DepthMap(reader(path), kind)
+    values = reader(path)
+    try:
+        return DepthMap(values, kind)
+    except NonFiniteInputError as exc:
+        raise DepthFileError(f"{path}: {exc}") from exc

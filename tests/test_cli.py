@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -46,10 +47,7 @@ class TestGenCloud:
         depth = DepthMap(synth_wedge(6, 8, 2.0, 6.0).values, DepthKind.PREDICTED_RELATIVE)
         intr = estimate_intrinsics_from_fov(8, 6, 60.0)
         expected = cloud_from_depth(pipeline_relative_to_dr(depth), intr)
-        back = read_ply(out)
-        assert back.grid_shape == (6, 8)
-        assert_array_equal(back.points,
-                           expected.points.reshape(-1, 3).astype(np.float32))
+        assert_array_equal(read_ply(out), expected.points.astype(np.float32))
 
     def test_summary_reports_range_and_continuity(self, tmp_path, wedge_csv, fov_intrinsics):
         out = str(tmp_path / "w.ply")
@@ -82,7 +80,7 @@ class TestGenCloud:
         assert run_cli("gen-cloud", "--depth", wedge_csv, "--format", "csv",
                        "--intrinsics", fov_intrinsics, "--naive-reciprocal",
                        "--out", naive).returncode == 0
-        assert not np.array_equal(read_ply(straight).points, read_ply(naive).points)
+        assert not np.array_equal(read_ply(straight), read_ply(naive))
 
     def test_constant_depth_fails_with_degenerate_diagnostic(
         self, tmp_path, explicit_intrinsics
@@ -148,6 +146,19 @@ class TestGenCloud:
                        "--out", str(tmp_path / "o.ply"))
         assert proc.returncode == 1
         assert "stage=read" in proc.stderr
+
+    @pytest.mark.parametrize("name, fmt, data", [
+        ("inf.pfm", "pfm", b"Pf\n2 1\n-1.0\n" + struct.pack("<2f", 1.0, float("inf"))),
+        ("nan.csv", "csv", b"1,2\nnan,4\n"),
+    ], ids=["pfm-inf", "csv-nan"])
+    def test_non_finite_depth_names_path(self, tmp_path, explicit_intrinsics, name, fmt, data):
+        depth = tmp_path / name
+        depth.write_bytes(data)
+        proc = run_cli("gen-cloud", "--depth", str(depth), "--format", fmt,
+                       "--intrinsics", explicit_intrinsics, "--out", str(tmp_path / "o.ply"))
+        assert proc.returncode == 1
+        assert proc.stderr == (f"gen-cloud: stage=read: {depth}: "
+                               "depth grid contains NaN or infinite values\n")
 
     def test_bad_intrinsics_names_stage(self, tmp_path, wedge_csv, intrinsics_file):
         cfg = intrinsics_file("fx = 1\nwidth = 8\n")  # mixed modes

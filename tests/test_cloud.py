@@ -171,16 +171,6 @@ class TestSyntheticScenes:
 
 
 class TestCloudType:
-    def test_colors_must_be_uint8(self):
-        pts = np.zeros((2, 2, 3))
-        with pytest.raises(ValueError):
-            PseudoPointCloud(pts, colors=np.zeros((2, 2, 3), dtype=np.float64))
-
-    def test_colors_shape_must_match(self):
-        pts = np.zeros((2, 2, 3))
-        with pytest.raises(ShapeMismatchError):
-            PseudoPointCloud(pts, colors=np.zeros((2, 3, 3), dtype=np.uint8))
-
     def test_points_read_only(self):
         cloud = PseudoPointCloud(np.zeros((2, 2, 3)))
         with pytest.raises(ValueError):
@@ -231,18 +221,8 @@ class TestPly:
         path = str(tmp_path / "c.ply")
         export_ply(path, cloud)
         back = read_ply(path)
-        assert_array_equal(back.points, cloud.points.reshape(-1, 3).astype(np.float32))
-        assert back.colors is None
-        assert back.grid_shape == (5, 3)
-
-    def test_round_trip_with_colors(self, tmp_path):
-        rng = np.random.default_rng(22)
-        colors = rng.integers(0, 256, (2, 4, 3), dtype=np.uint8)
-        cloud = PseudoPointCloud(rng.standard_normal((2, 4, 3)), colors=colors)
-        path = str(tmp_path / "c.ply")
-        export_ply(path, cloud)
-        back = read_ply(path)
-        assert_array_equal(back.colors, colors.reshape(-1, 3))
+        assert back.dtype == np.float32 and back.shape == (5, 3, 3)
+        assert_array_equal(back, cloud.points.astype(np.float32))
 
     @pytest.mark.parametrize("layout", ["C", "F", "transposed-row"])
     def test_colorless_bytes_equal_record_oracle(self, tmp_path, layout):
@@ -303,10 +283,10 @@ class TestPly:
         path = str(tmp_path / "c.ply")
         export_ply(path, PseudoPointCloud(pts))
         back = read_ply(path)
-        assert_array_equal(back.points[1], [3.0, 4.0, 5.0])  # row 0, col 1
+        assert_array_equal(back[0, 1], [3.0, 4.0, 5.0])
 
     def test_reads_handmade_bytes(self, tmp_path):
-        header = (b"ply\nformat binary_little_endian 1.0\n"
+        header = (b"ply\nformat binary_little_endian 1.0\ncomment grid 1 2\n"
                   b"element vertex 2\n"
                   b"property float x\nproperty float y\nproperty float z\n"
                   b"end_header\n")
@@ -314,21 +294,28 @@ class TestPly:
         path = tmp_path / "hand.ply"
         path.write_bytes(header + body)
         back = read_ply(str(path))
-        assert_array_equal(back.points, [[1.5, -2.0, 3.0], [0.0, 0.25, 9.0]])
-        assert back.grid_shape is None
+        assert_array_equal(back, [[[1.5, -2.0, 3.0], [0.0, 0.25, 9.0]]])
+
+    def test_rejects_missing_grid_comment(self, tmp_path):
+        path = tmp_path / "bare.ply"
+        path.write_bytes(b"ply\nformat binary_little_endian 1.0\nelement vertex 2\n"
+                         b"property float x\nproperty float y\nproperty float z\n"
+                         b"end_header\n" + bytes(2 * 12))
+        with pytest.raises(CloudIoError, match=re.escape(f"{path}: not a PLY header")):
+            read_ply(str(path))
 
     def test_rejects_non_ply(self, tmp_path):
         path = tmp_path / "junk.ply"
         path.write_bytes(b"OFF\n0 0 0\n")
-        with pytest.raises(CloudIoError, match="not a PLY"):
+        with pytest.raises(CloudIoError, match=re.escape(f"{path}: not a PLY header")):
             read_ply(str(path))
 
     def test_rejects_ascii_format(self, tmp_path):
         path = tmp_path / "ascii.ply"
-        path.write_bytes(b"ply\nformat ascii 1.0\nelement vertex 0\n"
+        path.write_bytes(b"ply\nformat ascii 1.0\ncomment grid 1 1\nelement vertex 1\n"
                          b"property float x\nproperty float y\nproperty float z\n"
-                         b"end_header\n")
-        with pytest.raises(CloudIoError, match="unsupported PLY format"):
+                         b"end_header\n0 0 0\n")
+        with pytest.raises(CloudIoError, match=re.escape(f"{path}: not a PLY header")):
             read_ply(str(path))
 
     def test_rejects_truncated_body(self, tmp_path):
@@ -336,21 +323,23 @@ class TestPly:
         path = str(tmp_path / "trunc.ply")
         export_ply(path, cloud)
         Path(path).write_bytes(Path(path).read_bytes()[:-5])
-        with pytest.raises(CloudIoError, match="truncated"):
+        with pytest.raises(CloudIoError, match=re.escape(
+                f"{path}: vertex data truncated (43 bytes, need 48)")):
             read_ply(path)
 
     def test_rejects_unknown_layout(self, tmp_path):
         path = tmp_path / "odd.ply"
-        path.write_bytes(b"ply\nformat binary_little_endian 1.0\n"
-                         b"element vertex 0\n"
+        path.write_bytes(b"ply\nformat binary_little_endian 1.0\ncomment grid 1 1\n"
+                         b"element vertex 1\n"
                          b"property double x\nproperty double y\nproperty double z\n"
-                         b"end_header\n")
-        with pytest.raises(CloudIoError, match="unsupported vertex layout"):
+                         b"end_header\n" + bytes(24))
+        with pytest.raises(CloudIoError, match=re.escape(f"{path}: not a PLY header")):
             read_ply(str(path))
 
     def test_read_missing_file(self, tmp_path):
-        with pytest.raises(CloudIoError, match="cannot read"):
-            read_ply(str(tmp_path / "absent.ply"))
+        path = tmp_path / "absent.ply"
+        with pytest.raises(CloudIoError, match=re.escape(f"{path}: cannot read")):
+            read_ply(str(path))
 
     @pytest.mark.parametrize("element_line", [
         b"element", b"element vertex", b"element vertex abc",
@@ -358,21 +347,23 @@ class TestPly:
     ], ids=["bare", "no-count", "word", "exponent", "negative"])
     def test_bad_vertex_element_names_path(self, tmp_path, element_line):
         path = tmp_path / "bad.ply"
-        path.write_bytes(b"ply\nformat binary_little_endian 1.0\n" + element_line + b"\n"
+        path.write_bytes(b"ply\nformat binary_little_endian 1.0\ncomment grid 1 1\n"
+                         + element_line + b"\n"
                          b"property float x\nproperty float y\nproperty float z\n"
-                         b"end_header\n")
+                         b"end_header\n" + bytes(12))
         with pytest.raises(CloudIoError, match=re.escape(str(path))):
             read_ply(str(path))
 
     @pytest.mark.parametrize("digits", [19, 5000])  # 5000 is past int()'s digit limit
     def test_vertex_count_too_long_for_any_file(self, tmp_path, digits):
         path = tmp_path / "huge.ply"
-        path.write_bytes(b"ply\nformat binary_little_endian 1.0\nelement vertex " + b"1" * digits
-                         + b"\nproperty float x\nproperty float y\nproperty float z\nend_header\n")
-        with pytest.raises(CloudIoError, match=re.escape(f"{path}: bad vertex count")):
+        path.write_bytes(b"ply\nformat binary_little_endian 1.0\ncomment grid 1 1\n"
+                         b"element vertex " + b"1" * digits + b"\n"
+                         b"property float x\nproperty float y\nproperty float z\nend_header\n")
+        with pytest.raises(CloudIoError, match=re.escape(f"{path}: not a PLY header")):
             read_ply(str(path))
 
-    @pytest.mark.parametrize("grid", [b"5 7", b"-1 3", b"0 3", b"3 0", b"-3 -1", b"1 2"])
+    @pytest.mark.parametrize("grid", [b"5 7", b"-1 3", b"0 3", b"3 0", b"-3 -1", b"1 2", b"03 1"])
     def test_grid_comment_must_match_vertex_count(self, tmp_path, grid):
         path = _three_vertex_ply(tmp_path, b"comment grid " + grid)
         with pytest.raises(CloudIoError, match=re.escape(path) + ".*grid"):
@@ -380,10 +371,9 @@ class TestPly:
 
     @pytest.mark.parametrize("comment, grid_shape", [
         (b"comment grid 3 1", (3, 1)), (b"comment grid 1 3", (1, 3)),
-        (b"comment grid of points", None),
     ])
     def test_grid_comment_read_when_consistent(self, tmp_path, comment, grid_shape):
-        assert read_ply(_three_vertex_ply(tmp_path, comment)).grid_shape == grid_shape
+        assert read_ply(_three_vertex_ply(tmp_path, comment)).shape == (*grid_shape, 3)
 
 
 def _three_vertex_ply(tmp_path, comment):

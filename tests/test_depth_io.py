@@ -225,3 +225,14 @@ class TestLoadDepthMap:
         missing = str(tmp_path / "gone.csv")
         with pytest.raises(DepthFileError, match="gone.csv"):
             load_depth_map(missing, "csv", DepthKind.METRIC)
+
+    @pytest.mark.parametrize("name, fmt, data", [
+        ("inf.pfm", "pfm", b"Pf\n2 1\n-1.0\n" + struct.pack("<2f", 1.0, float("inf"))),
+        ("nan.csv", "csv", b"1,2\nnan,4\n"),
+    ], ids=["pfm-inf", "csv-nan"])
+    def test_non_finite_sample_names_path(self, tmp_path, name, fmt, data):
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(DepthFileError, match=re.escape(
+                f"{path}: depth grid contains NaN or infinite values")):
+            load_depth_map(str(path), fmt, DepthKind.PREDICTED_RELATIVE)

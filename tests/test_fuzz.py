@@ -7,6 +7,7 @@ the file.  Runs are derandomized so the suite sees the same inputs each time.
 
 import contextlib
 import io
+import json
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from pseudo3d.cloud import PseudoPointCloud
 from pseudo3d.depth_io import read_csv, read_pfm, read_pgm, write_csv, write_pfm, write_pgm
 from pseudo3d.encoder import EncoderParams, init_params, load_params, save_params
 from pseudo3d.errors import Pseudo3dError
-from pseudo3d.ply import PlyContents, export_ply, read_ply
+from pseudo3d.ply import export_ply, read_ply
 from pseudo3d.policy_loss import Action, read_actions_csv
 
 FUZZ = settings(max_examples=200, derandomize=True, database=None, deadline=None,
@@ -82,24 +83,28 @@ def test_encoder_params(tmp_path):
 
 
 def test_ply(tmp_path):
+    """read_ply accepts only what export_ply writes: a finite grid it returns is
+    written back as the same header and vertex bytes."""
     rng = np.random.default_rng(0)
-    colors = rng.integers(0, 256, (2, 3, 3), dtype=np.uint8)
     seeds = _seed_files(tmp_path, "c.ply", [
-        lambda p: export_ply(p, PseudoPointCloud(rng.standard_normal((2, 3, 3)))),
-        lambda p: export_ply(p, PseudoPointCloud(rng.standard_normal((2, 3, 3)), colors=colors)),
+        lambda p, shape=shape: export_ply(p, PseudoPointCloud(rng.standard_normal((*shape, 3))))
+        for shape in [(1, 1), (2, 3), (1, 5)]
     ])
     path = tmp_path / "fuzzed.ply"
+    rewritten = tmp_path / "rewritten.ply"
 
     @FUZZ
     @given(mutations(seeds))
     def run(data):
-        out = _check(path, data, read_ply)
-        if out is not None:
-            assert isinstance(out, PlyContents)
-            assert out.points.ndim == 2 and out.points.shape[1] == 3
-            if out.grid_shape is not None:
-                h, w = out.grid_shape
-                assert h >= 1 and w >= 1 and h * w == len(out.points)
+        grid = _check(path, data, read_ply)
+        if grid is None:
+            return
+        h, w, three = grid.shape
+        assert three == 3 and grid.dtype == np.float32
+        if np.isfinite(grid).all():
+            export_ply(str(rewritten), PseudoPointCloud(grid))
+            size = data.index(b"end_header\n") + len(b"end_header\n") + 12 * h * w
+            assert rewritten.read_bytes() == data[:size]
 
     run()
 
@@ -174,6 +179,53 @@ def test_gen_cloud_exits_cleanly(tmp_path, fmt):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = cli.main(argv)
         assert code in (0, 1)
-        assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
+        lines = err.getvalue().splitlines()
+        assert len(lines) <= 1, lines
+        if lines and lines[0].startswith("gen-cloud: stage=read: "):
+            assert str(path) in lines[0], lines[0]
+
+    run()
+
+
+_EDGE_FLOATS = [5e-324, 1e-40, 3.4e38, 1e308, -1e308, -0.0]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"JSON constant {name} in the summary")
+
+
+@pytest.mark.parametrize("naive", [False, True], ids=["normalized", "naive-reciprocal"])
+def test_gen_cloud_intrinsics_values(tmp_path, naive):
+    """gen-cloud --json on explicit fx, fy, cx and cy drawn from every float.
+
+    A property-based test in the sense of MacIver, Hatfield-Dodds et al. 2019,
+    "Hypothesis: A new approach to property-based testing" (JOSS 4(43):1891).
+    Exit 0 means an empty stderr, a PLY of finite vertices and a summary that
+    strict JSON accepts; exit 1 means one ``gen-cloud: stage=`` line.
+    """
+    depth = tmp_path / "d.csv"
+    write_csv(str(depth), _DEPTH)
+    cfg = tmp_path / "cam.cfg"
+    out = tmp_path / "out.ply"
+    argv = ["gen-cloud", "--depth", str(depth), "--format", "csv", "--intrinsics", str(cfg),
+            "--out", str(out), "--json"] + (["--naive-reciprocal"] if naive else [])
+    value = st.floats() | st.sampled_from(_EDGE_FLOATS)
+
+    @settings(FUZZ, max_examples=100)
+    @given(value, value, value, value)
+    def run(fx, fy, cx, cy):
+        cfg.write_text(f"fx = {fx!r}\nfy = {fy!r}\ncx = {cx!r}\ncy = {cy!r}\n")
+        out.unlink(missing_ok=True)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+        if code == 0:
+            assert stderr.getvalue() == ""
+            assert np.isfinite(read_ply(str(out))).all()
+            json.loads(stdout.getvalue(), parse_constant=_refuse_constant)
+        else:
+            assert code == 1
+            [line] = stderr.getvalue().splitlines()
+            assert line.startswith("gen-cloud: stage="), line
 
     run()
