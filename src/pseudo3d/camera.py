@@ -12,13 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    IntrinsicsConfigError,
-    InvalidFovError,
-    InvalidIntrinsicsError,
-    NonPositiveDepthError,
-    reading,
-)
+from .errors import IntrinsicsConfigError, InvalidInputError, reading
 
 
 @dataclass(frozen=True)
@@ -31,9 +25,9 @@ class CameraIntrinsics:
     def __post_init__(self) -> None:
         vals = (self.fx, self.fy, self.cx, self.cy)
         if not all(math.isfinite(v) for v in vals):
-            raise InvalidIntrinsicsError(f"intrinsics must be finite, got {vals}")
+            raise InvalidInputError(f"intrinsics must be finite, got {vals}")
         if self.fx <= 0.0 or self.fy <= 0.0:
-            raise InvalidIntrinsicsError(
+            raise InvalidInputError(
                 f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}"
             )
 
@@ -52,7 +46,7 @@ def backproject(depth_values: np.ndarray, intrinsics: CameraIntrinsics) -> np.nd
     """
     d = np.asarray(depth_values, dtype=np.float64)
     if d.ndim != 2:
-        raise ValueError(f"depth grid must be 2-D, got shape {d.shape}")
+        raise InvalidInputError(f"depth grid must be 2-D, got shape {d.shape}")
     h, w = d.shape
     uu = np.arange(w, dtype=np.float64)[np.newaxis, :]
     vv = np.arange(h, dtype=np.float64)[:, np.newaxis]
@@ -68,18 +62,18 @@ def project(points: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
     """Map (..., 3) camera-frame points back to (..., 2) pixel coordinates.
 
     u = fx * X / Z + cx, v = fy * Y / Z + cy.  Every Z must be strictly
-    positive; offending flat indices are attached to the raised error.
+    positive; the first 16 offending flat indices are attached to the
+    raised error as ``indices``.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim < 1 or pts.shape[-1] != 3:
-        raise ValueError(f"points must have a trailing axis of 3, got {pts.shape}")
+        raise InvalidInputError(f"points must have a trailing axis of 3, got {pts.shape}")
     z = pts[..., 2]
     bad = np.flatnonzero(~(z > 0.0))  # NaN fails z > 0 too
     if bad.size:
-        raise NonPositiveDepthError(
-            f"projection requires Z > 0; {bad.size} point(s) violate this",
-            indices=bad[:16].tolist(),
-        )
+        exc = InvalidInputError(f"projection requires Z > 0; {bad.size} point(s) violate this")
+        exc.indices = tuple(bad[:16].tolist())
+        raise exc
     uv = np.empty(pts.shape[:-1] + (2,), dtype=np.float64)
     uv[..., 0] = intrinsics.fx * pts[..., 0] / z + intrinsics.cx
     uv[..., 1] = intrinsics.fy * pts[..., 1] / z + intrinsics.cy
@@ -100,14 +94,12 @@ def estimate_intrinsics_from_fov(
     which makes fy == fx exactly.
     """
     if width < 1 or height < 1:
-        raise InvalidIntrinsicsError(
-            f"image size must be at least 1x1, got {width}x{height}"
-        )
+        raise InvalidInputError(f"image size must be at least 1x1, got {width}x{height}")
     for name, fov in (("fov_x_deg", fov_x_deg), ("fov_y_deg", fov_y_deg)):
         if fov is None:
             continue
         if not math.isfinite(fov) or not 0.0 < fov < 180.0:
-            raise InvalidFovError(
+            raise InvalidInputError(
                 f"{name} must lie strictly between 0 and 180 degrees, got {fov}"
             )
     fx = (width / 2.0) / math.tan(math.radians(fov_x_deg) / 2.0)
@@ -196,7 +188,7 @@ def parse_intrinsics_config(
                 fx=_number("fx"), fy=_number("fy"),
                 cx=_number("cx"), cy=_number("cy"),
             )
-        except InvalidIntrinsicsError as exc:
+        except InvalidInputError as exc:
             raise IntrinsicsConfigError(str(exc)) from exc
 
     required = {"fov_x_deg", "width", "height"}
@@ -219,7 +211,7 @@ def parse_intrinsics_config(
     fov_y = _number("fov_y_deg") if "fov_y_deg" in entries else None
     try:
         return estimate_intrinsics_from_fov(width, height, _number("fov_x_deg"), fov_y)
-    except (InvalidFovError, InvalidIntrinsicsError) as exc:
+    except InvalidInputError as exc:
         raise IntrinsicsConfigError(str(exc)) from exc
 
 

@@ -24,7 +24,7 @@ from .cloud import cloud_from_depth, local_continuity
 from .camera import load_intrinsics
 from .depth import DepthKind, pipeline_relative_to_dr, reciprocal_depth
 from .depth_io import load_depth_map
-from .errors import Pseudo3dError
+from .errors import InvalidInputError, Pseudo3dError
 from .ply import export_ply
 from .verification import ALL_PROPS, render_report, render_report_json, run_properties
 
@@ -37,14 +37,19 @@ def _diag(command: str, stage: str, message: str) -> None:
 
 def _resolve_seed(flag_value: int | None) -> int:
     if flag_value is not None:
+        if flag_value < 0:
+            raise InvalidInputError(f"--seed must be a non-negative integer, got {flag_value}")
         return flag_value
     env = os.environ.get(ENV_SEED)
     if env is None:
         return 0
     try:
-        return int(env)
+        seed = int(env)
     except ValueError:
-        raise ValueError(f"{ENV_SEED} must be an integer, got {env!r}") from None
+        raise InvalidInputError(f"{ENV_SEED} must be an integer, got {env!r}") from None
+    if seed < 0:
+        raise InvalidInputError(f"{ENV_SEED} must be a non-negative integer, got {env!r}")
+    return seed
 
 
 def _split_tokens(raw: list[str]) -> list[str]:
@@ -113,7 +118,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         seed = _resolve_seed(args.seed)
         names = _split_tokens(args.props) if args.props else list(ALL_PROPS)
         results = run_properties(names, seed, break_shift=args.break_shift)
-    except (ValueError, Pseudo3dError) as exc:
+    except Pseudo3dError as exc:
         _diag(command, "config", str(exc))
         return 1
     if args.json:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .camera import CameraIntrinsics, backproject
 from .depth import DepthKind, DepthMap
-from .errors import InvalidDepthError, InvalidRangeError, TooSmallError, frozen_array
+from .errors import InvalidInputError, frozen_array
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ def local_continuity(cloud: PseudoPointCloud) -> ContinuityStats:
     """
     h, w = cloud.grid_shape
     if h * w < 2:
-        raise TooSmallError("continuity needs at least two grid points")
+        raise InvalidInputError("continuity needs at least two grid points")
     pts = cloud.points
     n_horizontal = h * (w - 1)
     steps = np.empty(n_horizontal + (h - 1) * w)
@@ -96,11 +96,11 @@ def synth_wedge(height: int, width: int, z_near: float, z_far: float) -> DepthMa
     structure that exposes shift distortion in the naive reciprocal.
     """
     if height < 1 or width < 2:
-        raise TooSmallError(f"wedge needs width >= 2, got {height}x{width}")
+        raise InvalidInputError(f"wedge needs width >= 2, got {height}x{width}")
     if not z_near > 0.0:
-        raise InvalidDepthError(f"z_near must be positive, got {z_near}")
+        raise InvalidInputError(f"z_near must be positive, got {z_near}")
     if not z_near < z_far:
-        raise InvalidRangeError(f"need z_near < z_far, got {z_near} >= {z_far}")
+        raise InvalidInputError(f"need z_near < z_far, got {z_near} >= {z_far}")
     row = np.linspace(z_near, z_far, width, dtype=np.float64)
     return DepthMap(np.broadcast_to(row, (height, width)).copy(), DepthKind.METRIC)
 
@@ -108,7 +108,7 @@ def synth_wedge(height: int, width: int, z_near: float, z_far: float) -> DepthMa
 def synth_random(height: int, width: int, rng: np.random.Generator) -> DepthMap:
     """Random strictly positive, non-constant metric scene for sweeps."""
     if height * width < 2:
-        raise TooSmallError("random scene needs at least two pixels")
+        raise InvalidInputError("random scene needs at least two pixels")
     while True:
         z = rng.uniform(0.5, 10.0, size=(height, width))
         if z.max() > z.min():

@@ -20,13 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateDepthError,
-    InvalidDepthError,
-    WrongKindError,
-    ZeroScaleError,
-    frozen_array,
-)
+from .errors import InvalidInputError, frozen_array
 
 
 class DepthKind(enum.Enum):
@@ -48,7 +42,7 @@ class DepthMap:
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", frozen_array("depth grid", self.values, (None, None)))
         if not isinstance(self.kind, DepthKind):
-            raise TypeError(f"kind must be a DepthKind, got {self.kind!r}")
+            raise InvalidInputError(f"kind must be a DepthKind, got {self.kind!r}")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -58,23 +52,23 @@ class DepthMap:
 def normalize(depth: DepthMap) -> DepthMap:
     """Min-max rescale a predicted relative depth map to [0, 1].
 
-    Raises :class:`DegenerateDepthError` when the grid is constant, since
+    Raises :class:`InvalidInputError` when the grid is constant, since
     (d - min) / (max - min) is then 0/0, and when max - min overflows float64.
     """
     if depth.kind is not DepthKind.PREDICTED_RELATIVE:
-        raise WrongKindError(
+        raise InvalidInputError(
             f"normalize expects PREDICTED_RELATIVE input, got {depth.kind.name}"
         )
     d = depth.values
     d_min = d.min()
     d_max = d.max()
     if d_max == d_min:
-        raise DegenerateDepthError(
+        raise InvalidInputError(
             f"degenerate depth map: constant value {float(d_min)!r}, cannot normalize"
         )
     span = float(d_max) - float(d_min)  # Python floats overflow to inf silently
     if not np.isfinite(span):
-        raise DegenerateDepthError(
+        raise InvalidInputError(
             f"depth range [{float(d_min)!r}, {float(d_max)!r}] overflows float64, "
             "cannot normalize"
         )
@@ -85,9 +79,7 @@ def normalize(depth: DepthMap) -> DepthMap:
 def invert(depth: DepthMap) -> DepthMap:
     """Flip a normalized map so greater values mean farther: 1 - d."""
     if depth.kind is not DepthKind.NORMALIZED:
-        raise WrongKindError(
-            f"invert expects NORMALIZED input, got {depth.kind.name}"
-        )
+        raise InvalidInputError(f"invert expects NORMALIZED input, got {depth.kind.name}")
     return DepthMap(1.0 - depth.values, DepthKind.INVERTED)
 
 
@@ -104,14 +96,14 @@ def disparity_from_metric(metric: DepthMap, scale: float, shift: float) -> Depth
     must be nonzero (a zero scale would produce a constant, useless map).
     """
     if metric.kind is not DepthKind.METRIC:
-        raise WrongKindError(
+        raise InvalidInputError(
             f"disparity_from_metric expects METRIC input, got {metric.kind.name}"
         )
     if scale == 0.0:
-        raise ZeroScaleError("disparity scale must be nonzero")
+        raise InvalidInputError("disparity scale must be nonzero")
     z = metric.values
     if np.any(z <= 0.0):
-        raise InvalidDepthError("metric depth must be strictly positive")
+        raise InvalidInputError("metric depth must be strictly positive")
     pred = scale * (1.0 / z) + shift
     return DepthMap(pred, DepthKind.PREDICTED_RELATIVE)
 
@@ -123,12 +115,10 @@ def reciprocal_depth(depth: DepthMap) -> DepthMap:
     prediction crossing zero has no meaningful reciprocal.
     """
     if depth.kind is not DepthKind.PREDICTED_RELATIVE:
-        raise WrongKindError(
+        raise InvalidInputError(
             f"reciprocal_depth expects PREDICTED_RELATIVE input, got {depth.kind.name}"
         )
     d = depth.values
     if np.any(d <= 0.0):
-        raise InvalidDepthError(
-            "naive reciprocal requires strictly positive predictions"
-        )
+        raise InvalidInputError("naive reciprocal requires strictly positive predictions")
     return DepthMap(1.0 / d, DepthKind.INVERTED)

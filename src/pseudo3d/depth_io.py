@@ -14,7 +14,8 @@ import re
 import numpy as np
 
 from .depth import DepthKind, DepthMap
-from .errors import DepthFileError, NonFiniteInputError, reading, to_float32, write_output
+from .errors import (DepthFileError, InvalidInputError, NonFiniteInputError, reading, to_float32,
+                     write_output)
 
 # magic, width, height, scale, then exactly one whitespace byte before raster
 _PFM_HEADER = re.compile(rb"^(P[fF])\s+(\d+)\s+(\d+)\s+([-+]?[0-9.eE+-]+)\s")
@@ -62,7 +63,7 @@ def write_pfm(path: str, values: np.ndarray) -> None:
     """
     wide = np.asarray(values, dtype=np.float64)
     if wide.ndim != 2:
-        raise ValueError(f"PFM writer needs a 2-D array, got {wide.shape}")
+        raise InvalidInputError(f"PFM writer needs a 2-D array, got {wide.shape}")
     arr = to_float32(path, DepthFileError, wide)
     h, w = arr.shape
     write_output(path, DepthFileError, b"Pf\n%d %d\n-1.0\n" % (w, h),
@@ -124,11 +125,11 @@ def write_pgm(path: str, samples: np.ndarray, maxval: int) -> None:
     """Write raw integer samples as binary PGM with the given maxval."""
     arr = np.asarray(samples)
     if arr.ndim != 2:
-        raise ValueError(f"PGM writer needs a 2-D array, got {arr.shape}")
+        raise InvalidInputError(f"PGM writer needs a 2-D array, got {arr.shape}")
     if not 0 < maxval < 65536:
-        raise ValueError(f"maxval must be in [1, 65535], got {maxval}")
+        raise InvalidInputError(f"maxval must be in [1, 65535], got {maxval}")
     if arr.min(initial=0) < 0 or arr.max(initial=0) > maxval:
-        raise ValueError("PGM samples must lie in [0, maxval]")
+        raise InvalidInputError("PGM samples must lie in [0, maxval]")
     h, w = arr.shape
     dtype = ">u2" if maxval > 255 else "u1"
     write_output(path, DepthFileError, b"P5\n%d %d\n%d\n" % (w, h, maxval),
@@ -153,7 +154,7 @@ def write_csv(path: str, values: np.ndarray) -> None:
     """Write an (H, W) array as CSV with round-trip-exact formatting."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2:
-        raise ValueError(f"CSV writer needs a 2-D array, got {arr.shape}")
+        raise InvalidInputError(f"CSV writer needs a 2-D array, got {arr.shape}")
     buf = io.BytesIO()
     np.savetxt(buf, arr, delimiter=",", fmt="%.17g")
     write_output(path, DepthFileError, buf.getvalue())
@@ -170,7 +171,8 @@ def load_depth_map(path: str, fmt: str, kind: DepthKind) -> DepthMap:
     try:
         reader = _READERS[fmt]
     except KeyError:
-        raise ValueError(f"unknown depth format {fmt!r}; expected one of {sorted(_READERS)}") from None
+        raise InvalidInputError(
+            f"unknown depth format {fmt!r}; expected one of {sorted(_READERS)}") from None
     values = reader(path)
     try:
         return DepthMap(values, kind)

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (BadChannelsError, DegenerateDepthError, NonFiniteInputError, ParamsIoError,
-                     ShapeMismatchError, TooSmallError, check_finite, frozen_array, reading,
-                     write_output)
+from .errors import (InvalidInputError, NonFiniteInputError, ParamsIoError, ShapeMismatchError,
+                     check_finite, frozen_array, reading, write_output)
 from .fusion import _init_weights
 
 HIDDEN_CHANNELS = 16
@@ -65,7 +64,7 @@ class EncoderParams:
 def init_params(out_channels: int, seed: int) -> EncoderParams:
     """Seeded initialization: uniform +-1/sqrt(fan_in) weights, zero biases."""
     if out_channels < 1:
-        raise ValueError(f"out_channels must be >= 1, got {out_channels}")
+        raise InvalidInputError(f"out_channels must be >= 1, got {out_channels}")
     return EncoderParams(**_init_weights(_param_shapes(out_channels), seed))
 
 
@@ -75,7 +74,7 @@ def _as_planar(grid: np.ndarray) -> np.ndarray:
     if arr.ndim != 3:
         raise ShapeMismatchError(f"encoder input must be (3, H, W), got {arr.shape}")
     if arr.shape[0] != 3:
-        raise BadChannelsError(f"encoder input must have exactly 3 channels, got {arr.shape[0]}")
+        raise ShapeMismatchError(f"encoder input must have exactly 3 channels, got {arr.shape[0]}")
     check_finite("coordinate map", arr)
     return arr
 
@@ -84,7 +83,7 @@ def _encoder_input(grid: np.ndarray) -> np.ndarray:
     arr = _as_planar(grid)
     _, h, w = arr.shape
     if h < MIN_SIDE or w < MIN_SIDE:
-        raise TooSmallError(f"encoder needs at least {MIN_SIDE}x{MIN_SIDE}, got {h}x{w}")
+        raise InvalidInputError(f"encoder needs at least {MIN_SIDE}x{MIN_SIDE}, got {h}x{w}")
     return arr
 
 
@@ -186,7 +185,7 @@ def normalize_coordinate_map(
     (for example Z on a constant-depth wall) is passed through untouched;
     the returned flags mark which channels were constant so callers can
     see the skip rather than silently dividing by zero.  A channel whose
-    mean or spread overflows float64 raises :class:`DegenerateDepthError`.
+    mean or spread overflows float64 raises :class:`InvalidInputError`.
     """
     data = _as_planar(cmap)
     out = np.empty_like(data)
@@ -197,8 +196,8 @@ def normalize_coordinate_map(
             mean = channel.mean()
             std = channel.std()
         if not np.isfinite(std):
-            raise DegenerateDepthError(f"coordinate map channel {'XYZ'[c]}: spread "
-                                       "overflows float64, cannot normalize")
+            raise InvalidInputError(f"coordinate map channel {'XYZ'[c]}: spread "
+                                    "overflows float64, cannot normalize")
         if std == 0.0:
             out[c] = channel
             flags.append(True)

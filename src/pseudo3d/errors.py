@@ -1,6 +1,16 @@
-"""Exception hierarchy shared by all pseudo3d modules, the one file boundary,
-and the one array contract: every array a value type stores is a float64,
-finite, read-only copy of the required shape made by :func:`frozen_array`.
+"""Every error the package raises, the file boundary, and the one array contract.
+
+There are nine exception classes, all under :class:`Pseudo3dError`:
+
+* :class:`InvalidInputError` (a value outside its domain),
+  :class:`ShapeMismatchError` and :class:`NonFiniteInputError` are also
+  ``ValueError`` subclasses;
+* :class:`DepthFileError`, :class:`CloudIoError`, :class:`ParamsIoError`,
+  :class:`ActionsFileError` and :class:`IntrinsicsConfigError`, one per file
+  kind, are not; read through :func:`reading`, their messages start with the path.
+
+Every array a value type stores is a float64, finite, read-only copy of the
+required shape made by :func:`frozen_array`.
 """
 
 from contextlib import contextmanager
@@ -12,97 +22,41 @@ class Pseudo3dError(Exception):
     """Base class for every error raised by this package."""
 
 
-# --- depth processing ---
+# --- values: all three are ValueErrors ---
+
+class InvalidInputError(Pseudo3dError, ValueError):
+    """An argument violates its domain: a degenerate range, a non-positive depth,
+    a grid too small, a bad count or size, an unknown name."""
+
+
+class ShapeMismatchError(Pseudo3dError, ValueError):
+    """Array shapes, or a channel count, incompatible with the requested operation."""
+
 
 class NonFiniteInputError(Pseudo3dError, ValueError):
     """An input array contains NaN or infinity."""
 
 
-class DegenerateDepthError(Pseudo3dError):
-    """A depth range is zero, or a depth or coordinate range overflows float64:
-    normalization is undefined."""
+# --- the file boundary: one class per file kind ---
+
+class DepthFileError(Pseudo3dError):
+    """Depth map file could not be read, parsed or written."""
 
 
-class WrongKindError(Pseudo3dError):
-    """Operation applied to a depth map of the wrong semantic kind."""
+class CloudIoError(Pseudo3dError):
+    """Point cloud file could not be read, parsed or written."""
 
 
-class ZeroScaleError(Pseudo3dError):
-    """Disparity simulation called with scale == 0."""
+class ParamsIoError(Pseudo3dError):
+    """Encoder parameter file is malformed or truncated, or could not be written."""
 
 
-class InvalidDepthError(Pseudo3dError):
-    """A depth value violates the positivity required by its use."""
-
-
-# --- camera ---
-
-class InvalidIntrinsicsError(Pseudo3dError):
-    """Focal lengths must be positive and all intrinsics finite."""
-
-
-class NonPositiveDepthError(Pseudo3dError):
-    """Projection requires Z > 0; carries the offending grid indices."""
-
-    def __init__(self, message: str, indices=()):
-        super().__init__(message)
-        self.indices = tuple(indices)
-
-
-class InvalidFovError(Pseudo3dError):
-    """Field of view outside the open interval (0, 180) degrees."""
+class ActionsFileError(Pseudo3dError):
+    """Actions CSV could not be read or parsed."""
 
 
 class IntrinsicsConfigError(Pseudo3dError):
     """Malformed or ambiguous intrinsics configuration file."""
-
-
-# --- point clouds ---
-
-class TooSmallError(Pseudo3dError):
-    """Grid too small for the requested statistic or encoding."""
-
-
-class InvalidRangeError(Pseudo3dError):
-    """Degenerate synthetic scene range (z_near must be < z_far)."""
-
-
-class CloudIoError(Pseudo3dError):
-    """Point cloud file could not be written or parsed; carries the path."""
-
-
-# --- encoder / fusion ---
-
-class ShapeMismatchError(Pseudo3dError, ValueError):
-    """Tensor shapes incompatible with the requested operation."""
-
-
-class BadChannelsError(ShapeMismatchError):
-    """Encoder input must have exactly 3 channels."""
-
-
-class BadHeadCountError(Pseudo3dError):
-    """Channel count not divisible by the attention head count."""
-
-
-class ParamsIoError(Pseudo3dError):
-    """Encoder parameter blob is malformed or truncated."""
-
-
-# --- policy loss ---
-
-class EmptyDatasetError(Pseudo3dError):
-    """Dataset loss requires at least one trajectory."""
-
-
-# --- the file boundary ---
-
-class DepthFileError(Pseudo3dError):
-    """Depth map file could not be parsed; carries the path."""
-
-
-class ActionsFileError(Pseudo3dError):
-    """Actions CSV could not be read or parsed; carries the path."""
 
 
 @contextmanager
@@ -162,7 +116,7 @@ def frozen_array(name: str, values, shape: tuple[int | None, ...]) -> np.ndarray
     :class:`NonFiniteInputError` for a NaN or infinite value.
     """
     if values is None:
-        raise ValueError(f"{name} is required")
+        raise InvalidInputError(f"{name} is required")
     arr = np.array(values, dtype=np.float64)  # a copy
     if arr.ndim != len(shape) or not all(
             n >= 1 if want is None else n == want for n, want in zip(arr.shape, shape)):

@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import BadHeadCountError, ShapeMismatchError, check_finite, frozen_array
+from .errors import InvalidInputError, ShapeMismatchError, check_finite, frozen_array
 
 LN_EPS = 1e-5
 FFN_EXPANSION = 4
@@ -107,17 +107,15 @@ class FusionParams:
     def __post_init__(self) -> None:
         c = self.channels
         if c < 1:
-            raise ValueError(f"channels must be >= 1, got {c}")
+            raise InvalidInputError(f"channels must be >= 1, got {c}")
         if self.heads < 1:
-            raise BadHeadCountError(f"heads must be >= 1, got {self.heads}")
+            raise InvalidInputError(f"heads must be >= 1, got {self.heads}")
         if self.strategy in _ATTENTION and c % self.heads != 0:
-            raise BadHeadCountError(
-                f"channels {c} not divisible by heads {self.heads}"
-            )
+            raise InvalidInputError(f"channels {c} not divisible by heads {self.heads}")
         shapes = _weight_shapes(self.strategy, c)
         for f in fields(self)[3:]:  # the arrays, after strategy, channels, heads
             if f.name not in shapes and getattr(self, f.name) is not None:
-                raise ValueError(f"{f.name} is not used by strategy {self.strategy.value!r}")
+                raise InvalidInputError(f"{f.name} is not used by strategy {self.strategy.value!r}")
         for name, shape in shapes.items():
             object.__setattr__(self, name, frozen_array(name, getattr(self, name), shape))
 

@@ -36,7 +36,11 @@ def export_ply(path: str, cloud: PseudoPointCloud) -> None:
 
 
 def read_ply(path: str) -> np.ndarray:
-    """Read a file written by :func:`export_ply` as a read-only (H, W, 3) float32 grid."""
+    """Read a file written by :func:`export_ply` as a read-only (H, W, 3) float32 grid.
+
+    Anything else raises :class:`CloudIoError` naming the path, including a
+    body that is not exactly the grid's records and a NaN or infinite vertex.
+    """
     with reading(path, CloudIoError) as data:
         match = _HEADER_PATTERN.match(data)
         if match is None:
@@ -46,6 +50,10 @@ def read_ply(path: str) -> np.ndarray:
         if h * w != n:
             raise CloudIoError(f"grid {h}x{w} does not match {n} vertices")
         available = len(data) - match.end()
-        if available < 12 * n:
-            raise CloudIoError(f"vertex data truncated ({available} bytes, need {12 * n})")
-        return np.frombuffer(data, "<f4", 3 * n, match.end()).reshape(h, w, 3)
+        if available != 12 * n:
+            raise CloudIoError(f"vertex data {'truncated' if available < 12 * n else 'too long'} "
+                               f"({available} bytes, need {12 * n})")
+        grid = np.frombuffer(data, "<f4", 3 * n, match.end()).reshape(h, w, 3)
+        if not np.isfinite(grid).all():
+            raise CloudIoError("vertex data contains NaN or infinite values")
+        return grid

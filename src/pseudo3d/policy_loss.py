@@ -21,8 +21,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (ActionsFileError, EmptyDatasetError, NonFiniteInputError,
-                     ShapeMismatchError, frozen_array, reading)
+from .errors import (ActionsFileError, InvalidInputError, NonFiniteInputError, ShapeMismatchError,
+                     frozen_array, reading)
 
 BCE_EPS = 1e-7
 _UNIT_TOL = 1e-6
@@ -59,7 +59,7 @@ class Trajectory:
     def __post_init__(self) -> None:
         steps = tuple((p, t) for p, t in self.steps)
         if len(steps) < 1:
-            raise EmptyDatasetError("trajectory must contain at least one step")
+            raise InvalidInputError("trajectory must contain at least one step")
         object.__setattr__(self, "steps", steps)
 
     def __len__(self) -> int:
@@ -75,16 +75,13 @@ class StepLoss(NamedTuple):
 
 def _validate_pair(pred: Action, target: Action) -> None:
     if not 0.0 <= pred.open_prob <= 1.0:
-        raise ValueError(
-            f"predicted open_prob must lie in [0, 1], got {pred.open_prob}"
-        )
+        raise InvalidInputError(f"predicted open_prob must lie in [0, 1], got {pred.open_prob}")
     if target.open_prob not in (0.0, 1.0):
-        raise ValueError(
-            f"target gripper label must be exactly 0 or 1, got {target.open_prob}"
-        )
+        raise InvalidInputError(
+            f"target gripper label must be exactly 0 or 1, got {target.open_prob}")
     norm = float(np.linalg.norm(target.quat))
     if abs(norm - 1.0) > _UNIT_TOL:
-        raise ValueError(f"target quaternion must be unit norm, |q| = {norm}")
+        raise InvalidInputError(f"target quaternion must be unit norm, |q| = {norm}")
 
 
 def step_loss(pred: Action, target: Action) -> StepLoss:
@@ -106,15 +103,21 @@ def step_loss(pred: Action, target: Action) -> StepLoss:
 def dataset_loss(trajectories: Sequence[Trajectory]) -> float:
     """Sum of step totals over every trajectory, divided by the total
     number of steps (equal to 1/(N*T) when all N trajectories have T steps).
+
+    A step that :func:`step_loss` rejects raises :class:`InvalidInputError`
+    whose message starts with ``trajectory i, step j: ``.
     """
     if len(trajectories) == 0:
-        raise EmptyDatasetError("dataset must contain at least one trajectory")
+        raise InvalidInputError("dataset must contain at least one trajectory")
     total = 0.0
     n_steps = 0
-    for traj in trajectories:
-        for pred, target in traj.steps:
-            total += step_loss(pred, target).total
-            n_steps += 1
+    for i, traj in enumerate(trajectories):
+        for j, (pred, target) in enumerate(traj.steps):
+            try:
+                total += step_loss(pred, target).total
+            except InvalidInputError as exc:
+                raise InvalidInputError(f"trajectory {i}, step {j}: {exc}") from exc
+        n_steps += len(traj.steps)
     return total / n_steps
 
 

@@ -21,6 +21,7 @@ from .camera import CameraIntrinsics, backproject, estimate_intrinsics_from_fov,
 from .cloud import PseudoPointCloud, synth_random, synth_wedge
 from .depth import disparity_from_metric, normalize, pipeline_relative_to_dr, reciprocal_depth
 from .encoder import EncoderParams, encode, encode_backward, init_params
+from .errors import InvalidInputError
 from .fusion import FusionParams, Strategy, fuse, init_fusion_params
 from .policy_loss import Action, BCE_EPS, Trajectory, dataset_loss, step_loss
 
@@ -578,7 +579,7 @@ def run_properties(
     checks["determinism"] = check_determinism
     unknown = [n for n in names if n not in checks]
     if unknown:
-        raise ValueError(
+        raise InvalidInputError(
             f"unknown properties: {', '.join(unknown)}; expected from {', '.join(ALL_PROPS)}"
         )
     ordered = [n for n in ALL_PROPS if n in set(names)]

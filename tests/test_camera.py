@@ -13,23 +13,18 @@ from pseudo3d.camera import (
     parse_intrinsics_config,
     project,
 )
-from pseudo3d.errors import (
-    IntrinsicsConfigError,
-    InvalidFovError,
-    InvalidIntrinsicsError,
-    NonPositiveDepthError,
-)
+from pseudo3d.errors import IntrinsicsConfigError, InvalidInputError
 
 
 class TestIntrinsicsType:
     def test_rejects_nonpositive_focal(self):
-        with pytest.raises(InvalidIntrinsicsError):
+        with pytest.raises(InvalidInputError):
             CameraIntrinsics(fx=0.0, fy=1.0, cx=0.0, cy=0.0)
-        with pytest.raises(InvalidIntrinsicsError):
+        with pytest.raises(InvalidInputError):
             CameraIntrinsics(fx=1.0, fy=-2.0, cx=0.0, cy=0.0)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(InvalidIntrinsicsError):
+        with pytest.raises(InvalidInputError):
             CameraIntrinsics(fx=1.0, fy=1.0, cx=math.nan, cy=0.0)
 
 
@@ -70,7 +65,7 @@ class TestBackproject:
 
     def test_rejects_wrong_rank(self):
         intr = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInputError):
             backproject(np.zeros(5), intr)
 
 
@@ -100,20 +95,20 @@ class TestProject:
     def test_rejects_nonpositive_z_with_indices(self):
         intr = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0)
         pts = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
-        with pytest.raises(NonPositiveDepthError) as exc_info:
+        with pytest.raises(InvalidInputError) as exc_info:
             project(pts, intr)
         assert exc_info.value.indices == (1, 2)
 
     def test_rejects_nan_z_with_index(self):
         intr = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0)
         pts = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, np.nan]])
-        with pytest.raises(NonPositiveDepthError) as exc_info:
+        with pytest.raises(InvalidInputError) as exc_info:
             project(pts, intr)
         assert exc_info.value.indices == (1,)
 
     def test_rejects_bad_trailing_axis(self):
         intr = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInputError):
             project(np.zeros((4, 2)), intr)
 
 
@@ -144,11 +139,11 @@ class TestFovEstimation:
 
     @pytest.mark.parametrize("fov", [0.0, -10.0, 180.0, 359.0, math.nan])
     def test_rejects_out_of_range_fov(self, fov):
-        with pytest.raises(InvalidFovError):
+        with pytest.raises(InvalidInputError):
             estimate_intrinsics_from_fov(10, 10, fov)
 
     def test_rejects_empty_image(self):
-        with pytest.raises(InvalidIntrinsicsError):
+        with pytest.raises(InvalidInputError):
             estimate_intrinsics_from_fov(0, 10, 60.0)
 
 

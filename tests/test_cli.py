@@ -337,4 +337,18 @@ class TestVerify:
         env = {**os.environ, "PSEUDO3D_SEED": "many"}
         proc = run_cli("verify", "--props", "files", env=env)
         assert proc.returncode == 1
-        assert "PSEUDO3D_SEED" in proc.stderr
+        assert proc.stderr == "verify: stage=config: PSEUDO3D_SEED must be an integer, got 'many'\n"
+
+    @pytest.mark.parametrize("flag, env_seed, message", [
+        (["--seed", "-1"], None, "--seed must be a non-negative integer, got -1"),
+        ([], "-1", "PSEUDO3D_SEED must be a non-negative integer, got '-1'"),
+    ], ids=["flag", "env"])
+    def test_negative_seed_names_its_source(self, flag, env_seed, message):
+        env = {k: v for k, v in os.environ.items() if k != "PSEUDO3D_SEED"}
+        if env_seed is not None:
+            env["PSEUDO3D_SEED"] = env_seed
+        proc = run_cli("verify", "--props", "files", *flag, env=env)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [f"verify: stage=config: {message}"]

@@ -19,13 +19,10 @@ from pseudo3d.cloud import (
 from pseudo3d.depth import DepthKind, DepthMap
 from pseudo3d.encoder import normalize_coordinate_map
 from pseudo3d.errors import (
-    BadChannelsError,
     CloudIoError,
-    InvalidDepthError,
-    InvalidRangeError,
+    InvalidInputError,
     NonFiniteInputError,
     ShapeMismatchError,
-    TooSmallError,
     frozen_array,
 )
 from pseudo3d.ply import export_ply, read_ply
@@ -75,7 +72,7 @@ class TestCoordinateMap:
             assert_array_equal(cmap[channel], cloud.points[..., channel])
 
     def test_rejects_wrong_leading_axis(self):
-        with pytest.raises(BadChannelsError):
+        with pytest.raises(ShapeMismatchError):
             normalize_coordinate_map(np.zeros((4, 2, 2)))
 
 
@@ -98,7 +95,7 @@ class TestContinuity:
 
     def test_single_point_rejected(self):
         cloud = PseudoPointCloud(np.zeros((1, 1, 3)))
-        with pytest.raises(TooSmallError):
+        with pytest.raises(InvalidInputError):
             local_continuity(cloud)
 
     @pytest.mark.parametrize("shape", [(1, 6), (6, 1), (2, 2), (33, 47), (480, 640)])
@@ -147,13 +144,13 @@ def _continuity_oracle(points):
 
 class TestSyntheticScenes:
     def test_wedge_validation(self):
-        with pytest.raises(TooSmallError):
+        with pytest.raises(InvalidInputError):
             synth_wedge(2, 1, 1.0, 2.0)
-        with pytest.raises(InvalidDepthError):
+        with pytest.raises(InvalidInputError):
             synth_wedge(2, 3, -1.0, 2.0)
-        with pytest.raises(InvalidRangeError):
+        with pytest.raises(InvalidInputError):
             synth_wedge(2, 3, 2.0, 2.0)
-        with pytest.raises(InvalidRangeError):
+        with pytest.raises(InvalidInputError):
             synth_wedge(2, 3, 3.0, 2.0)
 
     def test_random_scene_is_positive_and_varied(self):
@@ -327,6 +324,23 @@ class TestPly:
                 f"{path}: vertex data truncated (43 bytes, need 48)")):
             read_ply(path)
 
+    def test_rejects_bytes_after_the_vertices(self, tmp_path):
+        cloud = PseudoPointCloud(np.zeros((2, 2, 3)))
+        path = str(tmp_path / "long.ply")
+        export_ply(path, cloud)
+        Path(path).write_bytes(Path(path).read_bytes() + bytes(5))
+        with pytest.raises(CloudIoError, match=re.escape(
+                f"{path}: vertex data too long (53 bytes, need 48)")):
+            read_ply(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_vertex(self, tmp_path, value):
+        path = tmp_path / "nan.ply"
+        path.write_bytes(_HEADER_1X1 + struct.pack("<3f", value, 1.0, 2.0))
+        with pytest.raises(CloudIoError, match=re.escape(
+                f"{path}: vertex data contains NaN or infinite values")):
+            read_ply(str(path))
+
     def test_rejects_unknown_layout(self, tmp_path):
         path = tmp_path / "odd.ply"
         path.write_bytes(b"ply\nformat binary_little_endian 1.0\ncomment grid 1 1\n"
@@ -374,6 +388,10 @@ class TestPly:
     ])
     def test_grid_comment_read_when_consistent(self, tmp_path, comment, grid_shape):
         assert read_ply(_three_vertex_ply(tmp_path, comment)).shape == (*grid_shape, 3)
+
+
+_HEADER_1X1 = (b"ply\nformat binary_little_endian 1.0\ncomment grid 1 1\nelement vertex 1\n"
+               b"property float x\nproperty float y\nproperty float z\nend_header\n")
 
 
 def _three_vertex_ply(tmp_path, comment):

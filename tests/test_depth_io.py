@@ -16,7 +16,7 @@ from pseudo3d.depth_io import (
     write_pfm,
     write_pgm,
 )
-from pseudo3d.errors import DepthFileError
+from pseudo3d.errors import DepthFileError, InvalidInputError
 
 
 class TestPfm:
@@ -145,7 +145,7 @@ class TestPgm:
         assert_array_equal(read_pgm(path), samples / 4096.0)
 
     def test_writer_validates_range(self, tmp_path):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInputError):
             write_pgm(str(tmp_path / "x.pgm"), np.array([[5000]]), maxval=4096)
 
 
@@ -218,7 +218,7 @@ class TestLoadDepthMap:
         assert dm.kind is DepthKind.PREDICTED_RELATIVE
 
     def test_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown depth format"):
+        with pytest.raises(InvalidInputError, match="unknown depth format"):
             load_depth_map(str(tmp_path / "d.exr"), "exr", DepthKind.METRIC)
 
     def test_missing_file_surfaces_path(self, tmp_path):

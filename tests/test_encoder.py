@@ -19,12 +19,10 @@ from pseudo3d.encoder import (
     save_params,
 )
 from pseudo3d.errors import (
-    BadChannelsError,
-    DegenerateDepthError,
+    InvalidInputError,
     NonFiniteInputError,
     ParamsIoError,
     ShapeMismatchError,
-    TooSmallError,
 )
 
 # ---------------------------------------------------------------------------
@@ -121,12 +119,12 @@ class TestForward:
 
     def test_too_small_input(self):
         params = init_params(out_channels=4, seed=6)
-        with pytest.raises(TooSmallError):
+        with pytest.raises(InvalidInputError):
             encode(np.zeros((3, 3, 8)), params)
 
     def test_wrong_channel_count(self):
         params = init_params(out_channels=4, seed=6)
-        with pytest.raises(BadChannelsError):
+        with pytest.raises(ShapeMismatchError):
             encode(np.zeros((4, 8, 8)), params)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -261,12 +259,12 @@ class TestInit:
                           w2=np.zeros((4, 16, 3, 3)), b2=np.zeros(5))
 
     def test_rejects_bad_channel_count(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInputError):
             init_params(out_channels=0, seed=0)
 
     def test_missing_weight_rejected(self):
         p = init_params(out_channels=2, seed=0)
-        with pytest.raises(ValueError, match="w1 is required"):
+        with pytest.raises(InvalidInputError, match="w1 is required"):
             EncoderParams(w1=None, b1=p.b1, w2=p.w2, b2=p.b2)
 
 
@@ -345,7 +343,7 @@ class TestNormalizeCoordinateMap:
     def test_overflowing_spread_names_channel(self, channel):
         cmap = np.random.default_rng(57).standard_normal((3, 4, 5))
         cmap[channel] *= 1e200
-        with pytest.raises(DegenerateDepthError, match=f"channel {'XYZ'[channel]}"):
+        with pytest.raises(InvalidInputError, match=f"channel {'XYZ'[channel]}"):
             normalize_coordinate_map(cmap)
 
     def test_rejects_non_finite(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from pseudo3d.errors import BadHeadCountError, NonFiniteInputError, ShapeMismatchError
+from pseudo3d.errors import InvalidInputError, NonFiniteInputError, ShapeMismatchError
 from pseudo3d import fusion
 from pseudo3d.fusion import (
     FusionParams,
@@ -154,7 +154,7 @@ class TestCrossAttention:
         assert (np.abs(delta) > 0).all()
 
     def test_head_count_must_divide_channels(self):
-        with pytest.raises(BadHeadCountError):
+        with pytest.raises(InvalidInputError):
             init_fusion_params(Strategy.CROSS_ATTENTION, 6, seed=0, heads=4)
 
 
@@ -185,7 +185,7 @@ class TestSelfAttention:
         assert_allclose(fuse(a, b_perm, params), fuse(a, b, params), atol=1e-12)
 
     def test_missing_ffn_weights_rejected(self):
-        with pytest.raises(ValueError, match="w_ff1"):
+        with pytest.raises(InvalidInputError, match="w_ff1"):
             FusionParams(strategy=Strategy.SELF_ATTENTION, channels=4, heads=2,
                          wq=np.eye(4), wk=np.eye(4), wv=np.eye(4), wo=np.eye(4))
 
@@ -322,7 +322,7 @@ class TestDispatchAndShapes:
     def test_arrays_the_strategy_does_not_use_are_rejected(self, strategy, extra):
         weights = dataclasses.asdict(init_fusion_params(strategy, 4, seed=0, heads=2))
         weights.update(extra)
-        with pytest.raises(ValueError, match=next(iter(extra))):
+        with pytest.raises(InvalidInputError, match=next(iter(extra))):
             FusionParams(**weights)
 
     def test_init_deterministic(self):

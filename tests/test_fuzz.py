@@ -83,8 +83,8 @@ def test_encoder_params(tmp_path):
 
 
 def test_ply(tmp_path):
-    """read_ply accepts only what export_ply writes: a finite grid it returns is
-    written back as the same header and vertex bytes."""
+    """read_ply accepts only what export_ply writes: a grid it returns is
+    written back as the same bytes."""
     rng = np.random.default_rng(0)
     seeds = _seed_files(tmp_path, "c.ply", [
         lambda p, shape=shape: export_ply(p, PseudoPointCloud(rng.standard_normal((*shape, 3))))
@@ -99,12 +99,9 @@ def test_ply(tmp_path):
         grid = _check(path, data, read_ply)
         if grid is None:
             return
-        h, w, three = grid.shape
-        assert three == 3 and grid.dtype == np.float32
-        if np.isfinite(grid).all():
-            export_ply(str(rewritten), PseudoPointCloud(grid))
-            size = data.index(b"end_header\n") + len(b"end_header\n") + 12 * h * w
-            assert rewritten.read_bytes() == data[:size]
+        assert grid.ndim == 3 and grid.shape[2] == 3 and grid.dtype == np.float32
+        export_ply(str(rewritten), PseudoPointCloud(grid))
+        assert rewritten.read_bytes() == data
 
     run()
 
@@ -185,6 +182,55 @@ def test_gen_cloud_exits_cleanly(tmp_path, fmt):
             assert str(path) in lines[0], lines[0]
 
     run()
+
+
+_F32_MAX = float(np.finfo(np.float32).max)
+_F32_EDGES = [np.nan, np.inf, -np.inf, 1e-45, -1e-45, 1e-40, _F32_MAX, -_F32_MAX, -0.0]
+
+
+@st.composite
+def pfm_files(draw):
+    """A valid grayscale PFM header, little- or big-endian, over a drawn float32 body."""
+    h, w = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    little = draw(st.booleans())
+    value = st.floats(width=32) | st.sampled_from(_F32_EDGES)
+    body = np.array(draw(st.lists(value, min_size=h * w, max_size=h * w)),
+                    dtype="<f4" if little else ">f4")
+    return b"Pf\n%d %d\n%s\n" % (w, h, b"-1.0" if little else b"1.0") + body.tobytes(), body
+
+
+def test_gen_cloud_on_pfm_values(tmp_path):
+    """gen-cloud on any float32 raster behind a valid PFM header exits 0, or
+    exits 1 with one ``stage=`` line; a NaN or infinite sample fails at
+    ``stage=read`` naming the file."""
+    path = tmp_path / "values.pfm"
+    intrinsics = tmp_path / "cam.cfg"
+    intrinsics.write_text("fx = 4\nfy = 4\ncx = 1.5\ncy = 1\n")
+    argv = ["gen-cloud", "--depth", str(path), "--format", "pfm",
+            "--intrinsics", str(intrinsics), "--out", str(tmp_path / "out.ply")]
+    reached = {"non-finite": 0, "finite": 0}
+
+    @settings(FUZZ, max_examples=100)
+    @given(pfm_files())
+    def run(file):
+        data, body = file
+        path.write_bytes(data)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        lines = err.getvalue().splitlines()
+        if np.isfinite(body).all():
+            reached["finite"] += 1
+            assert code == 0 and lines == [] or code == 1 and len(lines) == 1, (code, lines)
+            assert all(line.startswith("gen-cloud: stage=") for line in lines), lines
+        else:
+            reached["non-finite"] += 1
+            assert code == 1
+            assert lines == [f"gen-cloud: stage=read: {path}: "
+                             "depth grid contains NaN or infinite values"], lines
+
+    run()
+    assert min(reached.values()) >= 25, reached
 
 
 _EDGE_FLOATS = [5e-324, 1e-40, 3.4e38, 1e308, -1e308, -0.0]

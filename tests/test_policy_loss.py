@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from numpy.testing import assert_allclose
 
 from pseudo3d.errors import (
     ActionsFileError,
-    EmptyDatasetError,
+    InvalidInputError,
     NonFiniteInputError,
     ShapeMismatchError,
 )
@@ -113,11 +114,11 @@ class TestStepLoss:
         assert step_loss(pred, target).mse_quat == 1.0  # mean of (2,0,0,0)^2
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="open_prob"):
+        with pytest.raises(InvalidInputError, match=r"^predicted open_prob"):
             step_loss(action(open_prob=1.5), action())
-        with pytest.raises(ValueError, match="exactly 0 or 1"):
+        with pytest.raises(InvalidInputError, match="^target gripper label must be exactly 0 or 1"):
             step_loss(action(open_prob=0.5), action(open_prob=0.25))
-        with pytest.raises(ValueError, match="unit norm"):
+        with pytest.raises(InvalidInputError, match="^target quaternion must be unit norm"):
             step_loss(action(), action(quat=np.array([2.0, 0.0, 0.0, 0.0])))
 
     def test_loss_never_negative(self):
@@ -184,12 +185,20 @@ class TestDatasetLoss:
         assert_allclose(dataset_loss([t2, t3]), step_sum / 5, rtol=1e-15)
 
     def test_empty_dataset_rejected(self):
-        with pytest.raises(EmptyDatasetError):
+        with pytest.raises(InvalidInputError):
             dataset_loss([])
 
     def test_empty_trajectory_rejected(self):
-        with pytest.raises(EmptyDatasetError):
+        with pytest.raises(InvalidInputError):
             Trajectory(steps=())
+
+    def test_bad_step_names_trajectory_and_step(self):
+        good = Trajectory(steps=((action(), action()),))
+        bad = Trajectory(steps=((action(), action()), (action(), action()),
+                                (action(), action(open_prob=0.5))))
+        with pytest.raises(InvalidInputError, match=re.escape(
+                "trajectory 1, step 2: target gripper label must be exactly 0 or 1, got 0.5")):
+            dataset_loss([good, bad])
 
 
 class TestCsvActions:
@@ -251,6 +260,23 @@ class TestCsvActions:
                                     read_actions_csv(str(target_path)))
         assert len(traj) == 2
         assert dataset_loss([traj]) > 0.0
+
+    @pytest.mark.parametrize("pred_row, target_row, message", [
+        ("0,0,0,1,0,0,0,1", "0,0,0,1,0,0,0,0.5",
+         "target gripper label must be exactly 0 or 1, got 0.5"),
+        ("0,0,0,1,0,0,0,1.5", "0,0,0,1,0,0,0,1", "predicted open_prob must lie in [0, 1], got 1.5"),
+        ("0,0,0,1,0,0,0,1", "0,0,0,2,0,0,0,1", "target quaternion must be unit norm, |q| = 2.0"),
+    ], ids=["target-label", "predicted-open-prob", "target-quaternion"])
+    def test_bad_step_from_files_names_the_step(self, tmp_path, pred_row, target_row, message):
+        pred_path = tmp_path / "pred.csv"
+        target_path = tmp_path / "target.csv"
+        pred_path.write_text(pred_row + "\n")
+        target_path.write_text(target_row + "\n")
+        traj = trajectory_from_rows(read_actions_csv(str(pred_path)),
+                                    read_actions_csv(str(target_path)))
+        with pytest.raises(InvalidInputError) as exc_info:
+            dataset_loss([traj])
+        assert str(exc_info.value) == f"trajectory 0, step 0: {message}"
 
     def test_misaligned_files_rejected(self):
         a = [action()]
