@@ -4,9 +4,18 @@ Architecture: Conv(3 -> 16, 3x3, stride 2, pad 1) -> ReLU ->
 Conv(16 -> C, 3x3, stride 2, pad 1), so an (3, H, W) coordinate map
 becomes a (ceil(H/4), ceil(W/4), C) channels-last feature map.
 
-Everything is plain numpy with an analytic backward pass
-(:func:`encode_backward`) that is validated against central finite
-differences in the test suite.
+Each convolution is one matmul in GEMM form (Chellapilla, Puri & Simard
+2006): :func:`_columns` copies each of the nine taps straight from the
+input into a (Ci*9, Ho*Wo) patch matrix and zeroes only where a tap falls
+on the padding.  The analytic backward pass (:func:`encode_backward`) takes
+the weight gradient from those columns and frees them, takes every tap's
+input gradient in one more matmul, and :func:`_col2im` sums the taps back
+by input parity (Dumoulin & Visin 2016, sec. 4): an even row or column
+meets one tap and an odd one two, so each parity block of the input
+gradient is written once.  Everything is plain numpy, validated against a
+loop adjoint and central finite differences in the test suite.
+
+Finite inputs whose result overflows float64 raise :class:`InvalidInputError`.
 """
 
 from __future__ import annotations
@@ -16,16 +25,14 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (InvalidInputError, NonFiniteInputError, ParamsIoError, ShapeMismatchError,
-                     check_finite, frozen_array, reading, write_output)
+                     check_finite, check_no_overflow, frozen_array, reading, write_output)
 from .fusion import _init_weights
 
 HIDDEN_CHANNELS = 16
 KERNEL = 3
 STRIDE = 2
-PAD = 1
 MIN_SIDE = 4
 
 _MAGIC = b"PENC"
@@ -87,13 +94,66 @@ def _encoder_input(grid: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _segments(n: int) -> list[tuple[slice, list[tuple[int, slice]]]]:
+    """Input positions along an axis of length n, grouped by the kernel taps that read them.
+
+    At stride 2 and pad 1, output i's tap k reads input 2i + k - 1.  Even inputs are read by tap 1
+    only; odd inputs by tap 0 of output i + 1 and then tap 2 of output i,
+    except that on an even side the last input has no output i + 1.  Each
+    group is (input positions, [(k, output positions), ...]) in tap order.
+    """
+    last = (n - 1) // STRIDE  # the last output; odd inputs 1 .. 2*last - 1 meet two taps
+    groups = [(slice(0, n, STRIDE), [(1, slice(0, last + 1))]),
+              (slice(1, 2 * last, STRIDE), [(0, slice(1, last + 1)), (2, slice(0, last))])]
+    if n % 2 == 0:
+        groups.append((slice(n - 1, n), [(2, slice(last, last + 1))]))
+    return groups
+
+
 def _columns(x: np.ndarray) -> np.ndarray:
-    """im2col: (Ci, H, W) -> (Ci*9, Ho*Wo), rows ordered like ``w.reshape(Co, -1)``."""
+    """im2col: (Ci, H, W) -> (Ci*9, Ho*Wo), rows ordered like ``w.reshape(Co, -1)``.
+
+    Each block of ``x`` is copied straight into every tap that reads it; only
+    the border rows and columns where a tap falls on the padding are zeroed.
+    """
     ci, h, wd = x.shape
-    xp = np.zeros((ci, h + 2 * PAD, wd + 2 * PAD), dtype=np.float64)
-    xp[:, PAD:PAD + h, PAD:PAD + wd] = x
-    windows = sliding_window_view(xp, (KERNEL, KERNEL), axis=(1, 2))[:, ::STRIDE, ::STRIDE]
-    return windows.transpose(0, 3, 4, 1, 2).reshape(ci * KERNEL * KERNEL, -1)
+    out = np.empty((ci, KERNEL, KERNEL, (h - 1) // STRIDE + 1, (wd - 1) // STRIDE + 1))
+    out[:, 0, :, 0] = 0.0  # tap 0 of the first output row or column is padding
+    out[:, :, 0, :, 0] = 0.0
+    if h % 2:  # so is tap 2 of the last one on an odd side
+        out[:, 2, :, -1] = 0.0
+    if wd % 2:
+        out[:, :, 2, :, -1] = 0.0
+    for rows, row_taps in _segments(h):
+        for columns, col_taps in _segments(wd):
+            block = x[:, rows, columns]
+            for k, i in row_taps:
+                for l, j in col_taps:
+                    out[:, k, l, i, j] = block
+    return out.reshape(ci * KERNEL * KERNEL, -1)
+
+
+def _col2im(taps: np.ndarray, ci: int, h: int, wd: int) -> np.ndarray:
+    """Adjoint of :func:`_columns`: (Ci*9, Ho*Wo) tap gradients -> (Ci, H, W).
+
+    Each block of a fresh ``dx`` is written once from the tap planes that
+    read it, the first assigned and the rest added in (k, l) order, so every
+    sum is the one nine strided adds into a zeroed buffer would give (but
+    for the sign of a zero).
+    """
+    t = taps.reshape(ci, KERNEL, KERNEL, (h - 1) // STRIDE + 1, (wd - 1) // STRIDE + 1)
+    dx = np.empty((ci, h, wd))
+    for rows, row_taps in _segments(h):
+        for columns, col_taps in _segments(wd):
+            planes = [t[:, k, l, i, j] for k, i in row_taps for l, j in col_taps]
+            block = dx[:, rows, columns]
+            if len(planes) == 1:
+                block[...] = planes[0]
+            else:
+                np.add(planes[0], planes[1], out=block)
+                for plane in planes[2:]:
+                    block += plane
+    return dx
 
 
 def _conv_s2p1(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -111,22 +171,22 @@ def _conv_s2p1_backward(
     ci, h, wd = x.shape
     co, ho, wo = g.shape
     g = g.reshape(co, ho * wo)
-    dw = (g @ _columns(x).T).reshape(w.shape)
-    # col2im one tap at a time, so no (Ci*9, Ho*Wo) gradient buffer exists
-    dxp = np.zeros((ci, h + 2 * PAD, wd + 2 * PAD), dtype=np.float64)
-    for k in range(KERNEL):
-        for l in range(KERNEL):
-            tap = (w[:, :, k, l].T @ g).reshape(ci, ho, wo)
-            dxp[:, k:k + 2 * ho - 1:STRIDE, l:l + 2 * wo - 1:STRIDE] += tap
-    return dxp[:, PAD:PAD + h, PAD:PAD + wd], dw, g.sum(axis=1)
+    dw = (_columns(x) @ g.T).T.reshape(w.shape)  # the columns are freed here
+    taps = w.reshape(co, -1).T @ g  # every tap's input gradient, (Ci*9, Ho*Wo)
+    return _col2im(taps, ci, h, wd), dw, g.sum(axis=1)
 
 
 def encode(grid: np.ndarray, params: EncoderParams) -> np.ndarray:
-    """Run the encoder on a (3, H, W) coordinate map; returns (H', W', C) features."""
+    """Run the encoder on a (3, H, W) coordinate map; returns (H', W', C) features.
+
+    A finite map whose features overflow float64 raises :class:`InvalidInputError`.
+    """
     x = _encoder_input(grid)
-    a1 = _conv_s2p1(x, params.w1, params.b1)
-    np.maximum(a1, 0.0, out=a1)
-    z2 = _conv_s2p1(a1, params.w2, params.b2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a1 = _conv_s2p1(x, params.w1, params.b1)
+        np.maximum(a1, 0.0, out=a1)
+        z2 = _conv_s2p1(a1, params.w2, params.b2)
+    check_no_overflow("encode", z2)
     return np.ascontiguousarray(z2.transpose(1, 2, 0))
 
 
@@ -156,7 +216,8 @@ def encode_backward(
     """Backpropagate ``grad_out`` (channels-last, matching :func:`encode`).
 
     Recomputes the hidden layer from ``grid``, so callers never manage
-    intermediate activations.
+    intermediate activations.  Finite inputs whose gradients overflow
+    float64 raise :class:`InvalidInputError`.
     """
     x = _encoder_input(grid)
     g = np.asarray(grad_out, dtype=np.float64)
@@ -166,13 +227,15 @@ def encode_backward(
             f"grad_out shape {g.shape} does not match encoder output {expected}"
         )
     check_finite("grad_out", g)
-    a1 = _conv_s2p1(x, params.w1, params.b1)
-    np.maximum(a1, 0.0, out=a1)
-    g2 = np.ascontiguousarray(g.transpose(2, 0, 1))
-    da1, dw2, db2 = _conv_s2p1_backward(a1, params.w2, g2)
-    da1 *= a1 > 0.0  # a1 > 0 exactly where z1 > 0
-    del a1, g2  # not alive beside the first layer's columns
-    dx, dw1, db1 = _conv_s2p1_backward(x, params.w1, da1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a1 = _conv_s2p1(x, params.w1, params.b1)
+        np.maximum(a1, 0.0, out=a1)
+        g2 = np.ascontiguousarray(g.transpose(2, 0, 1))
+        da1, dw2, db2 = _conv_s2p1_backward(a1, params.w2, g2)
+        da1 *= a1 > 0.0  # a1 > 0 exactly where z1 > 0
+        del a1, g2  # not alive beside the first layer's columns
+        dx, dw1, db1 = _conv_s2p1_backward(x, params.w1, da1)
+    check_no_overflow("encode_backward", dx, dw1, db1, dw2, db2)
     return EncoderGradients(dx=dx, dw1=dw1, db1=db1, dw2=dw2, db2=db2)
 
 
@@ -202,7 +265,8 @@ def normalize_coordinate_map(
             out[c] = channel
             flags.append(True)
         else:
-            out[c] = (channel - mean) / std
+            np.subtract(channel, mean, out=out[c])
+            out[c] /= std
             flags.append(False)
     return out, (flags[0], flags[1], flags[2])
 

@@ -108,6 +108,18 @@ def check_finite(name: str, values: np.ndarray) -> None:
         raise NonFiniteInputError(f"{name} contains NaN or infinite values")
 
 
+def check_no_overflow(name: str, *outputs: np.ndarray) -> None:
+    """Raise :class:`InvalidInputError` if an output that ``name`` computed from
+    finite inputs is NaN or infinite.
+
+    ``name`` runs its arithmetic under ``np.errstate(over="ignore",
+    invalid="ignore")`` and checks each returned array once; the
+    floating-point flags a BLAS call leaves behind are no signal.
+    """
+    if not all(np.isfinite(out).all() for out in outputs):
+        raise InvalidInputError(f"{name}: finite inputs overflow float64")
+
+
 def frozen_array(name: str, values, shape: tuple[int | None, ...]) -> np.ndarray:
     """A float64, finite, read-only copy of ``values``, which must have ``shape``.
 

@@ -31,7 +31,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import InvalidInputError, ShapeMismatchError, check_finite, frozen_array
+from .errors import (InvalidInputError, ShapeMismatchError, check_finite, check_no_overflow,
+                     frozen_array)
 
 LN_EPS = 1e-5
 FFN_EXPANSION = 4
@@ -191,7 +192,8 @@ def multi_head_attention(
 def fuse(f2d: np.ndarray, f3d: np.ndarray, params: FusionParams) -> np.ndarray:
     """Fuse two (H, W, C) feature maps by the strategy recorded in ``params``.
 
-    A NaN or infinity in either map raises :class:`NonFiniteInputError`.
+    A NaN or infinity in either map raises :class:`NonFiniteInputError`, and
+    finite maps whose result overflows float64 raise :class:`InvalidInputError`.
 
     sattn: x = x + MHSA(LN(x)); x = x + FFN(LN(x)) over the 2-D positions
     followed by the 3-D ones; the 2-D positions are returned.  Only those N
@@ -213,19 +215,22 @@ def fuse(f2d: np.ndarray, f3d: np.ndarray, params: FusionParams) -> np.ndarray:
         )
     check_finite("f2d", a)
     check_finite("f3d", b)
-    if params.strategy is Strategy.ADD:
-        return a + b
     n = h * w
-    if params.strategy is Strategy.CONCAT:
-        cat = np.concatenate([a, b], axis=2).reshape(n, 2 * c)
-        out = cat @ params.proj_weight.T + params.proj_bias
-    elif params.strategy is Strategy.CROSS_ATTENTION:
-        q_seq = a.reshape(n, c)
-        out = q_seq + multi_head_attention(q_seq, b.reshape(n, c), params)
-    else:
-        x = np.concatenate([a.reshape(n, c), b.reshape(n, c)], axis=0)
-        normed = layer_norm(x)
-        x = x[:n] + multi_head_attention(normed[:n], normed, params)
-        hidden = np.maximum(layer_norm(x) @ params.w_ff1.T + params.b_ff1, 0.0)
-        out = x + (hidden @ params.w_ff2.T + params.b_ff2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if params.strategy is Strategy.ADD:
+            out = a + b
+        elif params.strategy is Strategy.CONCAT:
+            cat = np.concatenate([a, b], axis=2).reshape(n, 2 * c)
+            out = cat @ params.proj_weight.T
+            out += params.proj_bias
+        elif params.strategy is Strategy.CROSS_ATTENTION:
+            q_seq = a.reshape(n, c)
+            out = q_seq + multi_head_attention(q_seq, b.reshape(n, c), params)
+        else:
+            x = np.concatenate([a.reshape(n, c), b.reshape(n, c)], axis=0)
+            normed = layer_norm(x)
+            x = x[:n] + multi_head_attention(normed[:n], normed, params)
+            hidden = np.maximum(layer_norm(x) @ params.w_ff1.T + params.b_ff1, 0.0)
+            out = x + (hidden @ params.w_ff2.T + params.b_ff2)
+    check_no_overflow("fuse", out)
     return out.reshape(h, w, c)

@@ -5,11 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.testing import assert_allclose, assert_array_equal
 
 from pseudo3d.encoder import (
     EncoderParams,
     HIDDEN_CHANNELS,
+    _col2im,
+    _columns,
     encode,
     encode_backward,
     init_params,
@@ -87,6 +90,45 @@ def encode_backward_oracle(x, params, grad_out):
     return {"dx": dx, "dw1": dw1, "db1": db1, "dw2": dw2, "db2": db2}
 
 
+# byte oracles for the im2col kernels: a padded copy and its adjoint, nine
+# strided adds into a zeroed padded buffer
+
+
+def columns_oracle(x):
+    """(Ci, H, W) -> (Ci*9, Ho*Wo) through a zero-padded copy and 3x3 windows."""
+    ci, h, wd = x.shape
+    xp = np.zeros((ci, h + 2, wd + 2))
+    xp[:, 1:h + 1, 1:wd + 1] = x
+    windows = sliding_window_view(xp, (3, 3), axis=(1, 2))[:, ::2, ::2]
+    return windows.transpose(0, 3, 4, 1, 2).reshape(ci * 9, -1)
+
+
+def col2im_oracle(taps, ci, h, wd):
+    """Scatter-add each tap plane, in (k, l) order, into a zero-padded buffer."""
+    ho, wo = (h - 1) // 2 + 1, (wd - 1) // 2 + 1
+    t = taps.reshape(ci, 3, 3, ho, wo)
+    dxp = np.zeros((ci, h + 2, wd + 2))
+    for k in range(3):
+        for l in range(3):
+            dxp[:, k:k + 2 * ho - 1:2, l:l + 2 * wo - 1:2] += t[:, k, l]
+    return dxp[:, 1:h + 1, 1:wd + 1]
+
+
+class TestKernels:
+    # every parity pair of sides, and Ci from the single channel up
+    @pytest.mark.parametrize("ci", [1, 2, 3, 4])
+    def test_columns_and_col2im_match_their_oracles_byte_for_byte(self, ci):
+        rng = np.random.default_rng(ci)
+        for h in range(4, 14):
+            for wd in range(4, 14):
+                x = rng.standard_normal((ci, h, wd))
+                assert _columns(x).tobytes() == columns_oracle(x).tobytes(), (h, wd)
+                taps = rng.standard_normal((ci * 9, ((h - 1) // 2 + 1) * ((wd - 1) // 2 + 1)))
+                dx = _col2im(taps, ci, h, wd)
+                assert dx.shape == (ci, h, wd)
+                assert dx.tobytes() == col2im_oracle(taps, ci, h, wd).tobytes(), (h, wd)
+
+
 class TestForward:
     @pytest.mark.parametrize("h,w", [(4, 4), (5, 7), (8, 8), (9, 12), (13, 5)])
     def test_matches_loop_oracle(self, h, w):
@@ -136,6 +178,11 @@ class TestForward:
                     lambda: encode_backward(x, params, np.ones(output_shape(8, 8, 4)))):
             with pytest.raises(NonFiniteInputError, match="coordinate map"):
                 run()
+
+    def test_overflow_of_a_finite_map_raises(self):
+        # used to return inf and NaN features with a RuntimeWarning
+        with pytest.raises(InvalidInputError, match="^encode: finite inputs overflow float64$"):
+            encode(np.full((3, 8, 8), 1.7e308), init_params(4, 0))
 
 
 class TestBackward:
@@ -212,6 +259,17 @@ class TestBackward:
         g[0, 1, 3] = value
         with pytest.raises(NonFiniteInputError, match="grad_out"):
             encode_backward(np.zeros((3, 8, 8)), params, g)
+
+    def test_overflow_of_finite_inputs_raises(self):
+        with pytest.raises(InvalidInputError,
+                           match="^encode_backward: finite inputs overflow float64$"):
+            encode_backward(np.full((3, 8, 8), 1e308), init_params(4, 0), np.ones((2, 2, 4)))
+
+    def test_input_gradient_is_a_fresh_c_contiguous_array(self):
+        x = np.random.default_rng(5).standard_normal((3, 9, 10))
+        dx = encode_backward(x, init_params(4, 1), np.ones(output_shape(9, 10, 4))).dx
+        assert dx.flags.c_contiguous
+        assert dx.base is None
 
 
 class TestMemory:
@@ -323,6 +381,15 @@ class TestNormalizeCoordinateMap:
         for c in range(3):
             assert_allclose(out[c].mean(), 0.0, atol=1e-12)
             assert_allclose(out[c].std(), 1.0, rtol=1e-12)
+
+    def test_is_the_plain_expression_byte_for_byte(self):
+        rng = np.random.default_rng(21)
+        cmap = rng.standard_normal((3, 17, 23)) * np.array([2.0, 0.5, 30.0])[:, None, None] + 5.0
+        out, flags = normalize_coordinate_map(cmap)
+        assert flags == (False, False, False)
+        for c in range(3):
+            channel = cmap[c]
+            assert out[c].tobytes() == ((channel - channel.mean()) / channel.std()).tobytes()
 
     def test_constant_channel_flagged_and_untouched(self):
         rng = np.random.default_rng(56)

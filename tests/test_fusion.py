@@ -314,6 +314,17 @@ class TestDispatchAndShapes:
         with pytest.raises(NonFiniteInputError, match=side):
             fuse(a, b, params)
 
+    # finite maps near float64's maximum used to give inf or NaN with a RuntimeWarning
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+    def test_overflow_of_finite_features_raises(self, strategy):
+        params = init_fusion_params(strategy, 4, seed=0, heads=2)
+        a = b = np.full((2, 2, 4), 1e308)
+        if strategy is Strategy.CONCAT:  # every product of output channel 0 is +1.7e308 * |w|
+            a = np.broadcast_to(1.7e308 * np.sign(params.proj_weight[0, :4]), (2, 2, 4))
+            b = np.broadcast_to(1.7e308 * np.sign(params.proj_weight[0, 4:]), (2, 2, 4))
+        with pytest.raises(InvalidInputError, match="^fuse: finite inputs overflow float64$"):
+            fuse(a, b, params)
+
     @pytest.mark.parametrize("strategy, extra", [
         (Strategy.ADD, {"proj_weight": np.array([[np.nan]]), "wq": "junk"}),
         (Strategy.CONCAT, {"wq": np.eye(4)}),

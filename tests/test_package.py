@@ -75,3 +75,26 @@ def test_every_raise_is_a_class_from_errors():
                 wrong.append(f"{path.name}:{node.lineno} raises {sorted(raised)}")
     assert checked > 50
     assert wrong == []
+
+
+def test_no_collected_test_is_decorated_with_given():
+    """Every ``@given`` function is nested inside a test, never collected itself.
+
+    When a collected ``@given`` test fails under ``filterwarnings = ["error"]``,
+    hypothesis's ``pytest_runtest_makereport`` hook raises a
+    DeprecationWarning (``mypy_extensions.TypedDict``): pytest stops with
+    INTERNALERROR, hides the failure and runs none of the tests after it.
+    This holds for module-level functions and for methods of test classes.
+    """
+    bare = []
+    for path in sorted(Path(__file__).parent.glob("test_*.py")):
+        tree = ast.parse(path.read_text())
+        collected = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+        collected += [node for cls in tree.body if isinstance(cls, ast.ClassDef)
+                      for node in cls.body if isinstance(node, ast.FunctionDef)]
+        for node in collected:
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                if ast.unparse(target).rpartition(".")[2] == "given":
+                    bare.append(f"{path.name}:{node.lineno} {node.name}")
+    assert bare == []
