@@ -37,7 +37,7 @@ from .errors import (InvalidInputError, ShapeMismatchError, check_finite, check_
 LN_EPS = 1e-5
 FFN_EXPANSION = 4
 
-# query rows and keys per score block of multi_head_attention
+# query rows and keys per score block of _attention
 _BLOCK_Q = 128
 _BLOCK_K = 2048
 
@@ -130,7 +130,19 @@ def init_fusion_params(
 
 
 def layer_norm(x: np.ndarray) -> np.ndarray:
-    """Parameter-free layer normalization over the channel (last) axis."""
+    """Parameter-free layer normalization over the channel (last) axis.
+
+    A NaN or infinity in ``x`` raises :class:`NonFiniteInputError`, and a
+    finite ``x`` whose result overflows float64 raises :class:`InvalidInputError`.
+    """
+    check_finite("x", x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _layer_norm(x)
+    check_no_overflow("layer_norm", out)
+    return out
+
+
+def _layer_norm(x: np.ndarray) -> np.ndarray:
     mean = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
     return (x - mean) / np.sqrt(var + LN_EPS)
@@ -152,6 +164,21 @@ def multi_head_attention(
     keys_values: np.ndarray,
     params: FusionParams,
 ) -> np.ndarray:
+    """Scaled dot-product attention of (N, C) ``queries`` over (M, C) ``keys_values``.
+
+    A NaN or infinity in either sequence raises :class:`NonFiniteInputError`,
+    and finite sequences whose result overflows float64 raise
+    :class:`InvalidInputError`.
+    """
+    check_finite("queries", queries)
+    check_finite("keys_values", keys_values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _attention(queries, keys_values, params)
+    check_no_overflow("multi_head_attention", out)
+    return out
+
+
+def _attention(queries: np.ndarray, keys_values: np.ndarray, params: FusionParams) -> np.ndarray:
     """Scaled dot-product attention over flat (N, C) sequences.
 
     Head j works on channel slice [j*dk, (j+1)*dk) of the projected
@@ -225,12 +252,12 @@ def fuse(f2d: np.ndarray, f3d: np.ndarray, params: FusionParams) -> np.ndarray:
             out += params.proj_bias
         elif params.strategy is Strategy.CROSS_ATTENTION:
             q_seq = a.reshape(n, c)
-            out = q_seq + multi_head_attention(q_seq, b.reshape(n, c), params)
+            out = q_seq + _attention(q_seq, b.reshape(n, c), params)
         else:
             x = np.concatenate([a.reshape(n, c), b.reshape(n, c)], axis=0)
-            normed = layer_norm(x)
-            x = x[:n] + multi_head_attention(normed[:n], normed, params)
-            hidden = np.maximum(layer_norm(x) @ params.w_ff1.T + params.b_ff1, 0.0)
+            normed = _layer_norm(x)
+            x = x[:n] + _attention(normed[:n], normed, params)
+            hidden = np.maximum(_layer_norm(x) @ params.w_ff1.T + params.b_ff1, 0.0)
             out = x + (hidden @ params.w_ff2.T + params.b_ff2)
     check_no_overflow("fuse", out)
     return out.reshape(h, w, c)

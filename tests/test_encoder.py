@@ -8,11 +8,14 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.testing import assert_allclose, assert_array_equal
 
+from pseudo3d import encoder
 from pseudo3d.encoder import (
     EncoderParams,
     HIDDEN_CHANNELS,
     _col2im,
     _columns,
+    _conv_s2p1,
+    _conv_s2p1_backward,
     encode,
     encode_backward,
     init_params,
@@ -127,6 +130,78 @@ class TestKernels:
                 dx = _col2im(taps, ci, h, wd)
                 assert dx.shape == (ci, h, wd)
                 assert dx.tobytes() == col2im_oracle(taps, ci, h, wd).tobytes(), (h, wd)
+
+
+def sides(ci, co):
+    """Every parity pair of sides from 4 to 13, with seeded x, w and upstream g."""
+    rng = np.random.default_rng(ci * 100 + co)
+    for h in range(4, 14):
+        for wd in range(4, 14):
+            g = rng.standard_normal((co, (h - 1) // 2 + 1, (wd - 1) // 2 + 1))
+            yield rng.standard_normal((ci, h, wd)), rng.standard_normal((co, ci, 3, 3)), g
+
+
+class TestBands:
+    """Each conv layer runs in bands of output rows.  At these sizes no band height
+    changes a byte of the output, dx or db; dw, summed band by band, moves by
+    its summation order only."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_band_columns_are_row_slices_of_the_oracle(self, rows):
+        for x, _, g in sides(3, 1):
+            ho, wo = g.shape[1:]
+            whole = columns_oracle(x)
+            for r0 in range(0, ho, rows):
+                r1 = min(r0 + rows, ho)
+                band = np.ascontiguousarray(whole[:, r0 * wo:r1 * wo])
+                assert _columns(x, r0, r1).tobytes() == band.tobytes(), (x.shape, r0)
+
+    # with 16 input channels a band's columns are 144 rows deep, as in layer 2
+    @pytest.mark.parametrize("ci, co", [(3, 16), (16, 4)])
+    def test_backward_in_bands_of_1_2_3_rows(self, monkeypatch, ci, co):
+        for x, w, g in sides(ci, co):
+            _, h, wd = x.shape
+            taps = w.reshape(co, -1).T @ g.reshape(co, -1)
+            oracle_dx = col2im_oracle(taps, ci, h, wd)
+            _, oracle_dw, _ = conv_oracle_backward(x, w, g)
+            one_band = _conv_s2p1_backward(x, w, g)  # every side here fits one band
+            for rows in (1, 2, 3):
+                monkeypatch.setattr(encoder, "_band_rows", lambda ci, wo, rows=rows: rows)
+                dx, dw, db = _conv_s2p1_backward(x, w, g)
+                assert dx.tobytes() == one_band[0].tobytes() == oracle_dx.tobytes(), (h, wd, rows)
+                assert db.tobytes() == one_band[2].tobytes(), (h, wd, rows)
+                assert np.abs(dw - oracle_dw).max() <= 1e-15 * np.abs(oracle_dw).max()
+
+    # OpenBLAS takes a trailing 1-4 columns of a product in another summation
+    # order, so a band spans whole multiples of 8 output positions: the
+    # smallest such bands, and bands of 8 and 16 rows on taller inputs
+    @pytest.mark.parametrize("budget_rows", [0, 8, 16])
+    @pytest.mark.parametrize("ci, co", [(3, 16), (16, 4)])
+    def test_forward_in_bands(self, monkeypatch, budget_rows, ci, co):
+        rng = np.random.default_rng(budget_rows + ci)
+        w = rng.standard_normal((co, ci, 3, 3))
+        b = rng.standard_normal(co)
+        for h in [*range(4, 14), 33, 34]:
+            for wd in range(4, 14):
+                x = rng.standard_normal((ci, h, wd))
+                wo = (wd - 1) // 2 + 1
+                one_band = _conv_s2p1(x, w, b)
+                expected = w.reshape(co, -1) @ columns_oracle(x) + b[:, np.newaxis]
+                monkeypatch.setattr(encoder, "_BAND_BYTES", budget_rows * ci * 9 * wo * 8)
+                out = _conv_s2p1(x, w, b)
+                monkeypatch.undo()
+                assert out.tobytes() == one_band.tobytes() == expected.tobytes(), (h, wd)
+
+    def test_a_frame_in_bands_is_byte_identical_to_one_band(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        params = init_params(out_channels=32, seed=18)
+        x = rng.standard_normal((3, 480, 640))
+        r = rng.standard_normal(output_shape(480, 640, 32))
+        assert encoder._band_rows(3, 320) < 240 and encoder._band_rows(16, 160) < 120
+        banded = encode(x, params), encode_backward(x, params, r)
+        monkeypatch.setattr(encoder, "_BAND_BYTES", 1 << 40)
+        assert encode(x, params).tobytes() == banded[0].tobytes()
+        assert encode_backward(x, params, r).dx.tobytes() == banded[1].dx.tobytes()
 
 
 class TestForward:
@@ -291,6 +366,28 @@ class TestMemory:
             tracemalloc.stop()
         assert encode_peak <= 6 * x.nbytes, encode_peak / x.nbytes
         assert backward_peak <= 7 * x.nbytes, backward_peak / x.nbytes
+
+    def test_a_frame_peaks_at_its_activations_and_a_few_bands(self):
+        """At 480x640 the arrays a pass must hold are 18.75 MiB: encode's hidden
+        layer (9.4), its (C, H', W') output and the channels-last copy (4.7 each);
+        encode_backward's hidden layer and its gradient (9.4 each).  Measured
+        peaks are 18.8 and 20.3 MiB; whole-frame columns (15.8 MiB for layer 1,
+        21 for layer 2) gave 35.2 and 44.8.  The bounds allow about 10% more."""
+        rng = np.random.default_rng(4)
+        params = init_params(out_channels=32, seed=4)
+        x = rng.standard_normal((3, 480, 640))
+        r = rng.standard_normal(output_shape(480, 640, 32))
+        tracemalloc.start()
+        try:
+            encode(x, params)
+            _, encode_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            encode_backward(x, params, r)
+            _, backward_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert encode_peak <= 20.75 * 2**20, encode_peak / 2**20
+        assert backward_peak <= 22 * 2**20, backward_peak / 2**20
 
 
 class TestInit:

@@ -39,6 +39,15 @@ class TestLayerNorm:
         y = layer_norm(np.full((2, 8), 3.7))
         assert_array_equal(y, 0.0)
 
+    # used to return NaN with "RuntimeWarning: overflow encountered in reduce"
+    def test_overflow_of_a_finite_input_raises(self):
+        with pytest.raises(InvalidInputError, match="^layer_norm: finite inputs overflow float64$"):
+            layer_norm(np.full((2, 4), 1e308))
+
+    def test_rejects_non_finite_input(self):
+        with pytest.raises(NonFiniteInputError, match="^x contains"):
+            layer_norm(np.array([[1.0, np.inf]]))
+
 
 class TestAdd:
     def test_is_elementwise_sum(self):
@@ -212,6 +221,22 @@ class TestMultiHead:
                               wq=base.wq, wk=base.wk, wv=base.wv, wo=np.eye(6))
         out = multi_head_attention(q, kv, params)
         assert_allclose(out, naive_attention(q, kv, params), atol=1e-12)
+
+    # used to return inf/NaN with "RuntimeWarning: overflow encountered in matmul"
+    def test_overflow_of_finite_sequences_raises(self):
+        params = init_fusion_params(Strategy.CROSS_ATTENTION, 4, seed=0, heads=2)
+        seq = np.full((2, 4), 1e308)
+        with pytest.raises(InvalidInputError,
+                           match="^multi_head_attention: finite inputs overflow float64$"):
+            multi_head_attention(seq, seq, params)
+
+    @pytest.mark.parametrize("side", ["queries", "keys_values"])
+    def test_rejects_non_finite_sequences(self, side):
+        params = init_fusion_params(Strategy.CROSS_ATTENTION, 4, seed=0, heads=2)
+        seqs = {"queries": np.ones((2, 4)), "keys_values": np.ones((3, 4))}
+        seqs[side][1, 2] = np.nan
+        with pytest.raises(NonFiniteInputError, match=f"^{side} contains"):
+            multi_head_attention(seqs["queries"], seqs["keys_values"], params)
 
 
 def dense_attention(q_in, kv_in, params):
