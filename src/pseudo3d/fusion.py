@@ -16,11 +16,12 @@ one of the same shape, by the strategy its parameters were built for:
   are all 2N positions.
 
 Attention is scaled dot-product, implemented directly in numpy.  It is
-key-blocked with an online softmax: queries go in blocks of ``_BLOCK_Q``
-rows, each meets the keys ``_BLOCK_K`` at a time, and a running row max
-and row sum rescale what has been accumulated so far.  The largest
-temporary is one ``(heads, _BLOCK_Q, _BLOCK_K)`` score block, so memory
-does not grow with N^2.
+key-blocked with an online softmax: one head at a time, queries go in
+blocks of ``_BLOCK_Q`` rows, each meets the keys ``_BLOCK_K`` at a time,
+and a running row max and row sum rescale what has been accumulated so
+far.  The largest temporary is one head's ``(_BLOCK_Q, _BLOCK_K)`` score
+block, allocated once per call and reused for every block, so memory does
+not grow with N^2.
 """
 
 from __future__ import annotations
@@ -166,10 +167,19 @@ def multi_head_attention(
 ) -> np.ndarray:
     """Scaled dot-product attention of (N, C) ``queries`` over (M, C) ``keys_values``.
 
-    A NaN or infinity in either sequence raises :class:`NonFiniteInputError`,
-    and finite sequences whose result overflows float64 raise
-    :class:`InvalidInputError`.
+    C must be ``params.channels`` and M at least 1; N may be 0.  A sequence
+    of another shape raises :class:`ShapeMismatchError`, no key row
+    :class:`InvalidInputError`, a NaN or infinity in either sequence
+    :class:`NonFiniteInputError`, and finite sequences whose result
+    overflows float64 :class:`InvalidInputError`.
     """
+    queries = np.asarray(queries, dtype=np.float64)
+    keys_values = np.asarray(keys_values, dtype=np.float64)
+    for name, seq in (("queries", queries), ("keys_values", keys_values)):
+        if seq.ndim != 2 or seq.shape[1] != params.channels:
+            raise ShapeMismatchError(f"{name} must be (N, {params.channels}), got {seq.shape}")
+    if len(keys_values) == 0:
+        raise InvalidInputError("multi_head_attention: at least one key row is needed")
     check_finite("queries", queries)
     check_finite("keys_values", keys_values)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -182,11 +192,14 @@ def _attention(queries: np.ndarray, keys_values: np.ndarray, params: FusionParam
     """Scaled dot-product attention over flat (N, C) sequences.
 
     Head j works on channel slice [j*dk, (j+1)*dk) of the projected
-    tensors; scores are scaled by 1/sqrt(dk).  The softmax over keys is
-    computed online (Milakov & Gimelshein 2018): for each block of keys
-    the running max ``m`` rises to ``m_new``, the running sum ``l`` and the
-    accumulated output ``acc`` are rescaled by exp(m - m_new), and the
-    block's exp(s - m_new) is added to both.
+    tensors; scores are scaled by 1/sqrt(dk).  Heads run outermost, then
+    query blocks, then key blocks; every block's scores are written into
+    one ``(_BLOCK_Q, _BLOCK_K)`` buffer (a corner of it for a ragged block)
+    and softmaxed there in place (Rabe & Staats 2021; Dao et al. 2022).
+    The softmax over keys is computed online (Milakov & Gimelshein 2018):
+    for each block of keys the running max ``m`` rises to ``m_new``, the
+    running sum ``l`` and the accumulated output ``acc`` are rescaled by
+    exp(m - m_new), and the block's exp(s - m_new) is added to both.
     """
     q = _split_heads(queries @ params.wq.T, params.heads)
     k = _split_heads(keys_values @ params.wk.T, params.heads)
@@ -196,23 +209,26 @@ def _attention(queries: np.ndarray, keys_values: np.ndarray, params: FusionParam
     q = q * (1.0 / np.sqrt(dk))
     kt = k.transpose(0, 2, 1)
     out = np.empty((heads, nq, dk))
-    for i in range(0, nq, _BLOCK_Q):
-        qb = q[:, i:i + _BLOCK_Q]
-        m = np.full((heads, qb.shape[1], 1), -np.inf)
-        l = np.zeros_like(m)
-        acc = np.zeros(qb.shape)
-        for j in range(0, nk, _BLOCK_K):
-            s = qb @ kt[:, :, j:j + _BLOCK_K]
-            m_new = np.maximum(m, s.max(axis=-1, keepdims=True))
-            rescale = np.exp(m - m_new)
-            l *= rescale
-            acc *= rescale
-            s -= m_new
-            np.exp(s, out=s)
-            l += s.sum(axis=-1, keepdims=True)
-            acc += s @ v[:, j:j + _BLOCK_K]
-            m = m_new
-        np.divide(acc, l, out=out[:, i:i + _BLOCK_Q])
+    scores = np.empty((min(nq, _BLOCK_Q), min(nk, _BLOCK_K)))
+    for h in range(heads):
+        for i in range(0, nq, _BLOCK_Q):
+            qb = q[h, i:i + _BLOCK_Q]
+            m = np.full((qb.shape[0], 1), -np.inf)
+            l = np.zeros_like(m)
+            acc = np.zeros(qb.shape)
+            for j in range(0, nk, _BLOCK_K):
+                ktb = kt[h, :, j:j + _BLOCK_K]
+                s = np.matmul(qb, ktb, out=scores[:qb.shape[0], :ktb.shape[1]])
+                m_new = np.maximum(m, s.max(axis=-1, keepdims=True))
+                rescale = np.exp(m - m_new)
+                l *= rescale
+                acc *= rescale
+                s -= m_new
+                np.exp(s, out=s)
+                l += s.sum(axis=-1, keepdims=True)
+                acc += s @ v[h, j:j + _BLOCK_K]
+                m = m_new
+            np.divide(acc, l, out=out[h, i:i + _BLOCK_Q])
     return _merge_heads(out) @ params.wo.T
 
 

@@ -1,5 +1,9 @@
 import dataclasses
 import hashlib
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -238,6 +242,29 @@ class TestMultiHead:
         with pytest.raises(NonFiniteInputError, match=f"^{side} contains"):
             multi_head_attention(seqs["queries"], seqs["keys_values"], params)
 
+    # used to escape as numpy's bare ValueError from matmul or from tuple unpacking
+    @pytest.mark.parametrize("side, shape", [
+        ("queries", (3, 6)), ("keys_values", (4, 6)),
+        ("queries", (8,)), ("keys_values", (1, 4, 8)),
+    ], ids=["queries-channels", "keys-channels", "queries-1d", "keys-3d"])
+    def test_rejects_wrong_shapes(self, side, shape):
+        params = init_fusion_params(Strategy.CROSS_ATTENTION, 8, seed=0, heads=2)
+        seqs = {"queries": np.ones((3, 8)), "keys_values": np.ones((4, 8))}
+        seqs[side] = np.ones(shape)
+        with pytest.raises(ShapeMismatchError,
+                           match=rf"^{side} must be \(N, 8\), got {re.escape(str(shape))}$"):
+            multi_head_attention(seqs["queries"], seqs["keys_values"], params)
+
+    # used to raise "multi_head_attention: finite inputs overflow float64" from 0/0
+    def test_rejects_zero_keys(self):
+        params = init_fusion_params(Strategy.CROSS_ATTENTION, 8, seed=0, heads=2)
+        with pytest.raises(InvalidInputError, match="at least one key row"):
+            multi_head_attention(np.ones((3, 8)), np.ones((0, 8)), params)
+
+    def test_zero_queries_give_zero_rows(self):
+        params = init_fusion_params(Strategy.CROSS_ATTENTION, 8, seed=0, heads=2)
+        assert multi_head_attention(np.ones((0, 8)), np.ones((2, 8)), params).shape == (0, 8)
+
 
 def dense_attention(q_in, kv_in, params):
     """The whole (heads, Nq, Nk) score tensor at once, one max-subtracted softmax."""
@@ -303,23 +330,36 @@ class TestBlockedAttention:
         expected = full_sequence_sattn(a, b, params, dense_attention)
         assert_allclose(fuse(a, b, params), expected, rtol=0, atol=1e-12)
 
-    # measured tracemalloc peaks at 32x32x32, 4 heads: xattn 9.1 MB, sattn 18.6 MB
-    @pytest.mark.parametrize("strategy, limit_mb", [
-        (Strategy.CROSS_ATTENTION, 32), (Strategy.SELF_ATTENTION, 24),
-    ], ids=["xattn", "sattn"])
-    def test_fuse_peak_memory_is_bounded(self, strategy, limit_mb):
-        # 32x32 positions: a full (4, N, N) score tensor is 32 MB for xattn
-        # and 64 MB for sattn's N queries against 2N keys, before the
-        # softmax's temporaries
-        a, b = random_pair(h=32, w=32, c=32, seed=38)
+    @staticmethod
+    def fuse_peak(strategy, side):
+        """The tracemalloc peak of one fuse call on side x side x 32 maps, 4 heads."""
+        a, b = random_pair(h=side, w=side, c=32, seed=38)
         params = init_fusion_params(strategy, 32, seed=39, heads=4)
         tracemalloc.start()
         try:
             fuse(a, b, params)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    # measured tracemalloc peaks at 32x32x32, 4 heads: xattn 2.5 MB, sattn 5.0 MB,
+    # of which the one reused 128 x 2048 score block is 2 MB
+    @pytest.mark.parametrize("strategy, limit_mb", [
+        (Strategy.CROSS_ATTENTION, 4), (Strategy.SELF_ATTENTION, 8),
+    ], ids=["xattn", "sattn"])
+    def test_fuse_peak_memory_is_bounded(self, strategy, limit_mb):
+        # 32x32 positions: a full (4, N, N) score tensor is 32 MB for xattn
+        # and 64 MB for sattn's N queries against 2N keys, before the
+        # softmax's temporaries; a score block over all 4 heads at once
+        # would be 8 MB
+        peak = self.fuse_peak(strategy, 32)
         assert peak <= limit_mb * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+    def test_sattn_score_memory_does_not_grow_with_n2(self):
+        # 4x the positions: the linear terms grow 4x, an N^2 term would grow 16x
+        small = self.fuse_peak(Strategy.SELF_ATTENTION, 32)
+        large = self.fuse_peak(Strategy.SELF_ATTENTION, 64)
+        assert large < 4 * small, f"peaks {small / 2**20:.1f} -> {large / 2**20:.1f} MB"
 
 
 class TestDispatchAndShapes:
@@ -413,3 +453,33 @@ class TestGolden:
         digests = {name: hashlib.sha256(np.ascontiguousarray(arr, dtype="<f8").tobytes()).hexdigest()
                    for name, arr in arrays.items()}
         assert digests == GOLDEN_SHA256[strategy]
+
+
+# sha256 of the output bytes for random_pair(33, 33, 32, seed=44) and
+# init_fusion_params(..., seed=45, heads=4): 1089 queries make eight full query
+# blocks and a ragged 65, and sattn's 2178 keys a block of 2048 and a ragged
+# 130.  Taken under one BLAS thread, as perfbench runs: with two, OpenBLAS
+# splits xattn's (128, 8) @ (8, 1089) score matmul differently and its last
+# bits move.
+MULTI_BLOCK_SHA256 = {
+    Strategy.CROSS_ATTENTION: "9f99f3ce2eab190dfeb9bc656e25edcc3761df6ad116ad890903618eae05725f",
+    Strategy.SELF_ATTENTION: "a7914a15091a506e73cac299b723db6716f2ed6038cc233da36b5fa72a0adbb3",
+}
+
+_MULTI_BLOCK_PROBE = """
+import hashlib, sys
+import numpy as np
+from pseudo3d.fusion import Strategy, fuse, init_fusion_params
+rng = np.random.default_rng(44)
+a, b = rng.standard_normal((33, 33, 32)), rng.standard_normal((33, 33, 32))
+params = init_fusion_params(Strategy(sys.argv[1]), 32, seed=45, heads=4)
+print(hashlib.sha256(fuse(a, b, params).tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("strategy", fusion._ATTENTION, ids=lambda s: s.value)
+def test_multi_block_output_bytes_are_pinned(strategy):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _MULTI_BLOCK_PROBE, strategy.value],
+                          env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == MULTI_BLOCK_SHA256[strategy] + "\n"

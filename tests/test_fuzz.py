@@ -19,8 +19,8 @@ from pseudo3d.camera import CameraIntrinsics, load_intrinsics
 from pseudo3d.cloud import PseudoPointCloud
 from pseudo3d.depth_io import read_csv, read_pfm, read_pgm, write_csv, write_pfm, write_pgm
 from pseudo3d.encoder import EncoderParams, init_params, load_params, save_params
-from pseudo3d.errors import Pseudo3dError
-from pseudo3d.ply import export_ply, read_ply
+from pseudo3d.errors import CloudIoError, Pseudo3dError
+from pseudo3d.ply import _HEADER, export_ply, read_ply
 from pseudo3d.policy_loss import Action, read_actions_csv
 
 FUZZ = settings(max_examples=200, derandomize=True, database=None, deadline=None,
@@ -228,6 +228,49 @@ def test_gen_cloud_on_pfm_values(tmp_path):
             assert code == 1
             assert lines == [f"gen-cloud: stage=read: {path}: "
                              "depth grid contains NaN or infinite values"], lines
+
+    run()
+    assert min(reached.values()) >= 25, reached
+
+
+@st.composite
+def ply_files(draw):
+    """export_ply's header for a drawn grid shape over drawn float32 x/y/z
+    triples; about half the bodies hold a NaN or infinite value."""
+    h, w = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    finite = [edge for edge in _F32_EDGES if np.isfinite(edge)]
+    value = st.floats(width=32, allow_nan=False, allow_infinity=False) | st.sampled_from(finite)
+    body = draw(st.lists(value, min_size=3 * h * w, max_size=3 * h * w))
+    if draw(st.booleans()):
+        body[draw(st.integers(0, len(body) - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    body = np.array(body, dtype="<f4").reshape(h, w, 3)
+    return _HEADER.format(h=h, w=w, n=h * w).encode("ascii") + body.tobytes(), body
+
+
+def test_ply_values(tmp_path):
+    """read_ply on any float32 triples behind a valid header: a finite body
+    comes back exactly and export_ply writes it back byte for byte; a NaN or
+    infinite vertex raises CloudIoError naming the file."""
+    path = tmp_path / "values.ply"
+    rewritten = tmp_path / "rewritten.ply"
+    reached = {"non-finite": 0, "finite": 0}
+
+    @settings(FUZZ, max_examples=100)
+    @given(ply_files())
+    def run(file):
+        data, body = file
+        path.write_bytes(data)
+        if np.isfinite(body).all():
+            reached["finite"] += 1
+            grid = read_ply(str(path))
+            assert grid.shape == body.shape and grid.tobytes() == body.tobytes()
+            export_ply(str(rewritten), PseudoPointCloud(grid))
+            assert rewritten.read_bytes() == data
+        else:
+            reached["non-finite"] += 1
+            with pytest.raises(CloudIoError) as exc:
+                read_ply(str(path))
+            assert str(exc.value) == f"{path}: vertex data contains NaN or infinite values"
 
     run()
     assert min(reached.values()) >= 25, reached
