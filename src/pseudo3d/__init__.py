@@ -47,13 +47,7 @@ from .encoder import (
     save_params,
 )
 from .errors import Pseudo3dError
-from .fusion import (
-    FusionParams,
-    Strategy,
-    fuse,
-    init_fusion_params,
-    multi_head_attention,
-)
+from .fusion import FusionParams, Strategy, fuse, init_fusion_params
 from .ply import export_ply, read_ply
 from .policy_loss import (
     Action,
@@ -97,7 +91,6 @@ __all__ = [
     "load_intrinsics",
     "load_params",
     "local_continuity",
-    "multi_head_attention",
     "normalize",
     "normalize_coordinate_map",
     "output_shape",

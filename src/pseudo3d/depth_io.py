@@ -27,7 +27,7 @@ def read_pfm(path: str) -> np.ndarray:
     The scale line's sign selects endianness (negative = little-endian);
     its magnitude is ignored.  Rows are stored bottom-to-top and are
     flipped to top-to-bottom on read.  Samples are float32 widened to
-    float64.
+    float64.  The raster must be exactly width * height samples.
     """
     with reading(path, DepthFileError) as data:
         m = _PFM_HEADER.match(data[:128])
@@ -46,12 +46,11 @@ def read_pfm(path: str) -> np.ndarray:
             raise DepthFileError("malformed PFM header")
         raster = data[m.end():]
         expected = width * height * 4
-        if len(raster) < expected:
-            raise DepthFileError(
-                f"PFM raster truncated ({len(raster)} bytes, need {expected})"
-            )
+        if len(raster) != expected:
+            state = "truncated" if len(raster) < expected else "too long"
+            raise DepthFileError(f"PFM raster {state} ({len(raster)} bytes, need {expected})")
         dtype = "<f4" if scale < 0.0 else ">f4"
-        grid = np.frombuffer(raster[:expected], dtype=dtype).reshape(height, width)
+        grid = np.frombuffer(raster, dtype=dtype).reshape(height, width)
         return np.flipud(grid).astype(np.float64)
 
 
@@ -74,7 +73,9 @@ def read_pgm(path: str) -> np.ndarray:
     """Read a binary (P5) PGM file and map samples to [0, 1] as v / maxval.
 
     Samples are one byte when maxval < 256, otherwise two bytes stored
-    big-endian, per the format.  Header ``#`` comments are skipped.
+    big-endian, per the format.  Header ``#`` comments are skipped.  Bytes
+    after the raster are ignored: Netpbm allows a sequence of images in one
+    file, and this reads the first.
     """
     with reading(path, DepthFileError) as data:
         pos = 0

@@ -146,16 +146,15 @@ def _segments(n: int, last: int) -> list[tuple[slice, list[tuple[int, slice]]]]:
     return groups
 
 
-def _columns(x: np.ndarray, r0: int = 0, r1: int | None = None) -> np.ndarray:
+def _columns(x: np.ndarray, r0: int, r1: int) -> np.ndarray:
     """im2col of output rows [r0, r1): (Ci, H, W) -> (Ci*9, rows*Wo), rows
-    ordered like ``w.reshape(Co, -1)``; all output rows by default.
+    ordered like ``w.reshape(Co, -1)``.
 
     Each tap is one strided copy from ``x``; only the border rows and columns
     where a tap falls on the padding are zeroed.
     """
     ci, h, wd = x.shape
     ho, wo = (h - 1) // STRIDE + 1, (wd - 1) // STRIDE + 1
-    r1 = ho if r1 is None else r1
     out = np.empty((ci, KERNEL, KERNEL, r1 - r0, wo))
     if r0 == 0:  # tap 0 of the first output row or column is padding
         out[:, 0, :, 0] = 0.0
@@ -172,21 +171,19 @@ def _columns(x: np.ndarray, r0: int = 0, r1: int | None = None) -> np.ndarray:
     return out.reshape(ci * KERNEL * KERNEL, -1)
 
 
-def _col2im(taps: np.ndarray, ci: int, h: int, wd: int, out: np.ndarray | None = None
-            ) -> np.ndarray:
-    """Adjoint of :func:`_columns`: (Ci*9, rows*Wo) tap gradients -> (Ci, h, W).
+def _col2im(taps: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Adjoint of :func:`_columns`: (Ci*9, rows*Wo) tap gradients -> ``dx`` (Ci, h, W).
 
-    ``taps`` holds output rows 0 .. rows - 1 of a band and ``h`` is the
-    number of input rows they complete: 2 * (rows - 1) when the last row is
-    the next band's first, else every input row they reach.  Each block of
-    ``out`` (a fresh array by default) is written once from the tap planes
-    that read it, the first assigned and the rest added in (k, l) order, so
-    every sum is the one nine strided adds into a zeroed buffer would give
-    (but for the sign of a zero).
+    ``taps`` holds output rows 0 .. rows - 1 of a band and ``dx`` the h
+    input rows they complete: 2 * (rows - 1) when the last row is the next
+    band's first, else every input row they reach.  Each block of ``dx`` is
+    written once from the tap planes that read it, the first assigned and
+    the rest added in (k, l) order, so every sum is the one nine strided
+    adds into a zeroed buffer would give (but for the sign of a zero).
     """
+    ci, h, wd = dx.shape
     wo = (wd - 1) // STRIDE + 1
     t = taps.reshape(ci, KERNEL, KERNEL, -1, wo)
-    dx = np.empty((ci, h, wd)) if out is None else out
     for rows, row_taps in _segments(h, t.shape[3] - 1):
         for columns, col_taps in _segments(wd, wo - 1):
             planes = [t[:, k, l, i, j] for k, i in row_taps for l, j in col_taps]
@@ -246,7 +243,7 @@ def _conv_s2p1_backward(
         else:
             dw += part
         rows = slice(STRIDE * r0, min(STRIDE * r1, h))
-        band = _col2im(wt @ gb, ci, rows.stop - rows.start, wd, dx[:, rows])
+        band = _col2im(wt @ gb, dx[:, rows])
         if relu_input:
             band *= x[:, rows] > 0.0  # relu(z) > 0 exactly where z > 0
     # each plane in one pairwise sum, as a contiguous (Co, Ho*Wo) copy of g would give

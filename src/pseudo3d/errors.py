@@ -61,13 +61,13 @@ class IntrinsicsConfigError(Pseudo3dError):
 
 @contextmanager
 def reading(path: str, error: type[Pseudo3dError], text: bool = False):
-    """Yield the bytes of ``path``, or with ``text`` its UTF-8 text with universal newlines.
+    """Yield the bytes of ``path``, or with ``text`` its UTF-8 text, less a BOM, newlines universal.
 
     A failed read, and any ``error`` raised in the block, becomes an ``error``
     whose message starts with the path.  Other exceptions pass through.
     """
     try:
-        with open(path, "r" if text else "rb", encoding="utf-8" if text else None) as fh:
+        with open(path, "r" if text else "rb", encoding="utf-8-sig" if text else None) as fh:
             data = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"{path}: cannot read: {exc}") from exc

@@ -130,20 +130,8 @@ def init_fusion_params(
     return FusionParams(strategy=strategy, channels=channels, heads=heads, **weights)
 
 
-def layer_norm(x: np.ndarray) -> np.ndarray:
-    """Parameter-free layer normalization over the channel (last) axis.
-
-    A NaN or infinity in ``x`` raises :class:`NonFiniteInputError`, and a
-    finite ``x`` whose result overflows float64 raises :class:`InvalidInputError`.
-    """
-    check_finite("x", x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _layer_norm(x)
-    check_no_overflow("layer_norm", out)
-    return out
-
-
 def _layer_norm(x: np.ndarray) -> np.ndarray:
+    """Parameter-free layer normalization over the channel (last) axis."""
     mean = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
     return (x - mean) / np.sqrt(var + LN_EPS)
@@ -160,39 +148,12 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(1, 0, 2).reshape(n, heads * dk)
 
 
-def multi_head_attention(
-    queries: np.ndarray,
-    keys_values: np.ndarray,
-    params: FusionParams,
-) -> np.ndarray:
+def _attention(queries: np.ndarray, keys_values: np.ndarray, params: FusionParams) -> np.ndarray:
     """Scaled dot-product attention of (N, C) ``queries`` over (M, C) ``keys_values``.
 
-    C must be ``params.channels`` and M at least 1; N may be 0.  A sequence
-    of another shape raises :class:`ShapeMismatchError`, no key row
-    :class:`InvalidInputError`, a NaN or infinity in either sequence
-    :class:`NonFiniteInputError`, and finite sequences whose result
-    overflows float64 :class:`InvalidInputError`.
-    """
-    queries = np.asarray(queries, dtype=np.float64)
-    keys_values = np.asarray(keys_values, dtype=np.float64)
-    for name, seq in (("queries", queries), ("keys_values", keys_values)):
-        if seq.ndim != 2 or seq.shape[1] != params.channels:
-            raise ShapeMismatchError(f"{name} must be (N, {params.channels}), got {seq.shape}")
-    if len(keys_values) == 0:
-        raise InvalidInputError("multi_head_attention: at least one key row is needed")
-    check_finite("queries", queries)
-    check_finite("keys_values", keys_values)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _attention(queries, keys_values, params)
-    check_no_overflow("multi_head_attention", out)
-    return out
-
-
-def _attention(queries: np.ndarray, keys_values: np.ndarray, params: FusionParams) -> np.ndarray:
-    """Scaled dot-product attention over flat (N, C) sequences.
-
-    Head j works on channel slice [j*dk, (j+1)*dk) of the projected
-    tensors; scores are scaled by 1/sqrt(dk).  Heads run outermost, then
+    Only :func:`fuse` calls it, with checked inputs and M = N or 2N.  Head
+    j works on channel slice [j*dk, (j+1)*dk) of the projected tensors;
+    scores are scaled by 1/sqrt(dk).  Heads run outermost, then
     query blocks, then key blocks; every block's scores are written into
     one ``(_BLOCK_Q, _BLOCK_K)`` buffer (a corner of it for a ragged block)
     and softmaxed there in place (Rabe & Staats 2021; Dao et al. 2022).

@@ -124,13 +124,14 @@ def dataset_loss(trajectories: Sequence[Trajectory]) -> float:
 def read_actions_csv(path: str) -> list[Action]:
     """Read one action per row: columns x, y, z, qw, qx, qy, qz, open.
 
-    A single leading header row is tolerated and skipped.  Prediction and
-    target files are row-aligned by convention.
+    A leading UTF-8 byte order mark and a single leading header row are
+    skipped.  Prediction and target files are row-aligned by convention.
     """
     actions: list[Action] = []
     with reading(path, ActionsFileError) as data:
         try:
-            lines = io.StringIO(data.decode("utf-8"), newline="")  # csv wants newlines as written
+            # csv wants newlines as written
+            lines = io.StringIO(data.decode("utf-8-sig"), newline="")
             rows = [row for row in csv.reader(lines) if row and any(cell.strip() for cell in row)]
         except (UnicodeDecodeError, csv.Error) as exc:
             raise ActionsFileError(f"cannot read: {exc}") from exc

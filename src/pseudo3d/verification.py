@@ -573,14 +573,14 @@ def run_properties(
     """Run the named checks in canonical order and return their results.
 
     ``break_shift`` reaches only the ``affine`` check, its negative control.
+    No name, or a name not in :data:`ALL_PROPS`, raises :class:`InvalidInputError`.
     """
     checks = dict(_CHECKS)
     checks["affine"] = lambda s: check_affine(s, break_shift)
     checks["determinism"] = check_determinism
     unknown = [n for n in names if n not in checks]
-    if unknown:
-        raise InvalidInputError(
-            f"unknown properties: {', '.join(unknown)}; expected from {', '.join(ALL_PROPS)}"
-        )
+    if unknown or not names:
+        found = f"unknown properties: {', '.join(unknown)}" if unknown else "no property selected"
+        raise InvalidInputError(f"{found}; expected from {', '.join(ALL_PROPS)}")
     ordered = [n for n in ALL_PROPS if n in set(names)]
     return [checks[name](seed) for name in ordered]

@@ -245,6 +245,12 @@ class TestIntrinsicsConfig:
         intr = load_intrinsics(path)
         assert intr.fx == 2.0
 
+    # used to fail as "unknown key" on the BOM before the first key
+    def test_load_skips_utf8_byte_order_mark(self, tmp_path):
+        path = tmp_path / "bom.cfg"
+        path.write_bytes("\ufefffx = 2\nfy = 3\ncx = 0.5\ncy = 0.5\n".encode("utf-8"))
+        assert load_intrinsics(str(path)).fx == 2.0
+
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(IntrinsicsConfigError, match="cannot read"):
             load_intrinsics(str(tmp_path / "absent.cfg"))

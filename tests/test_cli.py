@@ -295,6 +295,13 @@ class TestVerify:
         assert proc.returncode == 1
         assert "unknown properties" in proc.stderr
 
+    # used to run no property, print "summary total=0 passed=0 failed=0" and exit 0
+    def test_empty_prop_selection_is_input_error(self):
+        proc = run_cli("verify", "--props", ",")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("verify: stage=config: no property selected")
+
     def test_break_shift_fails_affine_only(self):
         proc = run_cli("verify", "--seed", "0", "--break-shift")
         assert proc.returncode == 2

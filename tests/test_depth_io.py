@@ -56,6 +56,13 @@ class TestPfm:
         with pytest.raises(DepthFileError, match="truncated"):
             read_pfm(str(path))
 
+    # a header that understates the width used to give a sheared grid
+    def test_bytes_after_the_raster_rejected(self, tmp_path):
+        path = tmp_path / "long.pfm"
+        path.write_bytes(b"Pf\n2 2\n-1.0\n" + struct.pack("<8f", *range(8)))
+        with pytest.raises(DepthFileError, match=r"too long \(32 bytes, need 16\)"):
+            read_pfm(str(path))
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.pfm"
         path.write_bytes(b"P5\n2 2\n255\n" + b"\x00" * 4)
@@ -162,6 +169,12 @@ class TestCsv:
         path.write_text("1.0,2.0,3.0\n")
         grid = read_csv(str(path))
         assert grid.shape == (1, 3)
+
+    # used to fail as "malformed CSV" on the BOM before the first number
+    def test_utf8_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf1.0,2.0\n3.0,4.0\n")
+        assert_array_equal(read_csv(str(path)), [[1.0, 2.0], [3.0, 4.0]])
 
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -1,4 +1,5 @@
 import ast
+import functools
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import pseudo3d
 
 _PACKAGE = Path(pseudo3d.__file__).parent
+_PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_export_list_resolves_and_star_imports():
@@ -98,3 +100,39 @@ def test_no_collected_test_is_decorated_with_given():
                 if ast.unparse(target).rpartition(".")[2] == "given":
                     bare.append(f"{path.name}:{node.lineno} {node.name}")
     assert bare == []
+
+
+def _dotted(node: ast.expr) -> str | None:
+    """``a.b.c`` for a chain of attributes on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+def test_every_name_the_benchmark_calls_resolves():
+    """Each name ``perfbench/*.py`` reaches on the package exists, so deleting one
+    the benchmark calls fails here and not in a benchmark run.
+
+    The benchmark holds the package as ``p3``, ``self.p3``, ``wl.p3`` or
+    ``pseudo3d``, and its tracer wraps the keys of ``tracing.TRACED``.
+    """
+    import pseudo3d.cli  # noqa: F401  (the gen-cloud workload calls p3.cli.main)
+    roots = ("p3.", "self.p3.", "wl.p3.", "pseudo3d.")
+    chains = set()
+    for path in sorted(_PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                dotted = _dotted(node) or ""
+                chains.update(dotted[len(root):] for root in roots if dotted.startswith(root))
+            elif isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TRACED":
+                chains.update(ast.literal_eval(key) for key in node.value.keys)
+    missing = []
+    for chain in sorted(chains):
+        try:
+            functools.reduce(getattr, chain.split("."), pseudo3d)
+        except AttributeError:
+            missing.append(chain)
+    assert len(chains) > 20, sorted(chains)
+    assert missing == []

@@ -219,6 +219,15 @@ class TestCsvActions:
         path.write_text("1,2,3,1,0,0,0,1\n")
         assert len(read_actions_csv(str(path))) == 1
 
+    # with a BOM the first data row failed float() and was dropped as a header
+    @pytest.mark.parametrize("header", ["", "x,y,z,qw,qx,qy,qz,open\n"], ids=["rows", "header"])
+    def test_utf8_byte_order_mark_keeps_every_row(self, tmp_path, header):
+        path = tmp_path / "acts.csv"
+        path.write_bytes(("\ufeff" + header + self.CSV.partition("\n")[2]).encode("utf-8"))
+        actions = read_actions_csv(str(path))
+        assert len(actions) == 2
+        assert_allclose(actions[0].xyz, [0.1, 0.2, 0.3])
+
     def test_wrong_column_count(self, tmp_path):
         path = tmp_path / "acts.csv"
         path.write_text("1,2,3\n")
