@@ -18,7 +18,6 @@ from .camera import (
 )
 from .cloud import (
     ContinuityStats,
-    PseudoPointCloud,
     cloud_from_depth,
     local_continuity,
     synth_random,
@@ -49,15 +48,7 @@ from .encoder import (
 from .errors import Pseudo3dError
 from .fusion import FusionParams, Strategy, fuse, init_fusion_params
 from .ply import export_ply, read_ply
-from .policy_loss import (
-    Action,
-    StepLoss,
-    Trajectory,
-    dataset_loss,
-    read_actions_csv,
-    step_loss,
-    trajectory_from_rows,
-)
+from .policy_loss import Action, dataset_loss, read_actions_csv, trajectory_from_rows
 
 __version__ = "0.1.0"
 
@@ -71,10 +62,7 @@ __all__ = [
     "EncoderParams",
     "FusionParams",
     "Pseudo3dError",
-    "PseudoPointCloud",
-    "StepLoss",
     "Strategy",
-    "Trajectory",
     "backproject",
     "cloud_from_depth",
     "dataset_loss",
@@ -104,7 +92,6 @@ __all__ = [
     "read_ply",
     "reciprocal_depth",
     "save_params",
-    "step_loss",
     "synth_random",
     "synth_wedge",
     "to_coordinate_map",

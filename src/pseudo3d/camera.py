@@ -51,7 +51,7 @@ def backproject(depth_values: np.ndarray, intrinsics: CameraIntrinsics) -> np.nd
     uu = np.arange(w, dtype=np.float64)[np.newaxis, :]
     vv = np.arange(h, dtype=np.float64)[:, np.newaxis]
     points = np.empty((h, w, 3), dtype=np.float64)
-    with np.errstate(over="ignore"):  # an overflow is inf, which PseudoPointCloud rejects
+    with np.errstate(over="ignore"):  # an overflow is inf, which cloud_from_depth rejects
         points[:, :, 0] = d * (uu - intrinsics.cx) / intrinsics.fx
         points[:, :, 1] = d * (vv - intrinsics.cy) / intrinsics.fy
     points[:, :, 2] = d

@@ -77,16 +77,16 @@ def cmd_gen_cloud(args: argparse.Namespace) -> int:
             stage = "normalize"
             d_r = pipeline_relative_to_dr(depth)
         stage = "backproject"
-        cloud = cloud_from_depth(d_r, intrinsics)
+        points = cloud_from_depth(d_r, intrinsics)
         stage = "continuity"
-        stats = local_continuity(cloud)
+        stats = local_continuity(points)
         stage = "export"
-        export_ply(args.out, cloud)
+        export_ply(args.out, points)
     except Pseudo3dError as exc:
         _diag("gen-cloud", stage, str(exc))
         return 1
 
-    h, w = cloud.grid_shape
+    h, w, _ = points.shape
     summary = {
         "width": w,
         "height": h,

@@ -15,31 +15,33 @@ import numpy as np
 
 from .camera import CameraIntrinsics, backproject
 from .depth import DepthKind, DepthMap
-from .errors import InvalidInputError, frozen_array
+from .errors import InvalidInputError, ShapeMismatchError, check_finite
 
 
-@dataclass(frozen=True)
-class PseudoPointCloud:
-    """(H, W, 3) float64 grid of finite camera-frame points."""
-
-    points: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "points", frozen_array("point grid", self.points, (None, None, 3)))
-
-    @property
-    def grid_shape(self) -> tuple[int, int]:
-        return self.points.shape[:2]  # type: ignore[return-value]
+def _point_grid(points: np.ndarray, finite: bool = True) -> np.ndarray:
+    """``points`` as a float64 (H, W, 3) array, not copied; checked finite with ``finite``."""
+    arr = np.asarray(points, dtype=np.float64)
+    if arr.ndim != 3 or arr.shape[2] != 3 or 0 in arr.shape:
+        raise ShapeMismatchError(f"point grid must have shape (*, *, 3), got {arr.shape}")
+    if finite:
+        check_finite("point grid", arr)
+    return arr
 
 
-def cloud_from_depth(depth: DepthMap, intrinsics: CameraIntrinsics) -> PseudoPointCloud:
-    """Back-project a depth grid into a grid-preserving point cloud."""
-    return PseudoPointCloud(backproject(depth.values, intrinsics))
+def cloud_from_depth(depth: DepthMap, intrinsics: CameraIntrinsics) -> np.ndarray:
+    """Back-project a depth grid into a grid-preserving (H, W, 3) point cloud.
+
+    A point beyond float64's range raises :class:`NonFiniteInputError`.
+    """
+    return _point_grid(backproject(depth.values, intrinsics))
 
 
-def to_coordinate_map(cloud: PseudoPointCloud) -> np.ndarray:
-    """Repack (H, W, 3) points as a (3, H, W) array of planes.  Pure layout change."""
-    return np.ascontiguousarray(cloud.points.transpose(2, 0, 1))
+def to_coordinate_map(points: np.ndarray) -> np.ndarray:
+    """Repack (H, W, 3) points as a (3, H, W) array of planes.  Pure layout change.
+
+    Only the shape is checked: the encoder checks the values.
+    """
+    return np.ascontiguousarray(_point_grid(points, finite=False).transpose(2, 0, 1))
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,7 @@ class ContinuityStats:
     n_pairs: int
 
 
-def local_continuity(cloud: PseudoPointCloud) -> ContinuityStats:
+def local_continuity(points: np.ndarray) -> ContinuityStats:
     """Measure how smoothly the cloud varies across the pixel grid.
 
     Considers every horizontally and vertically adjacent pair of grid
@@ -62,10 +64,10 @@ def local_continuity(cloud: PseudoPointCloud) -> ContinuityStats:
     Memory: one float64 step buffer, horizontal steps then vertical ones,
     plus one diff array at a time; 12.4 MB at 480x640.
     """
-    h, w = cloud.grid_shape
+    pts = _point_grid(points)
+    h, w, _ = pts.shape
     if h * w < 2:
         raise InvalidInputError("continuity needs at least two grid points")
-    pts = cloud.points
     n_horizontal = h * (w - 1)
     steps = np.empty(n_horizontal + (h - 1) * w)
     pairs = [(pts[:, 1:, :], pts[:, :-1, :], steps[:n_horizontal].reshape(h, w - 1)),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import re
+import warnings
 
 import numpy as np
 
@@ -138,17 +139,18 @@ def write_pgm(path: str, samples: np.ndarray, maxval: int) -> None:
 
 
 def read_csv(path: str) -> np.ndarray:
-    """Read a headerless comma-separated grid of numbers."""
-    with reading(path, DepthFileError, text=True) as text:
-        if not text.strip():
-            raise DepthFileError("empty CSV grid")
-        try:
-            grid = np.loadtxt(io.StringIO(text), delimiter=",", dtype=np.float64, ndmin=2)
-        except ValueError as exc:
-            raise DepthFileError(f"malformed CSV: {exc}") from exc
-        if grid.size == 0:
-            raise DepthFileError("empty CSV grid")
-        return grid
+    """Read a headerless comma-separated grid of numbers, streamed from the file."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no data: the error below says so
+            grid = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DepthFileError(f"{path}: cannot read: {exc}") from exc
+    except ValueError as exc:
+        raise DepthFileError(f"{path}: malformed CSV: {exc}") from exc
+    if grid.size == 0:
+        raise DepthFileError(f"{path}: empty CSV grid")
+    return grid
 
 
 def write_csv(path: str, values: np.ndarray) -> None:

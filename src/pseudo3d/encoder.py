@@ -324,12 +324,14 @@ def normalize_coordinate_map(
     """
     data = _as_planar(cmap)
     out = np.empty_like(data)
+    n = data[0].size
     flags = []
     for c in range(3):
         channel = data[c]
+        # the mean is subtracted once; the arithmetic is ndarray.mean's and ndarray.std's
         with np.errstate(over="ignore", invalid="ignore"):
-            mean = channel.mean()
-            std = channel.std()
+            np.subtract(channel, channel.sum() / n, out=out[c])
+            std = np.sqrt((out[c] * out[c]).sum() / n)
         if not np.isfinite(std):
             raise InvalidInputError(f"coordinate map channel {'XYZ'[c]}: spread "
                                     "overflows float64, cannot normalize")
@@ -337,7 +339,6 @@ def normalize_coordinate_map(
             out[c] = channel
             flags.append(True)
         else:
-            np.subtract(channel, mean, out=out[c])
             out[c] /= std
             flags.append(False)
     return out, (flags[0], flags[1], flags[2])

@@ -12,7 +12,7 @@ import re
 
 import numpy as np
 
-from .cloud import PseudoPointCloud
+from .cloud import _point_grid
 from .errors import CloudIoError, reading, to_float32, write_output
 
 _HEADER = ("ply\nformat binary_little_endian 1.0\ncomment grid {h} {w}\nelement vertex {n}\n"
@@ -24,14 +24,15 @@ _HEADER_PATTERN = re.compile(re.escape(_HEADER).replace(r"\{", "(?P<").replace(
     r"\}", ">[1-9][0-9]{0,17})").encode("ascii"))
 
 
-def export_ply(path: str, cloud: PseudoPointCloud) -> None:
-    """Write a cloud as binary little-endian PLY 1.0.
+def export_ply(path: str, points: np.ndarray) -> None:
+    """Write a finite (H, W, 3) point grid as binary little-endian PLY 1.0.
 
     A point beyond float32's range raises :class:`CloudIoError` and nothing is written.
     """
-    h, w = cloud.grid_shape
+    points = _point_grid(points)
+    h, w, _ = points.shape
     # x, y, z little-endian float32 records are the bytes of a C-contiguous (n, 3) <f4 array
-    body = to_float32(path, CloudIoError, cloud.points).astype("<f4", order="C", copy=False)
+    body = to_float32(path, CloudIoError, points).astype("<f4", order="C", copy=False)
     write_output(path, CloudIoError, _HEADER.format(h=h, w=w, n=h * w).encode("ascii"), body)
 
 

@@ -1,7 +1,8 @@
 """Behavior-cloning loss over predicted and demonstrated gripper actions.
 
-Each action is a 3-D position, a rotation quaternion, and a gripper
-open/close scalar.  A step's loss is
+An action is an (8,) row: a 3-D position, a rotation quaternion and a
+gripper open/close scalar.  A trajectory is an (N, 2, 8) array of
+(prediction, target) pairs.  A step's loss is
 
     mean squared error over the 3 position components
   + mean squared error over the 4 quaternion components
@@ -16,118 +17,95 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import (ActionsFileError, InvalidInputError, NonFiniteInputError, ShapeMismatchError,
-                     frozen_array, reading)
+                     check_finite, frozen_array, reading)
 
 BCE_EPS = 1e-7
 _UNIT_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class Action:
-    """One gripper action.
+def Action(xyz, quat, open_prob: float) -> np.ndarray:  # noqa: N802 (the name callers build actions with)
+    """One gripper action as an (8,) float64 row: x, y, z, qw, qx, qy, qz, open.
 
-    ``open_prob`` is the probability of the gripper being open; in
+    ``open`` is the probability of the gripper being open; in
     demonstrations it is exactly 0.0 or 1.0.  Prediction quaternions are
     unconstrained (the network output goes into the loss as-is); target
     quaternions must be unit norm.
     """
-
-    xyz: np.ndarray
-    quat: np.ndarray  # (qw, qx, qy, qz)
-    open_prob: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "xyz", frozen_array("xyz", self.xyz, (3,)))
-        object.__setattr__(self, "quat", frozen_array("quat", self.quat, (4,)))
-        if not math.isfinite(self.open_prob):  # not check_finite: numpy costs 1 us a scalar
-            raise NonFiniteInputError("open_prob contains NaN or infinite values")
-        object.__setattr__(self, "open_prob", float(self.open_prob))
+    xyz, quat = frozen_array("xyz", xyz, (3,)), frozen_array("quat", quat, (4,))
+    if not math.isfinite(open_prob):  # not check_finite: numpy costs 1 us a scalar
+        raise NonFiniteInputError("open_prob contains NaN or infinite values")
+    return np.concatenate([xyz, quat, [open_prob]])
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """An ordered sequence of (predicted, target) action pairs."""
-
-    steps: tuple[tuple[Action, Action], ...]
-
-    def __post_init__(self) -> None:
-        steps = tuple((p, t) for p, t in self.steps)
-        if len(steps) < 1:
-            raise InvalidInputError("trajectory must contain at least one step")
-        object.__setattr__(self, "steps", steps)
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-
-class StepLoss(NamedTuple):
-    mse_xyz: float
-    mse_quat: float
-    bce_open: float
-    total: float
-
-
-def _validate_pair(pred: Action, target: Action) -> None:
-    if not 0.0 <= pred.open_prob <= 1.0:
-        raise InvalidInputError(f"predicted open_prob must lie in [0, 1], got {pred.open_prob}")
-    if target.open_prob not in (0.0, 1.0):
-        raise InvalidInputError(
-            f"target gripper label must be exactly 0 or 1, got {target.open_prob}")
-    norm = float(np.linalg.norm(target.quat))
-    if abs(norm - 1.0) > _UNIT_TOL:
-        raise InvalidInputError(f"target quaternion must be unit norm, |q| = {norm}")
-
-
-def step_loss(pred: Action, target: Action) -> StepLoss:
-    """Loss for one step: position MSE + quaternion MSE + gripper BCE.
+def _step_losses(traj: np.ndarray, i: int = 0) -> tuple[np.ndarray, ...]:
+    """Position MSE, quaternion MSE, gripper BCE and their total, per step of
+    the (N, 2, 8) trajectory ``traj``, the ``i``-th of its dataset.
 
     The prediction's gripper probability is clamped to
     [BCE_EPS, 1 - BCE_EPS] before the cross-entropy so a saturated
-    prediction never produces an infinite loss.
+    prediction never produces an infinite loss.  The first step that breaks
+    a condition raises :class:`InvalidInputError` naming the trajectory and step.
     """
-    _validate_pair(pred, target)
-    mse_xyz = float(np.mean((pred.xyz - target.xyz) ** 2))
-    mse_quat = float(np.mean((pred.quat - target.quat) ** 2))
-    p = min(max(pred.open_prob, BCE_EPS), 1.0 - BCE_EPS)
-    y = target.open_prob
-    bce = -(y * math.log(p) + (1.0 - y) * math.log(1.0 - p))
-    return StepLoss(mse_xyz, mse_quat, bce, mse_xyz + mse_quat + bce)
+    traj = np.asarray(traj, dtype=np.float64)
+    if traj.ndim != 3 or traj.shape[1:] != (2, 8):
+        raise ShapeMismatchError(f"trajectory {i} must have shape (*, 2, 8), got {traj.shape}")
+    if len(traj) == 0:
+        raise InvalidInputError(f"trajectory {i} must contain at least one step")
+    check_finite(f"trajectory {i}", traj)
+    pred, target = traj[:, 0], traj[:, 1]
+    p, y = pred[:, 7], target[:, 7]
+    bad = np.stack([(p < 0.0) | (p > 1.0), (y != 0.0) & (y != 1.0),
+                    np.abs(np.linalg.norm(target[:, 3:7], axis=1) - 1.0) > _UNIT_TOL])
+    if bad.any():
+        j = int(bad.any(axis=0).argmax())
+        problem = (f"predicted open_prob must lie in [0, 1], got {float(p[j])}",
+                   f"target gripper label must be exactly 0 or 1, got {float(y[j])}",
+                   f"target quaternion must be unit norm, "
+                   f"|q| = {float(np.linalg.norm(target[j, 3:7]))}")[int(bad[:, j].argmax())]
+        raise InvalidInputError(f"trajectory {i}, step {j}: {problem}")
+    sq = pred - target
+    sq *= sq
+    mse_xyz = sq[:, :3].sum(axis=1) / 3.0
+    mse_quat = sq[:, 3:7].sum(axis=1) / 4.0
+    p = np.clip(p, BCE_EPS, 1.0 - BCE_EPS)
+    bce = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
+    return mse_xyz, mse_quat, bce, mse_xyz + mse_quat + bce
 
 
-def dataset_loss(trajectories: Sequence[Trajectory]) -> float:
-    """Sum of step totals over every trajectory, divided by the total
+def dataset_loss(trajectories: Sequence[np.ndarray]) -> float:
+    """Sum of step totals over every (N, 2, 8) trajectory, divided by the total
     number of steps (equal to 1/(N*T) when all N trajectories have T steps).
 
-    A step that :func:`step_loss` rejects raises :class:`InvalidInputError`
+    A step that breaks a condition raises :class:`InvalidInputError`
     whose message starts with ``trajectory i, step j: ``.
     """
     if len(trajectories) == 0:
         raise InvalidInputError("dataset must contain at least one trajectory")
-    total = 0.0
-    n_steps = 0
-    for i, traj in enumerate(trajectories):
-        for j, (pred, target) in enumerate(traj.steps):
-            try:
-                total += step_loss(pred, target).total
-            except InvalidInputError as exc:
-                raise InvalidInputError(f"trajectory {i}, step {j}: {exc}") from exc
-        n_steps += len(traj.steps)
-    return total / n_steps
+    totals = np.concatenate([_step_losses(traj, i)[3] for i, traj in enumerate(trajectories)])
+    # added in step order, as a loop does; np.sum adds pairwise and moves the last bits
+    return float(np.cumsum(totals)[-1]) / totals.size
 
 
-def read_actions_csv(path: str) -> list[Action]:
-    """Read one action per row: columns x, y, z, qw, qx, qy, qz, open.
+def _number(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
 
-    A leading UTF-8 byte order mark and a single leading header row are
-    skipped.  Prediction and target files are row-aligned by convention.
+
+def read_actions_csv(path: str) -> np.ndarray:
+    """Read one action per row as an (N, 8) array: columns x, y, z, qw, qx, qy, qz, open.
+
+    A leading UTF-8 byte order mark is skipped, and so is a first row in
+    which no cell is a number (a header).  Prediction and target files are
+    row-aligned by convention.
     """
-    actions: list[Action] = []
+    actions: list[list[float]] = []
     with reading(path, ActionsFileError) as data:
         try:
             # csv wants newlines as written
@@ -138,30 +116,23 @@ def read_actions_csv(path: str) -> list[Action]:
         for i, row in enumerate(rows):
             if len(row) != 8:
                 raise ActionsFileError(f"row {i + 1} has {len(row)} columns, expected 8")
-            try:
-                values = [float(cell) for cell in row]
-            except ValueError:
-                if i == 0:
+            values = [_number(cell) for cell in row]
+            if None in values:
+                if i == 0 and values == [None] * 8:
                     continue  # header row
-                raise ActionsFileError(f"row {i + 1} is not numeric: {row}") from None
+                raise ActionsFileError(f"row {i + 1} is not numeric: {row}")
             if not all(math.isfinite(v) for v in values):
                 raise ActionsFileError(f"row {i + 1} is not finite: {row}")
-            actions.append(Action(xyz=np.array(values[0:3]),
-                                  quat=np.array(values[3:7]),
-                                  open_prob=values[7]))
+            actions.append(values)
         if not actions:
             raise ActionsFileError("no action rows found")
-        return actions
+        return np.array(actions)
 
 
-def trajectory_from_rows(
-    preds: Iterable[Action], targets: Iterable[Action]
-) -> Trajectory:
-    """Zip row-aligned prediction and target actions into a trajectory."""
-    preds = list(preds)
-    targets = list(targets)
-    if len(preds) != len(targets):
-        raise ShapeMismatchError(
-            f"prediction rows ({len(preds)}) and target rows ({len(targets)}) differ"
-        )
-    return Trajectory(steps=tuple(zip(preds, targets)))
+def trajectory_from_rows(preds, targets) -> np.ndarray:
+    """Pair row-aligned (N, 8) prediction and target actions as an (N, 2, 8) trajectory."""
+    preds, targets = np.asarray(preds, dtype=np.float64), np.asarray(targets, dtype=np.float64)
+    if preds.shape != targets.shape:
+        raise ShapeMismatchError(f"prediction rows {preds.shape} and target rows "
+                                 f"{targets.shape} differ")
+    return np.stack([preds, targets], axis=1)

@@ -18,12 +18,12 @@ import numpy as np
 
 from . import depth_io, ply
 from .camera import CameraIntrinsics, backproject, estimate_intrinsics_from_fov, project
-from .cloud import PseudoPointCloud, synth_random, synth_wedge
+from .cloud import synth_random, synth_wedge
 from .depth import disparity_from_metric, normalize, pipeline_relative_to_dr, reciprocal_depth
 from .encoder import EncoderParams, encode, encode_backward, init_params
 from .errors import InvalidInputError
 from .fusion import FusionParams, Strategy, fuse, init_fusion_params
-from .policy_loss import Action, BCE_EPS, Trajectory, dataset_loss, step_loss
+from .policy_loss import Action, BCE_EPS, _step_losses, dataset_loss, trajectory_from_rows
 
 
 def _f(x: float) -> str:
@@ -395,7 +395,7 @@ LOSS_TOL = 1e-12
 PERFECT_TOL = 1e-5
 
 
-def _random_action(rng: np.random.Generator, target: bool) -> Action:
+def _random_action(rng: np.random.Generator, target: bool) -> np.ndarray:
     quat = rng.standard_normal(4)
     if target:
         quat = quat / np.linalg.norm(quat)
@@ -406,18 +406,16 @@ def _random_action(rng: np.random.Generator, target: bool) -> Action:
     )
 
 
-def _loss_oracle(trajectories: list[Trajectory]) -> float:
+def _loss_oracle(trajectories: list[np.ndarray]) -> float:
     """Flat-loop recomputation of the dataset loss with scalar math."""
     total = 0.0
     count = 0
     for traj in trajectories:
-        for pred, target in traj.steps:
-            se_xyz = sum((float(pred.xyz[i]) - float(target.xyz[i])) ** 2
-                         for i in range(3)) / 3.0
-            se_quat = sum((float(pred.quat[i]) - float(target.quat[i])) ** 2
-                          for i in range(4)) / 4.0
-            p = min(max(pred.open_prob, BCE_EPS), 1.0 - BCE_EPS)
-            y = target.open_prob
+        for pred, target in traj.tolist():
+            se_xyz = sum((pred[i] - target[i]) ** 2 for i in range(3)) / 3.0
+            se_quat = sum((pred[i] - target[i]) ** 2 for i in range(3, 7)) / 4.0
+            p = min(max(pred[7], BCE_EPS), 1.0 - BCE_EPS)
+            y = target[7]
             bce = -(y * math.log(p) + (1.0 - y) * math.log(1.0 - p))
             total += se_xyz + se_quat + bce
             count += 1
@@ -430,25 +428,21 @@ def check_loss(seed: int) -> PropertyResult:
     for _ in range(LOSS_DATASETS):
         trajectories = []
         for _ in range(int(rng.integers(1, 5))):
-            steps = tuple(
+            trajectories.append(np.array([
                 (_random_action(rng, target=False), _random_action(rng, target=True))
                 for _ in range(int(rng.integers(1, 6)))
-            )
-            trajectories.append(Trajectory(steps=steps))
+            ]))
         max_dev = max(max_dev, abs(dataset_loss(trajectories) - _loss_oracle(trajectories)))
 
-    # perfect prediction: only the clamped BCE residue remains
-    target = Action(xyz=np.array([0.0, -0.2, 0.3]),
-                    quat=np.array([1.0, 0.0, 0.0, 0.0]), open_prob=1.0)
-    perfect = step_loss(target, target).total
-
-    # a single-axis position error of delta contributes exactly delta^2/3
+    # step 0, a perfect prediction: only the clamped BCE residue remains;
+    # step 1, a single-axis position error of delta, contributes exactly delta^2/3
     # (first component is 0 in the target, so the difference is exactly delta)
     delta = 0.3
-    pred = Action(xyz=np.array([delta, -0.2, 0.3]),
-                  quat=np.array([1.0, 0.0, 0.0, 0.0]), open_prob=1.0)
-    mse_xyz = step_loss(pred, target).mse_xyz
-    delta_exact = mse_xyz == (delta * delta) / 3.0
+    target = Action(xyz=[0.0, -0.2, 0.3], quat=[1.0, 0.0, 0.0, 0.0], open_prob=1.0)
+    pred = Action(xyz=[delta, -0.2, 0.3], quat=[1.0, 0.0, 0.0, 0.0], open_prob=1.0)
+    mse_xyz, _, _, total = _step_losses(trajectory_from_rows([target, pred], [target, target]))
+    perfect = float(total[0])
+    delta_exact = float(mse_xyz[1]) == (delta * delta) / 3.0
 
     return PropertyResult(
         name="loss",
@@ -472,9 +466,9 @@ def check_files(seed: int) -> PropertyResult:
     rng = np.random.default_rng(seed)
     with tempfile.TemporaryDirectory() as tmp:
         # PLY round trip is float32-exact, grid shape included
-        cloud = PseudoPointCloud(rng.uniform(-5.0, 5.0, size=(5, 7, 3)))
-        ply.export_ply(f"{tmp}/cloud.ply", cloud)
-        ply_ok = np.array_equal(ply.read_ply(f"{tmp}/cloud.ply"), cloud.points.astype(np.float32))
+        points = rng.uniform(-5.0, 5.0, size=(5, 7, 3))
+        ply.export_ply(f"{tmp}/cloud.ply", points)
+        ply_ok = np.array_equal(ply.read_ply(f"{tmp}/cloud.ply"), points.astype(np.float32))
 
         # the same sixteenths ramp through all three depth formats
         k = np.tile(np.arange(17), (4, 1))

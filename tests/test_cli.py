@@ -47,7 +47,7 @@ class TestGenCloud:
         depth = DepthMap(synth_wedge(6, 8, 2.0, 6.0).values, DepthKind.PREDICTED_RELATIVE)
         intr = estimate_intrinsics_from_fov(8, 6, 60.0)
         expected = cloud_from_depth(pipeline_relative_to_dr(depth), intr)
-        assert_array_equal(read_ply(out), expected.points.astype(np.float32))
+        assert_array_equal(read_ply(out), expected.astype(np.float32))
 
     def test_summary_reports_range_and_continuity(self, tmp_path, wedge_csv, fov_intrinsics):
         out = str(tmp_path / "w.ply")

@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from pseudo3d.camera import CameraIntrinsics
 from pseudo3d.cloud import (
-    PseudoPointCloud,
     cloud_from_depth,
     local_continuity,
     synth_random,
@@ -36,14 +35,14 @@ def plane_cloud(h=4, w=5, z=3.0, fx=2.0, fy=4.0, cx=1.0, cy=0.5):
 class TestCloudGeometry:
     def test_plane_matches_closed_form(self):
         """Constant depth z: X = z*(u-cx)/fx, Y = z*(v-cy)/fy, Z = z, exactly."""
-        cloud, intr = plane_cloud()
-        h, w = cloud.grid_shape
+        points, intr = plane_cloud()
+        h, w, _ = points.shape
         uu = np.arange(w, dtype=np.float64)[np.newaxis, :]
         vv = np.arange(h, dtype=np.float64)[:, np.newaxis]
         z = np.full((h, w), 3.0)
-        assert_array_equal(cloud.points[..., 0], z * (uu - intr.cx) / intr.fx)
-        assert_array_equal(cloud.points[..., 1], z * (vv - intr.cy) / intr.fy)
-        assert_array_equal(cloud.points[..., 2], z)
+        assert_array_equal(points[..., 0], z * (uu - intr.cx) / intr.fx)
+        assert_array_equal(points[..., 1], z * (vv - intr.cy) / intr.fy)
+        assert_array_equal(points[..., 2], z)
 
     def test_wedge_depth_is_column_linear(self):
         wedge = synth_wedge(2, 5, 1.0, 9.0)
@@ -52,24 +51,23 @@ class TestCloudGeometry:
         assert_array_equal(wedge.values[0], wedge.values[1])
 
     def test_grid_shape_tracks_depth_shape(self):
-        cloud, _ = plane_cloud(h=7, w=2)
-        assert cloud.grid_shape == (7, 2)
-        assert cloud.points.shape == (7, 2, 3)
+        points, _ = plane_cloud(h=7, w=2)
+        assert points.shape == (7, 2, 3)
+        assert points.dtype == np.float64
 
 
 class TestCoordinateMap:
     def test_round_trip_is_bit_exact(self):
         rng = np.random.default_rng(5)
-        cloud = PseudoPointCloud(rng.standard_normal((6, 4, 3)))
-        back = PseudoPointCloud(to_coordinate_map(cloud).transpose(1, 2, 0))
-        assert_array_equal(back.points, cloud.points)
+        points = rng.standard_normal((6, 4, 3))
+        assert_array_equal(to_coordinate_map(points).transpose(1, 2, 0), points)
 
     def test_planar_layout(self):
-        cloud, _ = plane_cloud()
-        cmap = to_coordinate_map(cloud)
+        points, _ = plane_cloud()
+        cmap = to_coordinate_map(points)
         assert cmap.shape == (3, 4, 5)
         for channel in range(3):
-            assert_array_equal(cmap[channel], cloud.points[..., channel])
+            assert_array_equal(cmap[channel], points[..., channel])
 
     def test_rejects_wrong_leading_axis(self):
         with pytest.raises(ShapeMismatchError):
@@ -78,8 +76,8 @@ class TestCoordinateMap:
 
 class TestContinuity:
     def test_plane_steps_are_depth_over_focal(self):
-        cloud, intr = plane_cloud(h=4, w=5, z=3.0)
-        stats = local_continuity(cloud)
+        points, intr = plane_cloud(h=4, w=5, z=3.0)
+        stats = local_continuity(points)
         step_h = 3.0 / intr.fx   # horizontal neighbors differ only in X
         step_v = 3.0 / intr.fy   # vertical neighbors differ only in Y
         n_h = 4 * (5 - 1)
@@ -90,19 +88,18 @@ class TestContinuity:
         assert_allclose(stats.mean_step, expected_mean, rtol=1e-12)
 
     def test_single_row_uses_horizontal_pairs_only(self):
-        cloud, _ = plane_cloud(h=1, w=6)
-        assert local_continuity(cloud).n_pairs == 5
+        points, _ = plane_cloud(h=1, w=6)
+        assert local_continuity(points).n_pairs == 5
 
     def test_single_point_rejected(self):
-        cloud = PseudoPointCloud(np.zeros((1, 1, 3)))
         with pytest.raises(InvalidInputError):
-            local_continuity(cloud)
+            local_continuity(np.zeros((1, 1, 3)))
 
     @pytest.mark.parametrize("shape", [(1, 6), (6, 1), (2, 2), (33, 47), (480, 640)])
     def test_bit_identical_to_norm_oracle(self, shape):
         rng = np.random.default_rng(shape[0] * 1000 + shape[1])
         points = rng.uniform(-5.0, 5.0, (*shape, 3)) * rng.uniform(0.1, 10.0, shape)[..., None]
-        stats = local_continuity(PseudoPointCloud(points))
+        stats = local_continuity(points)
         assert (stats.mean_step, stats.max_step, stats.n_pairs) == _continuity_oracle(points)
 
     def test_each_step_is_bit_identical_to_norm(self):
@@ -110,7 +107,7 @@ class TestContinuity:
         # moves by an ulp (einsum's x² + z² + y² order does, for about 1 in 9) shows
         rng = np.random.default_rng(8)
         for pair in rng.standard_normal((500, 1, 2, 3)) * rng.uniform(1e-3, 1e3, (500, 1, 1, 1)):
-            stats = local_continuity(PseudoPointCloud(pair))
+            stats = local_continuity(pair)
             assert (stats.mean_step, stats.max_step, stats.n_pairs) == _continuity_oracle(pair)
 
     @pytest.mark.parametrize("x", [(1e308, -1e308), (1e200, -1e200)],
@@ -118,17 +115,17 @@ class TestContinuity:
     def test_overflowing_step_is_inf_without_warning(self, x):
         points = np.zeros((2, 3, 3))
         points[0, :2, 0] = x
-        stats = local_continuity(PseudoPointCloud(points))
+        stats = local_continuity(points)
         assert stats.max_step == np.inf
         assert stats.mean_step == np.inf
 
     def test_memory_is_one_diff_plus_steps(self):
         # one (480, 639, 3) diff plus the 613,280 float64 steps: 12.4 MB
         # measured; the norm-and-concatenate version peaked at 29.4 MB
-        cloud = PseudoPointCloud(np.random.default_rng(3).standard_normal((480, 640, 3)))
+        points = np.random.default_rng(3).standard_normal((480, 640, 3))
         tracemalloc.start()
         try:
-            local_continuity(cloud)
+            local_continuity(points)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -167,39 +164,45 @@ class TestSyntheticScenes:
         assert_array_equal(a, b)
 
 
-class TestCloudType:
-    def test_points_read_only(self):
-        cloud = PseudoPointCloud(np.zeros((2, 2, 3)))
-        with pytest.raises(ValueError):
-            cloud.points[0, 0, 0] = 1.0
+# each function that takes a point grid, called on ``points``
+_TAKES_POINTS = [
+    lambda points, tmp_path: local_continuity(points),
+    lambda points, tmp_path: export_ply(str(tmp_path / "c.ply"), points),
+    lambda points, tmp_path: to_coordinate_map(points),
+]
 
+
+class TestCloudType:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_rejects_non_finite_points(self, value):
+    def test_rejects_non_finite_points(self, tmp_path, value):
         pts = np.zeros((2, 2, 3))
         pts[1, 0, 2] = value
-        with pytest.raises(NonFiniteInputError, match="point grid"):
-            PseudoPointCloud(pts)
+        for call in _TAKES_POINTS[:2]:  # to_coordinate_map leaves the values to the encoder
+            with pytest.raises(NonFiniteInputError, match="point grid"):
+                call(pts, tmp_path)
+        with pytest.raises(NonFiniteInputError, match="coordinate map"):
+            normalize_coordinate_map(to_coordinate_map(pts))
 
     @pytest.mark.parametrize("shape", [(2, 2), (2, 2, 4), (0, 2, 3), (2, 0, 3)])
-    def test_rejects_wrong_shape(self, shape):
-        with pytest.raises(ShapeMismatchError, match=re.escape("(*, *, 3)")):
-            PseudoPointCloud(np.zeros(shape))
+    def test_rejects_wrong_shape(self, tmp_path, shape):
+        for call in _TAKES_POINTS:
+            with pytest.raises(ShapeMismatchError, match=re.escape("(*, *, 3)")):
+                call(np.zeros(shape), tmp_path)
 
-    def test_cloud_from_depth_points_read_only(self):
-        cloud, _ = plane_cloud()
-        assert not cloud.points.flags.writeable
-        with pytest.raises(ValueError):
-            cloud.points[0, 0, 0] = 1.0
+    def test_point_beyond_float64_rejected(self):
+        intr = CameraIntrinsics(fx=1e-320, fy=1.0, cx=0.0, cy=0.0)
+        with pytest.raises(NonFiniteInputError, match="point grid"):
+            cloud_from_depth(DepthMap(np.full((2, 2), 3.0), DepthKind.METRIC), intr)
 
 
 class TestFrozenArray:
     def test_copies_writable_caller_array(self):
         points = np.random.default_rng(4).standard_normal((3, 2, 3))
-        cloud = PseudoPointCloud(points)
-        kept = cloud.points.copy()
+        stored = frozen_array("grid", points, (None, None, 3))
+        kept = stored.copy()
         points[...] = 7.0
-        assert_array_equal(cloud.points, kept)
-        assert not np.shares_memory(cloud.points, points)
+        assert_array_equal(stored, kept)
+        assert not np.shares_memory(stored, points)
 
     def test_copies_read_only_view_of_writable_memory(self):
         memory = np.zeros((3, 2, 3))
@@ -214,12 +217,12 @@ class TestFrozenArray:
 class TestPly:
     def test_round_trip_is_float32_exact(self, tmp_path):
         rng = np.random.default_rng(21)
-        cloud = PseudoPointCloud(rng.uniform(-10, 10, (5, 3, 3)))
+        points = rng.uniform(-10, 10, (5, 3, 3))
         path = str(tmp_path / "c.ply")
-        export_ply(path, cloud)
+        export_ply(path, points)
         back = read_ply(path)
         assert back.dtype == np.float32 and back.shape == (5, 3, 3)
-        assert_array_equal(back, cloud.points.astype(np.float32))
+        assert_array_equal(back, points.astype(np.float32))
 
     @pytest.mark.parametrize("layout", ["C", "F", "transposed-row"])
     def test_colorless_bytes_equal_record_oracle(self, tmp_path, layout):
@@ -229,34 +232,32 @@ class TestPly:
             points = np.asfortranarray(points)
         elif layout == "transposed-row":  # points of one row, stored plane by plane
             points = np.ascontiguousarray(points.transpose(2, 0, 1)).transpose(1, 2, 0)
-        cloud = PseudoPointCloud(points)
-        h, w = cloud.grid_shape
+        h, w, _ = points.shape
         record = np.empty(h * w, dtype=[("x", "<f4"), ("y", "<f4"), ("z", "<f4")])
         for i, name in enumerate("xyz"):
-            record[name] = cloud.points[..., i].ravel()
+            record[name] = points[..., i].ravel()
         header = (f"ply\nformat binary_little_endian 1.0\ncomment grid {h} {w}\n"
                   f"element vertex {h * w}\nproperty float x\nproperty float y\n"
                   "property float z\nend_header\n").encode("ascii")
         path = tmp_path / "c.ply"
-        export_ply(str(path), cloud)
+        export_ply(str(path), points)
         assert path.read_bytes() == header + record.tobytes()
 
     def test_colorless_export_memory(self, tmp_path):
         # the float32 grid (3.7 MB) and its overflow mask (0.9 MB): 4.6 MB measured;
         # building a structured record as well peaked at 8.3 MB
-        cloud = PseudoPointCloud(np.random.default_rng(24).standard_normal((480, 640, 3)))
+        points = np.random.default_rng(24).standard_normal((480, 640, 3))
         tracemalloc.start()
         try:
-            export_ply(str(tmp_path / "c.ply"), cloud)
+            export_ply(str(tmp_path / "c.ply"), points)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 5.5e6, peak
 
     def test_header_bytes(self, tmp_path):
-        cloud = PseudoPointCloud(np.zeros((2, 2, 3)))
         path = str(tmp_path / "c.ply")
-        export_ply(path, cloud)
+        export_ply(path, np.zeros((2, 2, 3)))
         raw = Path(path).read_bytes()
         assert raw.startswith(b"ply\nformat binary_little_endian 1.0\n")
         assert b"element vertex 4\n" in raw
@@ -272,13 +273,13 @@ class TestPly:
         path = tmp_path / "huge.ply"
         with pytest.raises(CloudIoError, match=re.escape(
                 f"{path}: 2 value(s) beyond float32's range, first 5e+38 at row 0, column 1")):
-            export_ply(str(path), PseudoPointCloud(pts))
+            export_ply(str(path), pts)
         assert not path.exists()
 
     def test_vertex_order_is_row_major(self, tmp_path):
         pts = np.arange(2 * 2 * 3, dtype=np.float64).reshape(2, 2, 3)
         path = str(tmp_path / "c.ply")
-        export_ply(path, PseudoPointCloud(pts))
+        export_ply(path, pts)
         back = read_ply(path)
         assert_array_equal(back[0, 1], [3.0, 4.0, 5.0])
 
@@ -316,18 +317,16 @@ class TestPly:
             read_ply(str(path))
 
     def test_rejects_truncated_body(self, tmp_path):
-        cloud = PseudoPointCloud(np.zeros((2, 2, 3)))
         path = str(tmp_path / "trunc.ply")
-        export_ply(path, cloud)
+        export_ply(path, np.zeros((2, 2, 3)))
         Path(path).write_bytes(Path(path).read_bytes()[:-5])
         with pytest.raises(CloudIoError, match=re.escape(
                 f"{path}: vertex data truncated (43 bytes, need 48)")):
             read_ply(path)
 
     def test_rejects_bytes_after_the_vertices(self, tmp_path):
-        cloud = PseudoPointCloud(np.zeros((2, 2, 3)))
         path = str(tmp_path / "long.ply")
-        export_ply(path, cloud)
+        export_ply(path, np.zeros((2, 2, 3)))
         Path(path).write_bytes(Path(path).read_bytes() + bytes(5))
         with pytest.raises(CloudIoError, match=re.escape(
                 f"{path}: vertex data too long (53 bytes, need 48)")):

@@ -482,12 +482,13 @@ class TestNormalizeCoordinateMap:
 
     def test_is_the_plain_expression_byte_for_byte(self):
         rng = np.random.default_rng(21)
-        cmap = rng.standard_normal((3, 17, 23)) * np.array([2.0, 0.5, 30.0])[:, None, None] + 5.0
-        out, flags = normalize_coordinate_map(cmap)
-        assert flags == (False, False, False)
-        for c in range(3):
-            channel = cmap[c]
-            assert out[c].tobytes() == ((channel - channel.mean()) / channel.std()).tobytes()
+        for h, w in [(17, 23), (480, 640)]:
+            cmap = rng.standard_normal((3, h, w)) * np.array([2.0, 0.5, 30.0])[:, None, None] + 5.0
+            out, flags = normalize_coordinate_map(cmap)
+            assert flags == (False, False, False)
+            for c in range(3):
+                channel = cmap[c]
+                assert out[c].tobytes() == ((channel - channel.mean()) / channel.std()).tobytes()
 
     def test_constant_channel_flagged_and_untouched(self):
         rng = np.random.default_rng(56)

@@ -1,5 +1,6 @@
 import ast
 import functools
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import pseudo3d
 
 _PACKAGE = Path(pseudo3d.__file__).parent
 _PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+_README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_export_list_resolves_and_star_imports():
@@ -136,3 +138,12 @@ def test_every_name_the_benchmark_calls_resolves():
             missing.append(chain)
     assert len(chains) > 20, sorted(chains)
     assert missing == []
+
+
+def test_readme_layout_lists_every_module():
+    """README's "Library layout" block names each module of the package once, and
+    nothing else; ``__init__.py`` and ``__main__.py`` go unlisted."""
+    block = _README.read_text().split("## Library layout", 1)[1].split("```", 2)[1]
+    listed = re.findall(r"^  (\S+)", block, re.MULTILINE)
+    modules = [path.name for path in _PACKAGE.glob("*.py") if not path.name.startswith("__")]
+    assert sorted(listed) == sorted(modules)
