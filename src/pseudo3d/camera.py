@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntrinsicsConfigError, InvalidInputError, reading
+from .errors import IntrinsicsConfigError, InvalidInputError, float_array, reading
 
 
 @dataclass(frozen=True)
@@ -44,9 +44,7 @@ def backproject(depth_values: np.ndarray, intrinsics: CameraIntrinsics) -> np.nd
     The output grid preserves pixel adjacency: points[v, u] is the 3-D
     point for pixel column u, row v.
     """
-    d = np.asarray(depth_values, dtype=np.float64)
-    if d.ndim != 2:
-        raise InvalidInputError(f"depth grid must be 2-D, got shape {d.shape}")
+    d = float_array("depth grid", depth_values, (None, None))
     h, w = d.shape
     uu = np.arange(w, dtype=np.float64)[np.newaxis, :]
     vv = np.arange(h, dtype=np.float64)[:, np.newaxis]

@@ -15,17 +15,7 @@ import numpy as np
 
 from .camera import CameraIntrinsics, backproject
 from .depth import DepthKind, DepthMap
-from .errors import InvalidInputError, ShapeMismatchError, check_finite
-
-
-def _point_grid(points: np.ndarray, finite: bool = True) -> np.ndarray:
-    """``points`` as a float64 (H, W, 3) array, not copied; checked finite with ``finite``."""
-    arr = np.asarray(points, dtype=np.float64)
-    if arr.ndim != 3 or arr.shape[2] != 3 or 0 in arr.shape:
-        raise ShapeMismatchError(f"point grid must have shape (*, *, 3), got {arr.shape}")
-    if finite:
-        check_finite("point grid", arr)
-    return arr
+from .errors import InvalidInputError, check_finite, float_array
 
 
 def cloud_from_depth(depth: DepthMap, intrinsics: CameraIntrinsics) -> np.ndarray:
@@ -33,7 +23,9 @@ def cloud_from_depth(depth: DepthMap, intrinsics: CameraIntrinsics) -> np.ndarra
 
     A point beyond float64's range raises :class:`NonFiniteInputError`.
     """
-    return _point_grid(backproject(depth.values, intrinsics))
+    points = backproject(depth.values, intrinsics)
+    check_finite("point grid", points)
+    return points
 
 
 def to_coordinate_map(points: np.ndarray) -> np.ndarray:
@@ -41,7 +33,8 @@ def to_coordinate_map(points: np.ndarray) -> np.ndarray:
 
     Only the shape is checked: the encoder checks the values.
     """
-    return np.ascontiguousarray(_point_grid(points, finite=False).transpose(2, 0, 1))
+    grid = float_array("point grid", points, (None, None, 3))
+    return np.ascontiguousarray(grid.transpose(2, 0, 1))
 
 
 @dataclass(frozen=True)
@@ -64,7 +57,8 @@ def local_continuity(points: np.ndarray) -> ContinuityStats:
     Memory: one float64 step buffer, horizontal steps then vertical ones,
     plus one diff array at a time; 12.4 MB at 480x640.
     """
-    pts = _point_grid(points)
+    pts = float_array("point grid", points, (None, None, 3))
+    check_finite("point grid", pts)
     h, w, _ = pts.shape
     if h * w < 2:
         raise InvalidInputError("continuity needs at least two grid points")

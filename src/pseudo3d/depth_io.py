@@ -15,8 +15,8 @@ import warnings
 import numpy as np
 
 from .depth import DepthKind, DepthMap
-from .errors import (DepthFileError, InvalidInputError, NonFiniteInputError, reading, to_float32,
-                     write_output)
+from .errors import (DepthFileError, InvalidInputError, NonFiniteInputError, float_array, reading,
+                     to_float32, write_output)
 
 # magic, width, height, scale, then exactly one whitespace byte before raster
 _PFM_HEADER = re.compile(rb"^(P[fF])\s+(\d+)\s+(\d+)\s+([-+]?[0-9.eE+-]+)\s")
@@ -61,10 +61,7 @@ def write_pfm(path: str, values: np.ndarray) -> None:
     A finite value beyond float32's range raises :class:`DepthFileError`
     and nothing is written; NaN and infinities are written as they are.
     """
-    wide = np.asarray(values, dtype=np.float64)
-    if wide.ndim != 2:
-        raise InvalidInputError(f"PFM writer needs a 2-D array, got {wide.shape}")
-    arr = to_float32(path, DepthFileError, wide)
+    arr = to_float32(path, DepthFileError, float_array("depth grid", values, (None, None)))
     h, w = arr.shape
     write_output(path, DepthFileError, b"Pf\n%d %d\n-1.0\n" % (w, h),
                  np.flipud(arr).astype("<f4").tobytes())
@@ -125,12 +122,10 @@ def read_pgm(path: str) -> np.ndarray:
 
 def write_pgm(path: str, samples: np.ndarray, maxval: int) -> None:
     """Write raw integer samples as binary PGM with the given maxval."""
-    arr = np.asarray(samples)
-    if arr.ndim != 2:
-        raise InvalidInputError(f"PGM writer needs a 2-D array, got {arr.shape}")
+    arr = float_array("PGM samples", samples, (None, None))
     if not 0 < maxval < 65536:
         raise InvalidInputError(f"maxval must be in [1, 65535], got {maxval}")
-    if arr.min(initial=0) < 0 or arr.max(initial=0) > maxval:
+    if not (arr.min() >= 0 and arr.max() <= maxval):  # NaN fails too
         raise InvalidInputError("PGM samples must lie in [0, maxval]")
     h, w = arr.shape
     dtype = ">u2" if maxval > 255 else "u1"
@@ -143,7 +138,8 @@ def read_csv(path: str) -> np.ndarray:
     try:
         with open(path, encoding="utf-8-sig") as fh, warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # no data: the error below says so
-            grid = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2)
+            lines = (line for line in fh if not line.isspace())  # blank, as read_actions_csv has it
+            grid = np.loadtxt(lines, delimiter=",", dtype=np.float64, ndmin=2)
     except (OSError, UnicodeDecodeError) as exc:
         raise DepthFileError(f"{path}: cannot read: {exc}") from exc
     except ValueError as exc:
@@ -155,11 +151,8 @@ def read_csv(path: str) -> np.ndarray:
 
 def write_csv(path: str, values: np.ndarray) -> None:
     """Write an (H, W) array as CSV with round-trip-exact formatting."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 2:
-        raise InvalidInputError(f"CSV writer needs a 2-D array, got {arr.shape}")
     buf = io.BytesIO()
-    np.savetxt(buf, arr, delimiter=",", fmt="%.17g")
+    np.savetxt(buf, float_array("depth grid", values, (None, None)), delimiter=",", fmt="%.17g")
     write_output(path, DepthFileError, buf.getvalue())
 
 

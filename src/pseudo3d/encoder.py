@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidInputError, NonFiniteInputError, ParamsIoError, ShapeMismatchError,
-                     check_finite, check_no_overflow, frozen_array, reading, write_output)
+from .errors import (InvalidInputError, NonFiniteInputError, ParamsIoError, check_finite,
+                     check_no_overflow, float_array, frozen_array, reading, write_output)
 from .fusion import _init_weights
 
 HIDDEN_CHANNELS = 16
@@ -88,19 +88,9 @@ def init_params(out_channels: int, seed: int) -> EncoderParams:
     return EncoderParams(**_init_weights(_param_shapes(out_channels), seed))
 
 
-def _as_planar(grid: np.ndarray) -> np.ndarray:
-    """``grid`` as a float64 (3, H, W) array, checked finite but not copied."""
-    arr = np.asarray(grid, dtype=np.float64)
-    if arr.ndim != 3:
-        raise ShapeMismatchError(f"encoder input must be (3, H, W), got {arr.shape}")
-    if arr.shape[0] != 3:
-        raise ShapeMismatchError(f"encoder input must have exactly 3 channels, got {arr.shape[0]}")
-    check_finite("coordinate map", arr)
-    return arr
-
-
 def _encoder_input(grid: np.ndarray) -> np.ndarray:
-    arr = _as_planar(grid)
+    arr = float_array("coordinate map", grid, (3, None, None))
+    check_finite("coordinate map", arr)
     _, h, w = arr.shape
     if h < MIN_SIDE or w < MIN_SIDE:
         raise InvalidInputError(f"encoder needs at least {MIN_SIDE}x{MIN_SIDE}, got {h}x{w}")
@@ -295,12 +285,7 @@ def encode_backward(
     gradients overflow float64 raise :class:`InvalidInputError`.
     """
     x = _encoder_input(grid)
-    g = np.asarray(grad_out, dtype=np.float64)
-    expected = output_shape(x.shape[1], x.shape[2], params.out_channels)
-    if g.shape != expected:
-        raise ShapeMismatchError(
-            f"grad_out shape {g.shape} does not match encoder output {expected}"
-        )
+    g = float_array("grad_out", grad_out, output_shape(*x.shape[1:], params.out_channels))
     check_finite("grad_out", g)
     with np.errstate(over="ignore", invalid="ignore"):
         a1 = _conv_s2p1(x, params.w1, params.b1, relu=True)
@@ -322,7 +307,8 @@ def normalize_coordinate_map(
     see the skip rather than silently dividing by zero.  A channel whose
     mean or spread overflows float64 raises :class:`InvalidInputError`.
     """
-    data = _as_planar(cmap)
+    data = float_array("coordinate map", cmap, (3, None, None))
+    check_finite("coordinate map", data)
     out = np.empty_like(data)
     n = data[0].size
     flags = []

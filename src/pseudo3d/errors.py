@@ -9,8 +9,10 @@ There are nine exception classes, all under :class:`Pseudo3dError`:
   :class:`ActionsFileError` and :class:`IntrinsicsConfigError`, one per file
   kind, are not; read through :func:`reading`, their messages start with the path.
 
-Every array a value type stores is a float64, finite, read-only copy of the
-required shape made by :func:`frozen_array`.
+Every array argument goes through :func:`float_array`, which checks its shape
+and copies nothing that is already float64; a caller that needs finite values
+calls :func:`check_finite` on the result.  Every array a value type stores is a
+float64, finite, read-only copy of the required shape made by :func:`frozen_array`.
 """
 
 from contextlib import contextmanager
@@ -120,20 +122,29 @@ def check_no_overflow(name: str, *outputs: np.ndarray) -> None:
         raise InvalidInputError(f"{name}: finite inputs overflow float64")
 
 
-def frozen_array(name: str, values, shape: tuple[int | None, ...]) -> np.ndarray:
-    """A float64, finite, read-only copy of ``values``, which must have ``shape``.
+def float_array(name: str, values, shape: tuple[int | None, ...]) -> np.ndarray:
+    """``values`` as a float64 array of ``shape``, not copied if it already is one.
 
-    A ``None`` side of ``shape`` matches any length >= 1.  Raises
-    :class:`ShapeMismatchError` for a wrong shape and
-    :class:`NonFiniteInputError` for a NaN or infinite value.
+    A ``None`` side of ``shape`` matches any length >= 1.  Values that are not
+    numbers, or a ragged list, raise :class:`InvalidInputError`; a wrong shape
+    raises :class:`ShapeMismatchError`.
     """
     if values is None:
         raise InvalidInputError(f"{name} is required")
-    arr = np.array(values, dtype=np.float64)  # a copy
+    try:
+        arr = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{name} is not an array of numbers: {exc}") from None
     if arr.ndim != len(shape) or not all(
             n >= 1 if want is None else n == want for n, want in zip(arr.shape, shape)):
         raise ShapeMismatchError(
             f"{name} must have shape {str(shape).replace('None', '*')}, got {arr.shape}")
+    return arr
+
+
+def frozen_array(name: str, values, shape: tuple[int | None, ...]) -> np.ndarray:
+    """A finite, read-only copy of :func:`float_array`'s result, for a value type to store."""
+    arr = np.array(float_array(name, values, shape))  # a copy, in the input's memory order
     check_finite(name, arr)
     arr.setflags(write=False)
     return arr

@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import (InvalidInputError, ShapeMismatchError, check_finite, check_no_overflow,
+from .errors import (InvalidInputError, check_finite, check_no_overflow, float_array,
                      frozen_array)
 
 LN_EPS = 1e-5
@@ -204,19 +204,9 @@ def fuse(f2d: np.ndarray, f3d: np.ndarray, params: FusionParams) -> np.ndarray:
     rows are computed: they are MHSA's queries, with all 2N rows of LN(x)
     as keys and values, and the only rows the FFN sees.
     """
-    a = np.asarray(f2d, dtype=np.float64)
-    b = np.asarray(f3d, dtype=np.float64)
-    if a.ndim != 3:
-        raise ShapeMismatchError(f"feature maps must be (H, W, C), got {a.shape}")
-    if a.shape != b.shape:
-        raise ShapeMismatchError(
-            f"feature maps must match: {a.shape} vs {b.shape}"
-        )
+    a = float_array("f2d", f2d, (None, None, params.channels))
+    b = float_array("f3d", f3d, a.shape)
     h, w, c = a.shape
-    if params.channels != c:
-        raise ShapeMismatchError(
-            f"params expect {params.channels} channels, features have {c}"
-        )
     check_finite("f2d", a)
     check_finite("f3d", b)
     n = h * w

@@ -12,8 +12,7 @@ import re
 
 import numpy as np
 
-from .cloud import _point_grid
-from .errors import CloudIoError, reading, to_float32, write_output
+from .errors import CloudIoError, check_finite, float_array, reading, to_float32, write_output
 
 _HEADER = ("ply\nformat binary_little_endian 1.0\ncomment grid {h} {w}\nelement vertex {n}\n"
            "property float x\nproperty float y\nproperty float z\nend_header\n")
@@ -29,7 +28,8 @@ def export_ply(path: str, points: np.ndarray) -> None:
 
     A point beyond float32's range raises :class:`CloudIoError` and nothing is written.
     """
-    points = _point_grid(points)
+    points = float_array("point grid", points, (None, None, 3))
+    check_finite("point grid", points)
     h, w, _ = points.shape
     # x, y, z little-endian float32 records are the bytes of a C-contiguous (n, 3) <f4 array
     body = to_float32(path, CloudIoError, points).astype("<f4", order="C", copy=False)

@@ -21,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (ActionsFileError, InvalidInputError, NonFiniteInputError, ShapeMismatchError,
-                     check_finite, frozen_array, reading)
+from .errors import (ActionsFileError, InvalidInputError, NonFiniteInputError, check_finite,
+                     float_array, reading)
 
 BCE_EPS = 1e-7
 _UNIT_TOL = 1e-6
@@ -36,7 +36,9 @@ def Action(xyz, quat, open_prob: float) -> np.ndarray:  # noqa: N802 (the name c
     unconstrained (the network output goes into the loss as-is); target
     quaternions must be unit norm.
     """
-    xyz, quat = frozen_array("xyz", xyz, (3,)), frozen_array("quat", quat, (4,))
+    xyz, quat = float_array("xyz", xyz, (3,)), float_array("quat", quat, (4,))
+    check_finite("xyz", xyz)
+    check_finite("quat", quat)
     if not math.isfinite(open_prob):  # not check_finite: numpy costs 1 us a scalar
         raise NonFiniteInputError("open_prob contains NaN or infinite values")
     return np.concatenate([xyz, quat, [open_prob]])
@@ -51,11 +53,9 @@ def _step_losses(traj: np.ndarray, i: int = 0) -> tuple[np.ndarray, ...]:
     prediction never produces an infinite loss.  The first step that breaks
     a condition raises :class:`InvalidInputError` naming the trajectory and step.
     """
-    traj = np.asarray(traj, dtype=np.float64)
-    if traj.ndim != 3 or traj.shape[1:] != (2, 8):
-        raise ShapeMismatchError(f"trajectory {i} must have shape (*, 2, 8), got {traj.shape}")
-    if len(traj) == 0:
+    if np.iterable(traj) and len(traj) == 0:
         raise InvalidInputError(f"trajectory {i} must contain at least one step")
+    traj = float_array(f"trajectory {i}", traj, (None, 2, 8))
     check_finite(f"trajectory {i}", traj)
     pred, target = traj[:, 0], traj[:, 1]
     p, y = pred[:, 7], target[:, 7]
@@ -92,6 +92,9 @@ def dataset_loss(trajectories: Sequence[np.ndarray]) -> float:
 
 
 def _number(cell: str) -> float | None:
+    """``cell`` as a float, or None; ASCII only and no ``_``, as the depth CSV reader has it."""
+    if not cell.isascii() or "_" in cell:
+        return None
     try:
         return float(cell)
     except ValueError:
@@ -131,8 +134,5 @@ def read_actions_csv(path: str) -> np.ndarray:
 
 def trajectory_from_rows(preds, targets) -> np.ndarray:
     """Pair row-aligned (N, 8) prediction and target actions as an (N, 2, 8) trajectory."""
-    preds, targets = np.asarray(preds, dtype=np.float64), np.asarray(targets, dtype=np.float64)
-    if preds.shape != targets.shape:
-        raise ShapeMismatchError(f"prediction rows {preds.shape} and target rows "
-                                 f"{targets.shape} differ")
-    return np.stack([preds, targets], axis=1)
+    preds = float_array("prediction rows", preds, (None, 8))
+    return np.stack([preds, float_array("target rows", targets, preds.shape)], axis=1)

@@ -13,7 +13,7 @@ from pseudo3d.camera import (
     parse_intrinsics_config,
     project,
 )
-from pseudo3d.errors import IntrinsicsConfigError, InvalidInputError
+from pseudo3d.errors import IntrinsicsConfigError, InvalidInputError, ShapeMismatchError
 
 
 class TestIntrinsicsType:
@@ -65,7 +65,8 @@ class TestBackproject:
 
     def test_rejects_wrong_rank(self):
         intr = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(ShapeMismatchError,
+                           match=re.escape("depth grid must have shape (*, *), got (5,)")):
             backproject(np.zeros(5), intr)
 
 

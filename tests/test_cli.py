@@ -1,18 +1,24 @@
+import contextlib
+import io
 import json
 import os
+import re
+import shlex
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
 from conftest import run_cli
+from pseudo3d import cli
 from pseudo3d.cloud import cloud_from_depth, synth_wedge
 from pseudo3d.camera import estimate_intrinsics_from_fov
 from pseudo3d.depth import DepthKind, DepthMap, pipeline_relative_to_dr
-from pseudo3d.depth_io import write_csv, write_pfm
+from pseudo3d.depth_io import read_csv, write_csv, write_pfm
 from pseudo3d.ply import read_ply
 
 
@@ -230,6 +236,34 @@ class TestGenCloud:
     def test_missing_flags_exit_one(self):
         proc = run_cli("gen-cloud")
         assert proc.returncode == 1
+
+
+_README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_gen_cloud_examples_run_as_shown(tmp_path, monkeypatch):
+    """Each ``pseudo3d gen-cloud`` command in README's gen-cloud section, run
+    on the files the section shows, prints exactly the block that follows it:
+    a summary on stdout with exit 0, or one diagnostic on stderr with exit 1."""
+    section = _README.read_text().split("### gen-cloud\n", 1)[1].split("\n### ", 1)[0]
+    # a file is shown in full in the block after a line ending in `<name>`:
+    for name, body in re.findall(r"`([\w.]+)`:\n\n```\n(.*?)```", section, re.DOTALL):
+        (tmp_path / name).write_text(body)
+    # ramp.pfm: ramp.csv's grid as write_pfm writes it, cut to its first 32 bytes
+    write_pfm(str(tmp_path / "ramp.pfm"), read_csv(str(tmp_path / "ramp.csv")))
+    with open(tmp_path / "ramp.pfm", "r+b") as fh:
+        fh.truncate(32)
+    monkeypatch.chdir(tmp_path)
+    blocks = re.findall(r"```(\w*)\n(.*?)```", section, re.DOTALL)
+    examples = [(command, blocks[i + 1][1]) for i, (lang, command) in enumerate(blocks)
+                if lang == "sh" and command.startswith("pseudo3d gen-cloud ")]
+    assert len(examples) == 3, examples
+    for command, shown in examples:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(shlex.split(command)[1:])
+        expected = (1, "", shown) if shown.startswith("gen-cloud: ") else (0, shown, "")
+        assert (code, stdout.getvalue(), stderr.getvalue()) == expected, command
 
 
 class TestParser:

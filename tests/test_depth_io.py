@@ -183,6 +183,20 @@ class TestCsv:
         with pytest.raises(DepthFileError, match="malformed"):
             read_csv(str(path))
 
+    # a line of only whitespace is blank, as read_actions_csv has it; it used
+    # to fail as "malformed CSV"
+    def test_whitespace_line_is_skipped(self, tmp_path):
+        path = tmp_path / "gap.csv"
+        path.write_text("1,2\n  \n3,4\n")
+        assert_array_equal(read_csv(str(path)), [[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("text", ["   ", " \t\n  \n"], ids=["spaces", "tab-and-spaces"])
+    def test_whitespace_only_file_is_empty(self, tmp_path, text):
+        path = tmp_path / "blank.csv"
+        path.write_text(text)
+        with pytest.raises(DepthFileError, match=re.escape(f"{path}: empty CSV grid")):
+            read_csv(str(path))
+
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         # np.loadtxt warns on a file with no data; the warning must not escape

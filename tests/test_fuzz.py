@@ -11,6 +11,7 @@ import json
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,7 @@ from pseudo3d import cli
 from pseudo3d.camera import CameraIntrinsics, load_intrinsics
 from pseudo3d.depth_io import read_csv, read_pfm, read_pgm, write_csv, write_pfm, write_pgm
 from pseudo3d.encoder import EncoderParams, init_params, load_params, save_params
-from pseudo3d.errors import CloudIoError, Pseudo3dError
+from pseudo3d.errors import ActionsFileError, CloudIoError, DepthFileError, Pseudo3dError
 from pseudo3d.ply import _HEADER, export_ply, read_ply
 from pseudo3d.policy_loss import read_actions_csv
 
@@ -317,3 +318,135 @@ def test_gen_cloud_intrinsics_values(tmp_path, naive):
             assert line.startswith("gen-cloud: stage="), line
 
     run()
+
+
+@st.composite
+def pgm_files(draw):
+    """A valid P5 header over drawn 8- or 16-bit samples, many at maxval; some
+    rasters hold one sample above maxval, where the sample width allows one."""
+    h, w = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    maxval = draw(st.sampled_from([1, 255, 256, 65535]) | st.integers(1, 65535))
+    top = 255 if maxval < 256 else 65535
+    samples = draw(st.lists(st.integers(0, maxval) | st.just(maxval),
+                            min_size=h * w, max_size=h * w))
+    if maxval < top and draw(st.integers(0, 3)) == 1:
+        samples[draw(st.integers(0, h * w - 1))] = draw(st.integers(maxval + 1, top))
+    raster = np.array(samples, dtype="u1" if top == 255 else ">u2").tobytes()
+    return b"P5\n%d %d\n%d\n" % (w, h, maxval) + raster, maxval, np.reshape(samples, (h, w))
+
+
+def test_pgm_values(tmp_path):
+    """read_pgm on any samples behind a valid header returns v / maxval for
+    each, or raises DepthFileError naming the file for a sample above maxval."""
+    path = tmp_path / "values.pgm"
+    reached = {"grid": 0, "above maxval": 0}
+
+    @settings(FUZZ, max_examples=100)
+    @given(pgm_files())
+    def run(file):
+        data, maxval, samples = file
+        path.write_bytes(data)
+        if samples.max() <= maxval:
+            reached["grid"] += 1
+            expected = [[int(s) / maxval for s in row] for row in samples]
+            assert read_pgm(str(path)).tolist() == expected
+        else:
+            reached["above maxval"] += 1
+            with pytest.raises(DepthFileError) as exc:
+                read_pgm(str(path))
+            assert str(exc.value) == f"{path}: PGM sample exceeds maxval {maxval}"
+
+    run()
+    assert reached["grid"] >= 50 and reached["above maxval"] >= 10, reached
+
+
+_FINITE_CELLS = st.floats(allow_nan=False, allow_infinity=False).map(repr) \
+    | st.sampled_from(["-0", " 1 ", "1.", ".5", "+2", "\t3"])
+_NON_FINITE_CELLS = ["nan", "inf", "-inf", "1e309", "-1e309"]
+_NOT_A_NUMBER_CELLS = ["1_0", "\uff11", "0x1", "1e", "1a"]
+
+
+def _cell_value(cell: str) -> float | None:
+    """A cell as both text readers read it: ASCII, no ``_``, then ``float``."""
+    try:
+        return float(cell) if cell.isascii() and "_" not in cell else None
+    except ValueError:
+        return None
+
+
+@st.composite
+def csv_files(draw, widths, cells, bad):
+    """Rows of drawn cells, as many a row as ``widths`` draws, with blank and
+    whitespace-only lines between them; some files hold one ``bad`` cell.
+    Returns the text and the rows of cells."""
+    columns = draw(widths)
+    rows = draw(st.lists(st.lists(cells, min_size=columns, max_size=columns),
+                         min_size=1, max_size=4))
+    if draw(st.integers(0, 3)) == 1:
+        row = draw(st.integers(0, len(rows) - 1))
+        rows[row][draw(st.integers(0, columns - 1))] = draw(st.sampled_from(bad))
+    blank = st.lists(st.sampled_from(["", "  ", "\t", " \t "]), max_size=2)
+    lines = draw(blank)
+    for row in rows:
+        lines += [",".join(row)] + draw(blank)
+    return "\n".join(lines) + "\n", rows
+
+
+def test_csv_values(tmp_path):
+    """read_csv returns each cell as float() reads it, NaN and infinities
+    included, skipping blank lines; a cell that is not a number raises
+    DepthFileError naming the file."""
+    path = tmp_path / "values.csv"
+    reached = {"grid": 0, "not a number": 0}
+    cells = _FINITE_CELLS | st.sampled_from(_NON_FINITE_CELLS)
+
+    @settings(FUZZ, max_examples=100)
+    @given(csv_files(st.integers(1, 4), cells, _NOT_A_NUMBER_CELLS))
+    def run(file):
+        text, rows = file
+        path.write_text(text)
+        values = [[_cell_value(cell) for cell in row] for row in rows]
+        if all(v is not None for row in values for v in row):
+            reached["grid"] += 1
+            grid, expected = read_csv(str(path)), np.array(values)
+            assert_array_equal(grid, expected)
+            assert_array_equal(np.signbit(grid), np.signbit(expected))
+        else:
+            reached["not a number"] += 1
+            with pytest.raises(DepthFileError) as exc:
+                read_csv(str(path))
+            assert str(exc.value).startswith(f"{path}: malformed CSV: "), str(exc.value)
+
+    run()
+    assert reached["grid"] >= 50 and reached["not a number"] >= 10, reached
+
+
+def test_actions_csv_values(tmp_path):
+    """read_actions_csv returns the finite rows as float() reads them,
+    skipping blank lines; a cell that is not a number, or not finite, raises
+    ActionsFileError naming the file and the row."""
+    path = tmp_path / "values-actions.csv"
+    reached = {"actions": 0, "bad row": 0}
+
+    @settings(FUZZ, max_examples=100)
+    @given(csv_files(st.just(8), _FINITE_CELLS, _NON_FINITE_CELLS + _NOT_A_NUMBER_CELLS))
+    def run(file):
+        text, rows = file
+        path.write_text(text)
+        values = [[_cell_value(cell) for cell in row] for row in rows]
+        bad = [(i, row) for i, row in enumerate(values)
+               if not all(v is not None and np.isfinite(v) for v in row)]
+        if not bad:
+            reached["actions"] += 1
+            assert read_actions_csv(str(path)).tolist() == values
+        else:
+            reached["bad row"] += 1
+            [(i, row)] = bad
+            kind = "numeric" if None in row else "finite"
+            with pytest.raises(ActionsFileError) as exc:
+                read_actions_csv(str(path))
+            assert str(exc.value).startswith(f"{path}: row {i + 1} is not {kind}: "), \
+                str(exc.value)
+
+    run()
+    assert reached["actions"] >= 50 and reached["bad row"] >= 10, reached

@@ -81,6 +81,37 @@ def test_every_raise_is_a_class_from_errors():
     assert wrong == []
 
 
+# project keeps its own rule: points of any rank with a trailing axis of 3
+_OWN_ARRAY_CHECK = {("camera.py", "project")}
+
+
+def test_every_array_parameter_goes_through_float_array():
+    """No module but errors.py converts a function parameter with ``np.asarray``
+    (or ``np.asanyarray``, ``np.ascontiguousarray``, ``np.array(..., dtype=...)``):
+    array arguments go through ``errors.float_array``, one contract for all."""
+    converters = {"np.asarray", "np.asanyarray", "np.ascontiguousarray"}
+    found = set()
+    for path in sorted(_PACKAGE.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, (ast.FunctionDef, ast.Lambda)):
+                continue
+            a = func.args
+            params = {arg.arg for arg in [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                          *filter(None, [a.vararg, a.kwarg])]}
+            for call in ast.walk(func):
+                if not isinstance(call, ast.Call) or not call.args \
+                        or not isinstance(call.args[0], ast.Name) \
+                        or call.args[0].id not in params:
+                    continue
+                name = ast.unparse(call.func)
+                if name in converters or name == "np.array" and (
+                        len(call.args) > 1 or any(k.arg == "dtype" for k in call.keywords)):
+                    found.add((path.name, getattr(func, "name", "<lambda>")))
+    assert found == _OWN_ARRAY_CHECK
+
+
 def test_no_collected_test_is_decorated_with_given():
     """Every ``@given`` function is nested inside a test, never collected itself.
 

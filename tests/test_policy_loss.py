@@ -278,6 +278,14 @@ class TestCsvActions:
             read_actions_csv(str(path))
         assert str(path) in str(exc_info.value)
 
+    # float() reads both as numbers (10.0 and 1.0); the depth CSV reader rejects them
+    @pytest.mark.parametrize("cell", ["1_0", "\uff11"], ids=["underscore", "full-width"])
+    def test_only_ascii_numbers_without_separators(self, tmp_path, cell):
+        path = tmp_path / "acts.csv"
+        path.write_text(f"{cell},2,3,1,0,0,0,1\n", encoding="utf-8")
+        with pytest.raises(ActionsFileError, match="row 1 is not numeric"):
+            read_actions_csv(str(path))
+
     def test_wrong_column_count(self, tmp_path):
         path = tmp_path / "acts.csv"
         path.write_text("1,2,3\n")
