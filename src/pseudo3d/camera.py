@@ -63,7 +63,7 @@ def project(points: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
     positive; the first 16 offending flat indices are attached to the
     raised error as ``indices``.
     """
-    pts = np.asarray(points, dtype=np.float64)
+    pts = float_array("points", points, None)  # any rank, checked below
     if pts.ndim < 1 or pts.shape[-1] != 3:
         raise InvalidInputError(f"points must have a trailing axis of 3, got {pts.shape}")
     z = pts[..., 2]

@@ -76,8 +76,11 @@ def cmd_gen_cloud(args: argparse.Namespace) -> int:
         else:
             stage = "normalize"
             d_r = pipeline_relative_to_dr(depth)
+        del depth  # each depth grid is freed once the next stage has its output
+        dr_min, dr_max = float(d_r.values.min()), float(d_r.values.max())
         stage = "backproject"
         points = cloud_from_depth(d_r, intrinsics)
+        del d_r
         stage = "continuity"
         stats = local_continuity(points)
         stage = "export"
@@ -91,8 +94,8 @@ def cmd_gen_cloud(args: argparse.Namespace) -> int:
         "width": w,
         "height": h,
         "points": h * w,
-        "dr_min": float(d_r.values.min()),
-        "dr_max": float(d_r.values.max()),
+        "dr_min": dr_min,
+        "dr_max": dr_max,
         "mean_step": stats.mean_step,
         "max_step": stats.max_step,
         "out": args.out,

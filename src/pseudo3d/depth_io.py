@@ -127,6 +127,8 @@ def write_pgm(path: str, samples: np.ndarray, maxval: int) -> None:
         raise InvalidInputError(f"maxval must be in [1, 65535], got {maxval}")
     if not (arr.min() >= 0 and arr.max() <= maxval):  # NaN fails too
         raise InvalidInputError("PGM samples must lie in [0, maxval]")
+    if not np.array_equal(arr, np.floor(arr)):  # astype would truncate them
+        raise InvalidInputError("PGM samples must be integers")
     h, w = arr.shape
     dtype = ">u2" if maxval > 255 else "u1"
     write_output(path, DepthFileError, b"P5\n%d %d\n%d\n" % (w, h, maxval),

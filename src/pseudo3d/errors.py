@@ -122,12 +122,12 @@ def check_no_overflow(name: str, *outputs: np.ndarray) -> None:
         raise InvalidInputError(f"{name}: finite inputs overflow float64")
 
 
-def float_array(name: str, values, shape: tuple[int | None, ...]) -> np.ndarray:
+def float_array(name: str, values, shape: tuple[int | None, ...] | None) -> np.ndarray:
     """``values`` as a float64 array of ``shape``, not copied if it already is one.
 
-    A ``None`` side of ``shape`` matches any length >= 1.  Values that are not
-    numbers, or a ragged list, raise :class:`InvalidInputError`; a wrong shape
-    raises :class:`ShapeMismatchError`.
+    A ``None`` side of ``shape`` matches any length >= 1, and ``shape=None``
+    any shape.  Values that are not numbers, or a ragged list, raise
+    :class:`InvalidInputError`; a wrong shape raises :class:`ShapeMismatchError`.
     """
     if values is None:
         raise InvalidInputError(f"{name} is required")
@@ -135,8 +135,8 @@ def float_array(name: str, values, shape: tuple[int | None, ...]) -> np.ndarray:
         arr = np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise InvalidInputError(f"{name} is not an array of numbers: {exc}") from None
-    if arr.ndim != len(shape) or not all(
-            n >= 1 if want is None else n == want for n, want in zip(arr.shape, shape)):
+    if shape is not None and (arr.ndim != len(shape) or not all(
+            n >= 1 if want is None else n == want for n, want in zip(arr.shape, shape))):
         raise ShapeMismatchError(
             f"{name} must have shape {str(shape).replace('None', '*')}, got {arr.shape}")
     return arr

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from pseudo3d.camera import CameraIntrinsics, backproject
+from pseudo3d.camera import CameraIntrinsics, backproject, project
 from pseudo3d.cloud import local_continuity, to_coordinate_map
 from pseudo3d.depth_io import write_csv, write_pfm, write_pgm
 from pseudo3d.encoder import encode, encode_backward, init_params, normalize_coordinate_map
@@ -74,6 +74,14 @@ def test_non_numbers_are_invalid_input(tmp_path, entry, value):
     name, _, call = ENTRIES[entry]
     with pytest.raises(InvalidInputError, match=re.escape(f"{name} is not an array of numbers")):
         call(value, tmp_path)
+
+
+@pytest.mark.parametrize("value", ["abc", [[1.0, 2.0, 3.0], [3.0]]], ids=["string", "ragged"])
+def test_project_non_numbers_are_invalid_input(value):
+    # project keeps its own shape rule (any rank, trailing axis of 3), but not
+    # numpy's bare ValueError, which it used to raise for these
+    with pytest.raises(InvalidInputError, match=re.escape("points is not an array of numbers")):
+        project(value, _INTRINSICS)
 
 
 def test_row_pairs_of_one_dimension_are_rejected():

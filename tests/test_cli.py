@@ -7,6 +7,7 @@ import shlex
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -264,6 +265,43 @@ def test_readme_gen_cloud_examples_run_as_shown(tmp_path, monkeypatch):
             code = cli.main(shlex.split(command)[1:])
         expected = (1, "", shown) if shown.startswith("gen-cloud: ") else (0, shown, "")
         assert (code, stdout.getvalue(), stderr.getvalue()) == expected, command
+
+
+def test_readme_verify_example_runs_as_shown():
+    """README's ``pseudo3d verify --seed 7`` block shows the first lines and,
+    after ``...``, the last lines of the report, exactly as they are printed."""
+    section = _README.read_text().split("### verify\n", 1)[1].split("\n### ", 1)[0]
+    command, shown = re.search(r"```sh\n(pseudo3d verify [^\n]*)\n```\n\n```\n(.*?)```",
+                               section, re.DOTALL).groups()
+    head, tail = shown.split("...\n")
+    assert head.startswith("seed=7\nprop=affine ") and tail.startswith("prop=determinism ")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(shlex.split(command)[1:])
+    report = stdout.getvalue()
+    assert code == 0
+    assert report.startswith(head), report
+    assert report.endswith(tail), report
+
+
+def test_gen_cloud_peak_memory_is_the_cloud_and_its_steps(tmp_path):
+    """A 480x640 item holds the 7.4 MB cloud, the 4.9 MB continuity steps and
+    one 1 MiB band at its peak (13.0 MiB measured); a whole-frame continuity
+    diff and both depth grids kept to the end read 23.6 MiB."""
+    depth, ply = str(tmp_path / "frame.pfm"), str(tmp_path / "frame.ply")
+    write_pfm(depth, np.random.default_rng(4).uniform(0.5, 4.0, (480, 640)))
+    cam = tmp_path / "cam.cfg"
+    cam.write_text("fx = 500\nfy = 500\ncx = 319.5\ncy = 239.5\n")
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["gen-cloud", "--depth", depth, "--format", "pfm",
+                             "--intrinsics", str(cam), "--out", ply])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 15 * 2**20, peak / 2**20
 
 
 class TestParser:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from pseudo3d import cloud
 from pseudo3d.camera import CameraIntrinsics
 from pseudo3d.cloud import (
     cloud_from_depth,
@@ -102,6 +103,17 @@ class TestContinuity:
         stats = local_continuity(points)
         assert (stats.mean_step, stats.max_step, stats.n_pairs) == _continuity_oracle(points)
 
+    @pytest.mark.parametrize("band_rows", [1, 2, 5])
+    @pytest.mark.parametrize("shape", [(2, 2), (7, 5), (33, 47)], ids=["2x2", "7x5", "33x47"])
+    def test_bands_are_bit_identical_to_norm_oracle(self, monkeypatch, shape, band_rows):
+        # a budget of band_rows diff rows: one-row bands, and ragged bands whose
+        # last is one row ((7, 5) and (33, 47) by 2) or three ((33, 47) by 5)
+        monkeypatch.setattr(cloud, "_BAND_BYTES", band_rows * shape[1] * 3 * 8)
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+        points = rng.uniform(-5.0, 5.0, (*shape, 3)) * rng.uniform(0.1, 10.0, shape)[..., None]
+        stats = local_continuity(points)
+        assert (stats.mean_step, stats.max_step, stats.n_pairs) == _continuity_oracle(points)
+
     def test_each_step_is_bit_identical_to_norm(self):
         # a two-point cloud's mean and max are its one step, so a step that
         # moves by an ulp (einsum's x² + z² + y² order does, for about 1 in 9) shows
@@ -120,8 +132,10 @@ class TestContinuity:
         assert stats.mean_step == np.inf
 
     def test_memory_is_one_diff_plus_steps(self):
-        # one (480, 639, 3) diff plus the 613,280 float64 steps: 12.4 MB
-        # measured; the norm-and-concatenate version peaked at 29.4 MB
+        # the 613,280 float64 steps (4.9 MB) plus one band's 1 MiB diff: 6.1 MB
+        # measured; two bands' diffs at once would pass 7 MB, one whole-frame
+        # (480, 639, 3) diff at a time peaked at 12.4 MB and the
+        # norm-and-concatenate version at 29.4 MB
         points = np.random.default_rng(3).standard_normal((480, 640, 3))
         tracemalloc.start()
         try:
@@ -129,7 +143,7 @@ class TestContinuity:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 14e6, peak
+        assert peak < 6.5e6, peak
 
 
 def _continuity_oracle(points):

@@ -156,6 +156,13 @@ class TestPgm:
         with pytest.raises(InvalidInputError):
             write_pgm(str(tmp_path / "x.pgm"), np.array([[5000]]), maxval=4096)
 
+    def test_writer_rejects_non_integer_samples(self, tmp_path):
+        # they used to be truncated: [[3.7, 250.9]] read back as [[3, 250]] / 255
+        path = tmp_path / "x.pgm"
+        with pytest.raises(InvalidInputError, match=re.escape("PGM samples must be integers")):
+            write_pgm(str(path), np.array([[3.7, 250.9]]), maxval=255)
+        assert not path.exists()
+
 
 class TestCsv:
     def test_round_trip_preserves_float64(self, tmp_path):

@@ -81,10 +81,6 @@ def test_every_raise_is_a_class_from_errors():
     assert wrong == []
 
 
-# project keeps its own rule: points of any rank with a trailing axis of 3
-_OWN_ARRAY_CHECK = {("camera.py", "project")}
-
-
 def test_every_array_parameter_goes_through_float_array():
     """No module but errors.py converts a function parameter with ``np.asarray``
     (or ``np.asanyarray``, ``np.ascontiguousarray``, ``np.array(..., dtype=...)``):
@@ -109,7 +105,7 @@ def test_every_array_parameter_goes_through_float_array():
                 if name in converters or name == "np.array" and (
                         len(call.args) > 1 or any(k.arg == "dtype" for k in call.keywords)):
                     found.add((path.name, getattr(func, "name", "<lambda>")))
-    assert found == _OWN_ARRAY_CHECK
+    assert found == set()
 
 
 def test_no_collected_test_is_decorated_with_given():
