@@ -123,8 +123,8 @@ def read_pgm(path: str) -> np.ndarray:
 def write_pgm(path: str, samples: np.ndarray, maxval: int) -> None:
     """Write raw integer samples as binary PGM with the given maxval."""
     arr = float_array("PGM samples", samples, (None, None))
-    if not 0 < maxval < 65536:
-        raise InvalidInputError(f"maxval must be in [1, 65535], got {maxval}")
+    if not (0 < maxval < 65536 and maxval == int(maxval)):  # the header writes an integer
+        raise InvalidInputError(f"maxval must be an integer in [1, 65535], got {maxval}")
     if not (arr.min() >= 0 and arr.max() <= maxval):  # NaN fails too
         raise InvalidInputError("PGM samples must lie in [0, maxval]")
     if not np.array_equal(arr, np.floor(arr)):  # astype would truncate them

@@ -4,25 +4,28 @@ Architecture: Conv(3 -> 16, 3x3, stride 2, pad 1) -> ReLU ->
 Conv(16 -> C, 3x3, stride 2, pad 1), so an (3, H, W) coordinate map
 becomes a (ceil(H/4), ceil(W/4), C) channels-last feature map.
 
-Each convolution runs in GEMM form (Chellapilla, Puri & Simard 2006), one
-band of output rows at a time (Anderson et al. 2017; Cho & Brand 2017):
-:func:`_columns` copies each of the nine taps straight from the input into
-the band's (Ci*9, rows*Wo) patch matrix and zeroes only where a tap falls on
-the padding, and one matmul fills the band of the output.  A band's columns
-take about ``_BAND_BYTES`` (1 MiB), so they stay in cache and a pass holds
-its activations and a few bands, never a whole-frame patch matrix.  The
-analytic backward pass (:func:`encode_backward`) takes each band's share of
-the weight gradient from its columns and sums the shares band by band; one
-more matmul gives the tap gradients of the band's rows and of the next
-band's first, and :func:`_col2im` sums them back by input parity (Dumoulin
-& Visin 2016, sec. 4): an even row or column meets one tap and an odd one
-two, so each parity block of the band's input-gradient rows is written
+Each convolution runs in GEMM form (Chellapilla, Puri & Simard 2006), and
+both run together, one band of layer-2 output rows at a time (the fused
+layers of Alwani et al. 2016): a band computes only the hidden rows it
+reads, so the hidden layer is never whole.  :func:`_columns` copies each of
+the nine taps straight from the input, or from a slab of it, into the band's
+(Ci*9, rows*Wo) patch matrix and zeroes only where a tap falls on the
+padding, and one matmul fills the band of the layer's output.  A band's
+columns take about ``_BAND_BYTES`` (1 MiB), so a pass holds its inputs and
+outputs and a few bands.  The analytic backward pass
+(:func:`encode_backward`) walks the same bands.  Each band's layer-1 columns
+give both its hidden rows and its share of the layer-1 weight gradient;
+the weight gradients are summed band by band.  One more matmul per layer
+gives tap gradients, and :func:`_col2im` sums them back by input parity
+(Dumoulin & Visin 2016, sec. 4): an even row or column meets one tap and an
+odd one two, so each parity block of the input-gradient rows is written
 once.  The weight gradients move with the band height by summation order.
-The outputs and input gradient are the bytes of one whole-frame product
-where BLAS splits the band products the same way, as it does for every
-frame of one band and for the tested frames whose widths are multiples of
-8; elsewhere their last bits can move.  Everything is plain numpy, validated against a loop adjoint and
-central finite differences in the test suite.
+The features and the input gradient are the bytes of one whole-frame
+product where BLAS splits the band products the same way, as it does for
+every frame of one band and for the tested frames whose widths are
+multiples of 8; elsewhere their last bits can move.  Everything is plain
+numpy, validated against a loop adjoint and central finite differences in
+the test suite.
 
 Finite inputs whose result overflows float64 raise :class:`InvalidInputError`.
 """
@@ -47,8 +50,9 @@ MIN_SIDE = 4
 _MAGIC = b"PENC"
 _VERSION = 1
 
-# bytes of one band's (Ci*9, rows*Wo) columns: small enough to stay in cache
-# while a band is copied, multiplied and (backward) scattered back
+# bytes of one band's layer-2 (16*9, rows*W2) columns, the larger of its two:
+# small enough to stay in cache while a band is copied, multiplied and
+# (backward) scattered back
 _BAND_BYTES = 1 << 20
 
 
@@ -97,16 +101,19 @@ def _encoder_input(grid: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _band_rows(ci: int, wo: int) -> int:
-    """Output rows per band: as many as fit one band's columns in ``_BAND_BYTES``.
+def _band_rows(w1: int, h2: int, w2: int) -> int:
+    """Layer-2 output rows per band: as many as fit their columns in
+    ``_BAND_BYTES``, and at most all h2.
 
-    A band spans a multiple of 8 output positions: OpenBLAS sums the last
-    1-4 columns of a product in another order, so an unaligned band would
-    move the last bits of outputs that a whole-frame product sums in full
-    tiles.
+    The layer-2 columns are the larger of a band's two.  A band's rows of w2
+    outputs, and the twice as many hidden rows of w1 that layer 1 computes
+    for it, each span a multiple of 8 positions: OpenBLAS sums the last 1-4
+    columns of a product in another order, so an unaligned band would move
+    the last bits of outputs that a whole-frame product sums in full tiles.
     """
-    unit = 8 // math.gcd(wo, 8)
-    return max(unit, _BAND_BYTES // (ci * KERNEL * KERNEL * wo * 8) // unit * unit)
+    unit = 8 // math.gcd(w2, 2 * w1, 8)
+    fit = _BAND_BYTES // (HIDDEN_CHANNELS * KERNEL * KERNEL * w2 * 8) // unit * unit
+    return min(h2, max(unit, fit))
 
 
 def _tap(k: int, n: int, i0: int, i1: int) -> tuple[int, int, slice]:
@@ -136,26 +143,30 @@ def _segments(n: int, last: int) -> list[tuple[slice, list[tuple[int, slice]]]]:
     return groups
 
 
-def _columns(x: np.ndarray, r0: int, r1: int) -> np.ndarray:
-    """im2col of output rows [r0, r1): (Ci, H, W) -> (Ci*9, rows*Wo), rows
+def _columns(x: np.ndarray, r0: int, r1: int, top: int = 0) -> np.ndarray:
+    """im2col of output rows [r0, r1): (Ci, rows, W) -> (Ci*9, rows*Wo), rows
     ordered like ``w.reshape(Co, -1)``.
 
-    Each tap is one strided copy from ``x``; only the border rows and columns
-    where a tap falls on the padding are zeroed.
+    ``x`` holds input rows ``top`` onward, down to the input's last row or
+    past the last row the band reads.  Each tap is one strided copy from
+    ``x``; only the border rows and columns where a tap falls on the padding
+    are zeroed.
     """
     ci, h, wd = x.shape
-    ho, wo = (h - 1) // STRIDE + 1, (wd - 1) // STRIDE + 1
+    h += top  # the input rows x reaches
+    wo = (wd - 1) // STRIDE + 1
     out = np.empty((ci, KERNEL, KERNEL, r1 - r0, wo))
     if r0 == 0:  # tap 0 of the first output row or column is padding
         out[:, 0, :, 0] = 0.0
     out[:, :, 0, :, 0] = 0.0
-    if h % 2 and r1 == ho:  # so is tap 2 of the last one on an odd side
+    if STRIDE * r1 > h:  # so is tap 2 of the last one on an odd side
         out[:, 2, :, -1] = 0.0
     if wd % 2:
         out[:, :, 2, :, -1] = 0.0
     col_taps = [_tap(l, wd, 0, wo) for l in range(KERNEL)]
     for k in range(KERNEL):
         a, b, rows = _tap(k, h, r0, r1)
+        rows = slice(rows.start - top, rows.stop - top, STRIDE)
         for l, (c, d, columns) in enumerate(col_taps):
             out[:, k, l, a:b, c:d] = x[:, rows, columns]
     return out.reshape(ci * KERNEL * KERNEL, -1)
@@ -187,58 +198,33 @@ def _col2im(taps: np.ndarray, dx: np.ndarray) -> np.ndarray:
     return dx
 
 
-def _conv_s2p1(x: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool = False) -> np.ndarray:
-    """3x3 stride-2 pad-1 convolution; x (Ci, H, W) -> (Co, ceil(H/2), ceil(W/2)).
+def _hidden_bands(x: np.ndarray, params: EncoderParams):
+    """Walk layer 2's output rows in bands, running layer 1 for each band.
 
-    One band of output rows at a time: its columns, one matmul into the
-    output, the bias and, with ``relu``, the ReLU.
+    Yields ``(r0, r1, columns, hidden, top)`` for each band [r0, r1):
+    ``hidden`` is a (16, rows, W1) slab of the hidden rows from ``top`` on
+    that the band reads, and ``columns`` the layer-1 columns that one matmul
+    turned into its new rows, from 2 r0 on.  The row above them was the last
+    band's last, so it is carried, not recomputed: each product spans the
+    same aligned positions in every band.
     """
-    ci, h, wd = x.shape
-    co = w.shape[0]
-    ho, wo = (h - 1) // STRIDE + 1, (wd - 1) // STRIDE + 1
-    w = w.reshape(co, -1)
-    out = np.empty((co, ho * wo))
-    step = _band_rows(ci, wo)
-    for r0 in range(0, ho, step):
-        r1 = min(r0 + step, ho)
-        band = out[:, r0 * wo:r1 * wo]
-        np.matmul(w, _columns(x, r0, r1), out=band)
-        band += b[:, np.newaxis]
-        if relu:
-            np.maximum(band, 0.0, out=band)
-    return out.reshape(co, ho, wo)
-
-
-def _conv_s2p1_backward(
-    x: np.ndarray, w: np.ndarray, g: np.ndarray, relu_input: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of the stride-2 conv: returns (dx, dw, db) for upstream g (Co, Ho, Wo).
-
-    One band of output rows [r0, r1) at a time: its columns give its share
-    of dw, and the tap gradients of rows r0 .. r1 (one row into the next
-    band) complete input rows [2 r0, 2 r1) of dx.  With ``relu_input``, x
-    came out of a ReLU and dx is masked to the gradient of its input.
-    """
-    ci, h, wd = x.shape
-    co, ho, wo = g.shape
-    wt = w.reshape(co, -1).T
-    dx = np.empty((ci, h, wd))
-    step = _band_rows(ci, wo)
-    for r0 in range(0, ho, step):
-        r1 = min(r0 + step, ho)
-        gb = np.ascontiguousarray(g[:, r0:min(r1 + 1, ho)]).reshape(co, -1)
-        part = _columns(x, r0, r1) @ gb[:, :(r1 - r0) * wo].T  # the columns are freed here
-        if r0 == 0:
-            dw = part
-        else:
-            dw += part
-        rows = slice(STRIDE * r0, min(STRIDE * r1, h))
-        band = _col2im(wt @ gb, dx[:, rows])
-        if relu_input:
-            band *= x[:, rows] > 0.0  # relu(z) > 0 exactly where z > 0
-    # each plane in one pairwise sum, as a contiguous (Co, Ho*Wo) copy of g would give
-    db = np.array([plane.reshape(-1).sum() for plane in g])
-    return dx, dw.T.reshape(w.shape), db
+    _, h, wd = x.shape
+    h1, w1 = (h - 1) // STRIDE + 1, (wd - 1) // STRIDE + 1
+    h2, w2, _ = output_shape(h, wd, 1)
+    step = _band_rows(w1, h2, w2)
+    w = params.w1.reshape(HIDDEN_CHANNELS, -1)
+    slab = np.empty((HIDDEN_CHANNELS, (STRIDE * step + 1) * w1))
+    for r0 in range(0, h2, step):
+        r1 = min(r0 + step, h2)
+        s0, s1 = STRIDE * r0, min(STRIDE * r1, h1)
+        top = max(s0 - 1, 0)
+        columns = _columns(x, s0, s1)
+        new = slab[:, (s0 - top) * w1:(s1 - top) * w1]
+        np.matmul(w, columns, out=new)
+        new += params.b1[:, np.newaxis]
+        np.maximum(new, 0.0, out=new)
+        yield r0, r1, columns, slab[:, :(s1 - top) * w1].reshape(HIDDEN_CHANNELS, -1, w1), top
+        slab[:, :w1] = new[:, -w1:]
 
 
 def encode(grid: np.ndarray, params: EncoderParams) -> np.ndarray:
@@ -247,11 +233,16 @@ def encode(grid: np.ndarray, params: EncoderParams) -> np.ndarray:
     A finite map whose features overflow float64 raises :class:`InvalidInputError`.
     """
     x = _encoder_input(grid)
+    h2, w2, co = output_shape(*x.shape[1:], params.out_channels)
+    w = params.w2.reshape(co, -1)
+    z2 = np.empty((co, h2 * w2))
     with np.errstate(over="ignore", invalid="ignore"):
-        a1 = _conv_s2p1(x, params.w1, params.b1, relu=True)
-        z2 = _conv_s2p1(a1, params.w2, params.b2)
+        for r0, r1, _, hidden, top in _hidden_bands(x, params):
+            band = z2[:, r0 * w2:r1 * w2]
+            np.matmul(w, _columns(hidden, r0, r1, top), out=band)
+            band += params.b2[:, np.newaxis]
     check_no_overflow("encode", z2)
-    return np.ascontiguousarray(z2.transpose(1, 2, 0))
+    return np.ascontiguousarray(z2.reshape(co, h2, w2).transpose(1, 2, 0))
 
 
 def output_shape(height: int, width: int, out_channels: int) -> tuple[int, int, int]:
@@ -279,19 +270,49 @@ def encode_backward(
 ) -> EncoderGradients:
     """Backpropagate ``grad_out`` (channels-last, matching :func:`encode`).
 
-    Recomputes the hidden layer from ``grid``, so callers never manage
-    intermediate activations.  Both layers run in bands of output rows, and
-    each weight gradient is summed band by band.  Finite inputs whose
-    gradients overflow float64 raise :class:`InvalidInputError`.
+    Callers never manage intermediate activations: each band of layer-2
+    output rows recomputes the hidden rows it reads from ``grid``, as
+    :func:`encode` computes them.  The band then adds its share of ``dw2``,
+    writes the ReLU-masked hidden gradient of its own hidden rows, adds
+    their share of ``dw1`` from the same layer-1 columns, and completes its
+    rows of ``dx``.  Layer 2's tap gradients of the next band's first row
+    are recomputed there; layer 1's of the band's last hidden row are
+    carried into the next band, which knows the hidden gradient below it.
+    Finite inputs whose gradients overflow float64 raise
+    :class:`InvalidInputError`.
     """
     x = _encoder_input(grid)
     g = float_array("grad_out", grad_out, output_shape(*x.shape[1:], params.out_channels))
     check_finite("grad_out", g)
+    g = g.transpose(2, 0, 1)
+    co, h2, w2 = g.shape
+    _, h, wd = x.shape
+    h1, w1 = (h - 1) // STRIDE + 1, (wd - 1) // STRIDE + 1
+    rows = STRIDE * _band_rows(w1, h2, w2)  # hidden rows per band
+    wt1, wt2 = params.w1.reshape(HIDDEN_CHANNELS, -1).T, params.w2.reshape(co, -1).T
+    dx = np.empty(x.shape)
+    dw1, dw2 = np.zeros(wt1.shape), np.zeros(wt2.shape)
+    da1 = np.empty((HIDDEN_CHANNELS, rows * w1))
+    taps = np.empty((wt1.shape[0], (rows + 1) * w1))  # row 0 carries the last band's last
+    row_sums = np.empty((HIDDEN_CHANNELS, h1))  # db1 by hidden row: no band height moves it
     with np.errstate(over="ignore", invalid="ignore"):
-        a1 = _conv_s2p1(x, params.w1, params.b1, relu=True)
-        da1, dw2, db2 = _conv_s2p1_backward(a1, params.w2, g.transpose(2, 0, 1), relu_input=True)
-        del a1  # not alive beside the first layer's bands
-        dx, dw1, db1 = _conv_s2p1_backward(x, params.w1, da1)
+        for r0, r1, columns, hidden, top in _hidden_bands(x, params):
+            at = STRIDE * r0 - top  # the rows carried into hidden and taps
+            n = hidden.shape[1] - at  # the band's new hidden rows
+            gb = np.ascontiguousarray(g[:, r0:min(r1 + 1, h2)]).reshape(co, -1)
+            dw2 += _columns(hidden, r0, r1, top) @ gb[:, :(r1 - r0) * w2].T
+            band = _col2im(wt2 @ gb, da1[:, :n * w1].reshape(HIDDEN_CHANNELS, n, w1))
+            band *= hidden[:, at:] > 0.0  # relu(z) > 0 exactly where z > 0
+            np.sum(band, axis=2, out=row_sums[:, top + at:top + at + n])
+            dw1 += columns @ da1[:, :n * w1].T
+            np.matmul(wt1, da1[:, :n * w1], out=taps[:, at * w1:(at + n) * w1])
+            end = h if r1 == h2 else STRIDE * (top + at + n - 1)
+            _col2im(taps[:, :(at + n) * w1], dx[:, STRIDE * top:end])
+            taps[:, :w1] = taps[:, (at + n - 1) * w1:(at + n) * w1]
+    # each plane in one pairwise sum, as a contiguous (Co, H'*W') copy of g would give
+    db2 = np.array([plane.reshape(-1).sum() for plane in g])
+    db1 = row_sums.sum(axis=1)
+    dw1, dw2 = dw1.T.reshape(params.w1.shape), dw2.T.reshape(params.w2.shape)
     check_no_overflow("encode_backward", dx, dw1, db1, dw2, db2)
     return EncoderGradients(dx=dx, dw1=dw1, db1=db1, dw2=dw2, db2=db2)
 

@@ -163,6 +163,15 @@ class TestPgm:
             write_pgm(str(path), np.array([[3.7, 250.9]]), maxval=255)
         assert not path.exists()
 
+    @pytest.mark.parametrize("maxval", [255.9, 4095.5, 0.5])
+    def test_writer_rejects_a_fractional_maxval(self, tmp_path, maxval):
+        # 255.9 used to pick 16-bit samples but write 255 in the header, so
+        # [[200, 255]] read back as [[0, 0.784]]
+        path = tmp_path / "x.pgm"
+        with pytest.raises(InvalidInputError, match=re.escape(f"got {maxval}")):
+            write_pgm(str(path), np.array([[0.0, 0.0]]), maxval=maxval)
+        assert not path.exists()
+
 
 class TestCsv:
     def test_round_trip_preserves_float64(self, tmp_path):

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import re
 import struct
 import tracemalloc
@@ -14,8 +15,6 @@ from pseudo3d.encoder import (
     HIDDEN_CHANNELS,
     _col2im,
     _columns,
-    _conv_s2p1,
-    _conv_s2p1_backward,
     encode,
     encode_backward,
     init_params,
@@ -142,10 +141,61 @@ def sides(ci, co):
             yield rng.standard_normal((ci, h, wd)), rng.standard_normal((co, ci, 3, 3)), g
 
 
+def slab(x, r0, r1):
+    """The input rows output rows [r0, r1) read, from the one above the band's
+    first (the last band's last) down to the band's last tap, and that top row."""
+    top = max(2 * r0 - 1, 0)
+    return x[:, top:2 * r1], top
+
+
+def conv_in_bands(x, w, b, rows):
+    """One conv layer as the fused passes run each of theirs: per band, the
+    columns of a slab, one matmul into the band of the output, the bias."""
+    co = w.shape[0]
+    ho, wo = (x.shape[1] - 1) // 2 + 1, (x.shape[2] - 1) // 2 + 1
+    out = np.empty((co, ho * wo))
+    for r0 in range(0, ho, rows):
+        r1 = min(r0 + rows, ho)
+        band = out[:, r0 * wo:r1 * wo]
+        xs, top = slab(x, r0, r1)
+        np.matmul(w.reshape(co, -1), _columns(xs, r0, r1, top), out=band)
+        band += b[:, np.newaxis]
+    return out
+
+
+def conv_backward_in_bands(x, w, g, rows, carry):
+    """One conv layer's (dx, dw, db) as the fused backward runs each of its
+    layers.  Per band: its share of dw from its columns, its db by row, and
+    tap gradients that complete its rows of dx.  Layer 1 (``carry``) puts
+    the last band's last row of tap gradients before the band's own; layer
+    2 takes the band's rows and the next band's first."""
+    _, h, wd = x.shape
+    co, ho, wo = g.shape
+    wt = w.reshape(co, -1).T
+    dx, dw, row_sums = np.empty(x.shape), np.zeros(wt.shape), np.empty((co, ho))
+    for r0 in range(0, ho, rows):
+        r1 = min(r0 + rows, ho)
+        xs, top = slab(x, r0, r1)
+        dw += _columns(xs, r0, r1, top) @ g[:, r0:r1].reshape(co, -1).T
+        np.sum(g[:, r0:r1], axis=2, out=row_sums[:, r0:r1])
+        if carry:
+            taps = wt @ g[:, r0:r1].reshape(co, -1)
+            first = max(r0 - 1, 0)
+            if r0:
+                taps = np.concatenate([last, taps], axis=1)
+            last = taps[:, -wo:]
+        else:
+            taps = wt @ np.ascontiguousarray(g[:, r0:r1 + 1]).reshape(co, -1)
+            first = r0
+        end = h if r1 == ho else 2 * (first + taps.shape[1] // wo - 1)
+        assert _col2im(taps, dx[:, 2 * first:end]).base is dx
+    return dx, dw.T.reshape(w.shape), row_sums.sum(axis=1)
+
+
 class TestBands:
-    """Each conv layer runs in bands of output rows.  At these sizes no band height
-    changes a byte of the output, dx or db; dw, summed band by band, moves by
-    its summation order only."""
+    """Each pass runs in bands of layer-2 output rows.  At these sizes no band
+    height changes a byte of either layer's output, dx or db; dw, summed band
+    by band, moves by its summation order only."""
 
     @pytest.mark.parametrize("rows", [1, 2, 3])
     def test_band_columns_are_row_slices_of_the_oracle(self, rows):
@@ -156,19 +206,22 @@ class TestBands:
                 r1 = min(r0 + rows, ho)
                 band = np.ascontiguousarray(whole[:, r0 * wo:r1 * wo])
                 assert _columns(x, r0, r1).tobytes() == band.tobytes(), (x.shape, r0)
+                xs, top = slab(x, r0, r1)
+                assert _columns(xs, r0, r1, top).tobytes() == band.tobytes(), (x.shape, r0)
 
+    # 3 -> 16 channels as in layer 1, which carries a row of tap gradients;
     # with 16 input channels a band's columns are 144 rows deep, as in layer 2
     @pytest.mark.parametrize("ci, co", [(3, 16), (16, 4)])
-    def test_backward_in_bands_of_1_2_3_rows(self, monkeypatch, ci, co):
+    def test_backward_in_bands_of_1_2_3_rows(self, ci, co):
+        carry = ci == 3
         for x, w, g in sides(ci, co):
             _, h, wd = x.shape
             taps = w.reshape(co, -1).T @ g.reshape(co, -1)
             oracle_dx = col2im_oracle(taps, ci, h, wd)
             _, oracle_dw, _ = conv_oracle_backward(x, w, g)
-            one_band = _conv_s2p1_backward(x, w, g)  # every side here fits one band
+            one_band = conv_backward_in_bands(x, w, g, g.shape[1], carry)
             for rows in (1, 2, 3):
-                monkeypatch.setattr(encoder, "_band_rows", lambda ci, wo, rows=rows: rows)
-                dx, dw, db = _conv_s2p1_backward(x, w, g)
+                dx, dw, db = conv_backward_in_bands(x, w, g, rows, carry)
                 assert dx.tobytes() == one_band[0].tobytes() == oracle_dx.tobytes(), (h, wd, rows)
                 assert db.tobytes() == one_band[2].tobytes(), (h, wd, rows)
                 assert np.abs(dw - oracle_dw).max() <= 1e-15 * np.abs(oracle_dw).max()
@@ -178,31 +231,47 @@ class TestBands:
     # smallest such bands, and bands of 8 and 16 rows on taller inputs
     @pytest.mark.parametrize("budget_rows", [0, 8, 16])
     @pytest.mark.parametrize("ci, co", [(3, 16), (16, 4)])
-    def test_forward_in_bands(self, monkeypatch, budget_rows, ci, co):
+    def test_forward_in_bands(self, budget_rows, ci, co):
         rng = np.random.default_rng(budget_rows + ci)
         w = rng.standard_normal((co, ci, 3, 3))
         b = rng.standard_normal(co)
         for h in [*range(4, 14), 33, 34]:
             for wd in range(4, 14):
                 x = rng.standard_normal((ci, h, wd))
-                wo = (wd - 1) // 2 + 1
-                one_band = _conv_s2p1(x, w, b)
+                ho, wo = (h - 1) // 2 + 1, (wd - 1) // 2 + 1
+                unit = 8 // math.gcd(wo, 8)
+                one_band = conv_in_bands(x, w, b, ho)
                 expected = w.reshape(co, -1) @ columns_oracle(x) + b[:, np.newaxis]
-                monkeypatch.setattr(encoder, "_BAND_BYTES", budget_rows * ci * 9 * wo * 8)
-                out = _conv_s2p1(x, w, b)
-                monkeypatch.undo()
+                out = conv_in_bands(x, w, b, max(unit, budget_rows // unit * unit))
                 assert out.tobytes() == one_band.tobytes() == expected.tobytes(), (h, wd)
+
+    # bands of 1-3 layer-2 rows on these sides: a stale carried row would show
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_a_network_in_bands_matches_the_loop_oracles(self, monkeypatch, rows):
+        monkeypatch.setattr(encoder, "_band_rows", lambda w1, h2, w2: min(rows, h2))
+        params = init_params(out_channels=5, seed=rows)
+        for h, w in [(9, 7), (13, 12), (12, 13), (10, 10)]:
+            rng = np.random.default_rng(h * 100 + w)
+            x = rng.standard_normal((3, h, w))
+            r = rng.standard_normal(output_shape(h, w, 5))
+            assert_allclose(encode(x, params), encode_oracle(x, params), atol=1e-12)
+            grads = encode_backward(x, params, r)
+            for name, expected in encode_backward_oracle(x, params, r).items():
+                assert_allclose(getattr(grads, name), expected, atol=1e-12, err_msg=name)
 
     def test_a_frame_in_bands_is_byte_identical_to_one_band(self, monkeypatch):
         rng = np.random.default_rng(18)
         params = init_params(out_channels=32, seed=18)
         x = rng.standard_normal((3, 480, 640))
         r = rng.standard_normal(output_shape(480, 640, 32))
-        assert encoder._band_rows(3, 320) < 240 and encoder._band_rows(16, 160) < 120
+        assert encoder._band_rows(320, 120, 160) < 120
         banded = encode(x, params), encode_backward(x, params, r)
         monkeypatch.setattr(encoder, "_BAND_BYTES", 1 << 40)
-        assert encode(x, params).tobytes() == banded[0].tobytes()
-        assert encode_backward(x, params, r).dx.tobytes() == banded[1].dx.tobytes()
+        assert encoder._band_rows(320, 120, 160) == 120
+        whole = encode(x, params), encode_backward(x, params, r)
+        assert whole[0].tobytes() == banded[0].tobytes()
+        for name in ("dx", "db1", "db2"):
+            assert getattr(whole[1], name).tobytes() == getattr(banded[1], name).tobytes(), name
 
 
 class TestForward:
@@ -369,11 +438,12 @@ class TestMemory:
         assert backward_peak <= 7 * x.nbytes, backward_peak / x.nbytes
 
     def test_a_frame_peaks_at_its_activations_and_a_few_bands(self):
-        """At 480x640 the arrays a pass must hold are 18.75 MiB: encode's hidden
-        layer (9.4), its (C, H', W') output and the channels-last copy (4.7 each);
-        encode_backward's hidden layer and its gradient (9.4 each).  Measured
-        peaks are 18.8 and 20.3 MiB; whole-frame columns (15.8 MiB for layer 1,
-        21 for layer 2) gave 35.2 and 44.8.  The bounds allow about 10% more."""
+        """At 480x640 neither pass holds the hidden layer (9.4 MiB) or its
+        gradient whole.  encode holds its (C, H', W') output and the
+        channels-last copy (4.7 MiB each), encode_backward its dx (7.0 MiB),
+        and each a few bands of about 1 MiB.  Measured peaks are 10.5 and 10.8
+        MiB; a whole hidden layer gave 18.75 and 20.3, and whole-frame columns
+        35.2 and 44.8."""
         rng = np.random.default_rng(4)
         params = init_params(out_channels=32, seed=4)
         x = rng.standard_normal((3, 480, 640))
@@ -387,8 +457,8 @@ class TestMemory:
             _, backward_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert encode_peak <= 20.75 * 2**20, encode_peak / 2**20
-        assert backward_peak <= 22 * 2**20, backward_peak / 2**20
+        assert encode_peak <= 12 * 2**20, encode_peak / 2**20
+        assert backward_peak <= 12 * 2**20, backward_peak / 2**20
 
 
 class TestInit:

@@ -82,9 +82,24 @@ def test_encoder_params(tmp_path):
     run()
 
 
+@st.composite
+def body_mutations(draw, seeds):
+    """A valid PLY whose header is kept and up to four bytes of its body are
+    replaced, or (one time in four) any of :func:`mutations`."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(mutations(seeds))
+    data = bytearray(draw(st.sampled_from(seeds)))
+    body = data.index(b"end_header\n") + len(b"end_header\n")
+    for _ in range(draw(st.integers(1, 4))):
+        data[draw(st.integers(body, len(data) - 1))] = draw(st.integers(0, 255))
+    return bytes(data)
+
+
 def test_ply(tmp_path):
     """read_ply accepts only what export_ply writes: a grid it returns is
-    written back as the same bytes."""
+    written back as the same bytes.  Most mutations of the header are
+    rejected, so most files keep it and change the body, and at least half
+    the files reach the write-back."""
     rng = np.random.default_rng(0)
     seeds = _seed_files(tmp_path, "c.ply", [
         lambda p, shape=shape: export_ply(p, rng.standard_normal((*shape, 3)))
@@ -92,18 +107,22 @@ def test_ply(tmp_path):
     ])
     path = tmp_path / "fuzzed.ply"
     rewritten = tmp_path / "rewritten.ply"
+    reached = {"files": 0, "written back": 0}
 
     @FUZZ
-    @given(mutations(seeds))
+    @given(body_mutations(seeds))
     def run(data):
+        reached["files"] += 1
         grid = _check(path, data, read_ply)
         if grid is None:
             return
         assert grid.ndim == 3 and grid.shape[2] == 3 and grid.dtype == np.float32
         export_ply(str(rewritten), grid)
         assert rewritten.read_bytes() == data
+        reached["written back"] += 1
 
     run()
+    assert 2 * reached["written back"] >= reached["files"], reached
 
 
 def test_intrinsics(tmp_path):
