@@ -297,16 +297,18 @@ def encode_backward(
     row_sums = np.empty((HIDDEN_CHANNELS, h1))  # db1 by hidden row: no band height moves it
     with np.errstate(over="ignore", invalid="ignore"):
         for r0, r1, columns, hidden, top in _hidden_bands(x, params):
-            at = STRIDE * r0 - top  # the rows carried into hidden and taps
-            n = hidden.shape[1] - at  # the band's new hidden rows
+            s0 = STRIDE * r0
+            at = s0 - top  # the rows carried into hidden and taps
+            n = hidden.shape[1] - at  # the band's new hidden rows, from s0
             gb = np.ascontiguousarray(g[:, r0:min(r1 + 1, h2)]).reshape(co, -1)
             dw2 += _columns(hidden, r0, r1, top) @ gb[:, :(r1 - r0) * w2].T
-            band = _col2im(wt2 @ gb, da1[:, :n * w1].reshape(HIDDEN_CHANNELS, n, w1))
+            d = da1[:, :n * w1]
+            band = _col2im(wt2 @ gb, d.reshape(HIDDEN_CHANNELS, n, w1))
             band *= hidden[:, at:] > 0.0  # relu(z) > 0 exactly where z > 0
-            np.sum(band, axis=2, out=row_sums[:, top + at:top + at + n])
-            dw1 += columns @ da1[:, :n * w1].T
-            np.matmul(wt1, da1[:, :n * w1], out=taps[:, at * w1:(at + n) * w1])
-            end = h if r1 == h2 else STRIDE * (top + at + n - 1)
+            np.sum(band, axis=2, out=row_sums[:, s0:s0 + n])
+            dw1 += columns @ d.T
+            np.matmul(wt1, d, out=taps[:, at * w1:(at + n) * w1])
+            end = h if r1 == h2 else STRIDE * (s0 + n - 1)
             _col2im(taps[:, :(at + n) * w1], dx[:, STRIDE * top:end])
             taps[:, :w1] = taps[:, (at + n - 1) * w1:(at + n) * w1]
     # each plane in one pairwise sum, as a contiguous (Co, H'*W') copy of g would give
