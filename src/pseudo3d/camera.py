@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntrinsicsConfigError, InvalidInputError, float_array, reading
+from .errors import IntrinsicsConfigError, InvalidInputError, data_line, float_array, reading
 
 
 @dataclass(frozen=True)
@@ -135,9 +135,9 @@ def parse_intrinsics_config(
     """
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        if not data_line(raw):
             continue
+        line = raw.strip()
         if "=" in line:
             key, _, value = line.partition("=")
         elif ":" in line:
@@ -169,11 +169,11 @@ def parse_intrinsics_config(
 
     def _number(key: str) -> float:
         try:
-            return float(entries[key])
+            if entries[key].isascii() and "_" not in entries[key]:  # as the CSV readers have it
+                return float(entries[key])
         except ValueError:
-            raise IntrinsicsConfigError(
-                f"value for {key!r} is not a number: {entries[key]!r}"
-            ) from None
+            pass
+        raise IntrinsicsConfigError(f"value for {key!r} is not a number: {entries[key]!r}")
 
     if present_explicit:
         missing = _EXPLICIT_KEYS - entries.keys()

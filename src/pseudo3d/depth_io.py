@@ -15,11 +15,16 @@ import warnings
 import numpy as np
 
 from .depth import DepthKind, DepthMap
-from .errors import (DepthFileError, InvalidInputError, NonFiniteInputError, float_array, reading,
-                     to_float32, write_output)
+from .errors import (DepthFileError, InvalidInputError, NonFiniteInputError, data_line,
+                     float_array, reading, to_float32, write_output)
 
 # magic, width, height, scale, then exactly one whitespace byte before raster
 _PFM_HEADER = re.compile(rb"^(P[fF])\s+(\d+)\s+(\d+)\s+([-+]?[0-9.eE+-]+)\s")
+# magic, width, height, maxval of 1 to 9 digits each, then exactly one whitespace
+# byte before raster; "#" comment lines may come before and between them.  A
+# comment ends at a newline: one that may end anywhere backtracks exponentially.
+_SKIP = rb"(?:\s|#[^\n]*(?:\n|$))*"
+_PGM_HEADER = re.compile(_SKIP + rb"P5" + (rb"\s" + _SKIP + rb"(\d{1,9})") * 3 + rb"\s")
 
 
 def read_pfm(path: str) -> np.ndarray:
@@ -70,50 +75,23 @@ def write_pfm(path: str, values: np.ndarray) -> None:
 def read_pgm(path: str) -> np.ndarray:
     """Read a binary (P5) PGM file and map samples to [0, 1] as v / maxval.
 
-    Samples are one byte when maxval < 256, otherwise two bytes stored
-    big-endian, per the format.  Header ``#`` comments are skipped.  Bytes
-    after the raster are ignored: Netpbm allows a sequence of images in one
-    file, and this reads the first.
+    Samples are one byte when maxval < 256, otherwise two bytes big-endian,
+    per the format.  Header fields are 1 to 9 digits; ``#`` comment lines are
+    skipped.  Bytes after the raster are ignored: Netpbm allows a sequence of
+    images in one file, and this reads the first.
     """
     with reading(path, DepthFileError) as data:
-        pos = 0
-
-        def _token() -> bytes:
-            nonlocal pos
-            while pos < len(data):
-                if data[pos:pos + 1].isspace():
-                    pos += 1
-                elif data[pos:pos + 1] == b"#":
-                    nl = data.find(b"\n", pos)
-                    pos = len(data) if nl < 0 else nl + 1
-                else:
-                    break
-            start = pos
-            while pos < len(data) and not data[pos:pos + 1].isspace():
-                pos += 1
-            if start == pos:
-                raise DepthFileError("truncated PGM header")
-            return data[start:pos]
-
-        magic = _token()
-        if magic != b"P5":
-            raise DepthFileError(f"expected binary PGM magic 'P5', got {magic!r}")
-        try:
-            width = int(_token())
-            height = int(_token())
-            maxval = int(_token())
-        except ValueError:
-            raise DepthFileError("non-numeric PGM header field") from None
+        m = _PGM_HEADER.match(data)
+        if m is None:
+            raise DepthFileError("malformed PGM header: expected 'P5' and three 1-9 digit fields")
+        width, height, maxval = map(int, m.groups())
         if width < 1 or height < 1 or not 0 < maxval < 65536:
             raise DepthFileError("malformed PGM header")
-        pos += 1  # single whitespace byte between header and raster
         dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
         expected = width * height * dtype.itemsize
-        raster = data[pos:pos + expected]
+        raster = data[m.end():m.end() + expected]
         if len(raster) < expected:
-            raise DepthFileError(
-                f"PGM raster truncated ({len(raster)} bytes, need {expected})"
-            )
+            raise DepthFileError(f"PGM raster truncated ({len(raster)} bytes, need {expected})")
         samples = np.frombuffer(raster, dtype=dtype).reshape(height, width)
         if samples.max(initial=0) > maxval:
             raise DepthFileError(f"PGM sample exceeds maxval {maxval}")
@@ -140,8 +118,8 @@ def read_csv(path: str) -> np.ndarray:
     try:
         with open(path, encoding="utf-8-sig") as fh, warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # no data: the error below says so
-            lines = (line for line in fh if not line.isspace())  # blank, as read_actions_csv has it
-            grid = np.loadtxt(lines, delimiter=",", dtype=np.float64, ndmin=2)
+            grid = np.loadtxt((line for line in fh if data_line(line)), delimiter=",",
+                              comments=None, ndmin=2)
     except (OSError, UnicodeDecodeError) as exc:
         raise DepthFileError(f"{path}: cannot read: {exc}") from exc
     except ValueError as exc:

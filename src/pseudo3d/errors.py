@@ -79,6 +79,11 @@ def reading(path: str, error: type[Pseudo3dError], text: bool = False):
         raise error(f"{path}: {exc}") from exc
 
 
+def data_line(line: str) -> bool:
+    """False for a blank line of a text file, or one whose first non-blank character is ``#``."""
+    return line.lstrip()[:1] not in ("", "#")
+
+
 def write_output(path: str, error: type[Pseudo3dError], *chunks) -> None:
     """Write ``chunks`` to ``path`` in order; a failure becomes an ``error`` naming the path."""
     try:

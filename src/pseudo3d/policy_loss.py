@@ -14,15 +14,14 @@ number of steps across all trajectories.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
+import warnings
 from typing import Sequence
 
 import numpy as np
 
 from .errors import (ActionsFileError, InvalidInputError, NonFiniteInputError, check_finite,
-                     float_array, reading)
+                     data_line, float_array, reading)
 
 BCE_EPS = 1e-7
 _UNIT_TOL = 1e-6
@@ -91,45 +90,40 @@ def dataset_loss(trajectories: Sequence[np.ndarray]) -> float:
     return float(np.cumsum(totals)[-1]) / totals.size
 
 
-def _number(cell: str) -> float | None:
-    """``cell`` as a float, or None; ASCII only and no ``_``, as the depth CSV reader has it."""
-    if not cell.isascii() or "_" in cell:
-        return None
+def _rows(lines: list[str]) -> np.ndarray | None:
+    """``lines`` of comma-separated numbers as a 2-D float64 array, or None."""
     try:
-        return float(cell)
-    except ValueError:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # no data: an empty cell
+            return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except (ValueError, UserWarning):
         return None
 
 
 def read_actions_csv(path: str) -> np.ndarray:
     """Read one action per row as an (N, 8) array: columns x, y, z, qw, qx, qy, qz, open.
 
-    A leading UTF-8 byte order mark is skipped, and so is a first row in
-    which no cell is a number (a header).  Prediction and target files are
-    row-aligned by convention.
+    A byte order mark, blank lines and lines that start with ``#`` are
+    skipped, and so is a first row of 8 cells none of which is a number (a
+    header).  Prediction and target files are row-aligned by convention.
     """
-    actions: list[list[float]] = []
-    with reading(path, ActionsFileError) as data:
-        try:
-            # csv wants newlines as written
-            lines = io.StringIO(data.decode("utf-8-sig"), newline="")
-            rows = [row for row in csv.reader(lines) if row and any(cell.strip() for cell in row)]
-        except (UnicodeDecodeError, csv.Error) as exc:
-            raise ActionsFileError(f"cannot read: {exc}") from exc
-        for i, row in enumerate(rows):
-            if len(row) != 8:
-                raise ActionsFileError(f"row {i + 1} has {len(row)} columns, expected 8")
-            values = [_number(cell) for cell in row]
-            if None in values:
-                if i == 0 and values == [None] * 8:
-                    continue  # header row
-                raise ActionsFileError(f"row {i + 1} is not numeric: {row}")
-            if not all(math.isfinite(v) for v in values):
-                raise ActionsFileError(f"row {i + 1} is not finite: {row}")
-            actions.append(values)
-        if not actions:
+    with reading(path, ActionsFileError, text=True) as text:
+        lines = [line for line in text.split("\n") if data_line(line)]
+        first = lines[0].split(",") if lines else []
+        header = int(len(first) == 8 and all(_rows([cell]) is None for cell in first))
+        if len(lines) == header:
             raise ActionsFileError("no action rows found")
-        return np.array(actions)
+        actions = _rows(lines[header:])
+        if actions is None or actions.shape[1] != 8 or not np.isfinite(actions).all():
+            for i, line in enumerate(lines[header:], start=1 + header):  # name the first bad row
+                row, values = line.split(","), _rows([line])
+                if len(row) != 8:
+                    raise ActionsFileError(f"row {i} has {len(row)} columns, expected 8")
+                if values is None:
+                    raise ActionsFileError(f"row {i} is not numeric: {row}")
+                if not np.isfinite(values).all():
+                    raise ActionsFileError(f"row {i} is not finite: {row}")
+        return actions
 
 
 def trajectory_from_rows(preds, targets) -> np.ndarray:

@@ -200,6 +200,17 @@ class TestIntrinsicsConfig:
         with pytest.raises(IntrinsicsConfigError, match="not a number"):
             parse_intrinsics_config("fx = wide\nfy = 1\ncx = 0\ncy = 0\n")
 
+    # float() reads all three (1000, 1 and 640); the CSV readers reject them
+    @pytest.mark.parametrize("text, key, value", [
+        ("fx = 1_000\nfy = 1\ncx = 0\ncy = 0\n", "fx", "1_000"),
+        ("fx = \uff11\nfy = 1\ncx = 0\ncy = 0\n", "fx", "\uff11"),
+        ("fov_x_deg = 60\nwidth = 6_4_0\nheight = 480\n", "width", "6_4_0"),
+    ], ids=["underscore", "full-width", "separated-size"])
+    def test_only_ascii_numbers_without_separators(self, text, key, value):
+        with pytest.raises(IntrinsicsConfigError,
+                           match=re.escape(f"value for {key!r} is not a number: {value!r}")):
+            parse_intrinsics_config(text)
+
     def test_fractional_size_rejected(self):
         with pytest.raises(IntrinsicsConfigError, match="integers"):
             parse_intrinsics_config("fov_x_deg = 60\nwidth = 4.5\nheight = 3\n")

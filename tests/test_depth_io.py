@@ -1,5 +1,6 @@
 import re
 import struct
+import time
 import tracemalloc
 import warnings
 
@@ -139,6 +140,27 @@ class TestPgm:
         with pytest.raises(DepthFileError, match="malformed"):
             read_pgm(str(path))
 
+    # int() read the first two as 10 and 5; a field is 1 to 9 ASCII digits
+    @pytest.mark.parametrize("header", [b"P5\n1_0 1\n255\n", b"P5\n+5 1\n255\n",
+                                        b"P5\n1 1\n0000000255\n"],
+                             ids=["underscore", "plus-sign", "ten-digits"])
+    def test_header_fields_are_short_digit_runs(self, tmp_path, header):
+        path = tmp_path / "field.pgm"
+        path.write_bytes(header + bytes(10))
+        message = f"{path}: malformed PGM header: expected 'P5'"
+        with pytest.raises(DepthFileError, match=re.escape(message)):
+            read_pgm(str(path))
+
+    def test_unterminated_comment_is_rejected_in_linear_time(self, tmp_path):
+        # a comment pattern that may end anywhere backtracks exponentially:
+        # 0.23 s at 22 "#" bytes, doubling with each one more
+        path = tmp_path / "hashes.pgm"
+        path.write_bytes(b"P5 " + b"#" * 100_000)
+        start = time.perf_counter()
+        with pytest.raises(DepthFileError, match="malformed PGM header: expected 'P5'"):
+            read_pgm(str(path))
+        assert time.perf_counter() - start < 0.1
+
     def test_truncated_raster_rejected(self, tmp_path):
         path = tmp_path / "short.pgm"
         path.write_bytes(b"P5\n2 2\n255\n" + bytes([1, 2]))
@@ -199,8 +221,7 @@ class TestCsv:
         with pytest.raises(DepthFileError, match="malformed"):
             read_csv(str(path))
 
-    # a line of only whitespace is blank, as read_actions_csv has it; it used
-    # to fail as "malformed CSV"
+    # a line of only whitespace used to fail as "malformed CSV"
     def test_whitespace_line_is_skipped(self, tmp_path):
         path = tmp_path / "gap.csv"
         path.write_text("1,2\n  \n3,4\n")
@@ -220,6 +241,17 @@ class TestCsv:
             path.write_text(text)
             with pytest.raises(DepthFileError, match=re.escape(f"{path}: empty CSV grid")):
                 read_csv(str(path))
+
+    # np.loadtxt's default comments="#" cut each row at its "#", and this
+    # file read as the 2x1 grid [[1], [4]]; only a line that starts with "#"
+    # is a comment
+    def test_a_hash_inside_a_row_is_not_a_comment(self, tmp_path):
+        path = tmp_path / "hash.csv"
+        path.write_text("1#,2,3\n4#,5,6\n")
+        with pytest.raises(DepthFileError, match=re.escape(f"{path}: malformed CSV: ")):
+            read_csv(str(path))
+        path.write_text("  # made by hand\n1,2,3\n# a note\n4,5,6\n")
+        assert_array_equal(read_csv(str(path)), [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
 
     def test_streams_the_file(self, tmp_path):
         # 3.2 MB measured for the 5.6 MB text of a 480x640 grid (the grid is

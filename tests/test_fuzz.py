@@ -382,7 +382,7 @@ def test_pgm_values(tmp_path):
 _FINITE_CELLS = st.floats(allow_nan=False, allow_infinity=False).map(repr) \
     | st.sampled_from(["-0", " 1 ", "1.", ".5", "+2", "\t3"])
 _NON_FINITE_CELLS = ["nan", "inf", "-inf", "1e309", "-1e309"]
-_NOT_A_NUMBER_CELLS = ["1_0", "\uff11", "0x1", "1e", "1a"]
+_NOT_A_NUMBER_CELLS = ["1_0", "\uff11", "0x1", "1e", "1a", "1#2"]
 
 
 def _cell_value(cell: str) -> float | None:

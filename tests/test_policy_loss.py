@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -285,6 +286,40 @@ class TestCsvActions:
         path.write_text(f"{cell},2,3,1,0,0,0,1\n", encoding="utf-8")
         with pytest.raises(ActionsFileError, match="row 1 is not numeric"):
             read_actions_csv(str(path))
+
+    # csv.reader unquoted the first and dropped the second as blank
+    @pytest.mark.parametrize("row", ['"1",2,3,1,0,0,0,1', ",,,,,,,"], ids=["quoted", "only-commas"])
+    def test_every_cell_is_a_bare_number(self, tmp_path, row):
+        path = tmp_path / "acts.csv"
+        path.write_text("1,2,3,1,0,0,0,1\n" + row + "\n")
+        with pytest.raises(ActionsFileError, match="row 2 is not numeric"):
+            read_actions_csv(str(path))
+
+    # as in the depth CSV, a line that starts with "#" is skipped and not
+    # counted; a "#" anywhere else is part of its cell
+    def test_comment_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "acts.csv"
+        path.write_text("# demo 3\n" + self.CSV + "  # end\n")
+        assert read_actions_csv(str(path)).tolist() == [[0.1, 0.2, 0.3, 1, 0, 0, 0, 1],
+                                                        [0.4, 0.5, 0.6, 0, 1, 0, 0, 0]]
+        path.write_text("# demo 3\n" + self.CSV + "1,2,3,1,0,0,0,1#\n")
+        with pytest.raises(ActionsFileError, match="row 4 is not numeric"):
+            read_actions_csv(str(path))
+
+    def test_reads_in_bounded_memory(self, tmp_path):
+        # 4.5 MiB traced for 10k rows (0.6 MiB of values); building a float
+        # per cell through csv.reader peaked at 18.3 MiB
+        path = tmp_path / "acts.csv"
+        rows = np.random.default_rng(3).uniform(-1.0, 1.0, (10_000, 8))
+        np.savetxt(path, rows, delimiter=",", fmt="%.17g")
+        tracemalloc.start()
+        try:
+            actions = read_actions_csv(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert_array_equal(actions, rows)
+        assert peak < 8 * 2**20, peak
 
     def test_wrong_column_count(self, tmp_path):
         path = tmp_path / "acts.csv"
