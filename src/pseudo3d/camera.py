@@ -8,6 +8,7 @@ center of a centered camera sits at (W - 1) / 2.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,87 +129,54 @@ def parse_intrinsics_config(
     applied to is given, an estimation-mode width/height that differs from
     it raises :class:`IntrinsicsConfigError`.
 
-    Lines may use ``=`` or ``:`` as the separator; blank lines and lines
-    starting with ``#`` are ignored.  Mixing modes, unknown keys,
-    duplicate keys, or non-numeric values raise
-    :class:`IntrinsicsConfigError`.
+    A line ends at ``\\n``, ``\\r\\n`` or ``\\r``, nowhere else.  A line splits
+    at its first ``=``, else at its first ``:``; blank lines and lines starting
+    with ``#`` are ignored.  Mixing modes, unknown or duplicate keys, or
+    non-numeric values (the first in file order) raise :class:`IntrinsicsConfigError`.
     """
     entries: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(re.split(r"\r\n?|\n", text), start=1):
         if not data_line(raw):
             continue
         line = raw.strip()
-        if "=" in line:
-            key, _, value = line.partition("=")
-        elif ":" in line:
-            key, _, value = line.partition(":")
-        else:
-            raise IntrinsicsConfigError(
-                f"line {lineno}: expected 'key = value', got {line!r}"
-            )
-        key = key.strip()
-        value = value.strip()
-        if not key or not value:
-            raise IntrinsicsConfigError(
-                f"line {lineno}: expected 'key = value', got {line!r}"
-            )
+        key, sep, value = line.partition("=" if "=" in line else ":")
+        key, value = key.strip(), value.strip()
+        if not (key and sep and value):
+            raise IntrinsicsConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         if key in entries:
             raise IntrinsicsConfigError(f"line {lineno}: duplicate key {key!r}")
         if key not in _EXPLICIT_KEYS | _FOV_KEYS:
             raise IntrinsicsConfigError(f"line {lineno}: unknown key {key!r}")
         entries[key] = value
 
-    present_explicit = _EXPLICIT_KEYS & entries.keys()
-    present_fov = _FOV_KEYS & entries.keys()
-    if present_explicit and present_fov:
-        raise IntrinsicsConfigError(
-            "config mixes explicit intrinsics with field-of-view estimation keys"
-        )
+    explicit = not _EXPLICIT_KEYS.isdisjoint(entries)
+    if explicit and not _FOV_KEYS.isdisjoint(entries):
+        raise IntrinsicsConfigError("config mixes explicit intrinsics with "
+                                    "field-of-view estimation keys")
     if not entries:
         raise IntrinsicsConfigError("config contains no intrinsics keys")
-
-    def _number(key: str) -> float:
-        try:
-            if entries[key].isascii() and "_" not in entries[key]:  # as the CSV readers have it
-                return float(entries[key])
-        except ValueError:
-            pass
-        raise IntrinsicsConfigError(f"value for {key!r} is not a number: {entries[key]!r}")
-
-    if present_explicit:
-        missing = _EXPLICIT_KEYS - entries.keys()
-        if missing:
-            raise IntrinsicsConfigError(
-                f"explicit mode missing keys: {', '.join(sorted(missing))}"
-            )
-        try:
-            return CameraIntrinsics(
-                fx=_number("fx"), fy=_number("fy"),
-                cx=_number("cx"), cy=_number("cy"),
-            )
-        except InvalidInputError as exc:
-            raise IntrinsicsConfigError(str(exc)) from exc
-
-    required = {"fov_x_deg", "width", "height"}
-    missing = required - entries.keys()
+    missing = (_EXPLICIT_KEYS if explicit else _FOV_KEYS - {"fov_y_deg"}) - entries.keys()
     if missing:
-        raise IntrinsicsConfigError(
-            f"estimation mode missing keys: {', '.join(sorted(missing))}"
-        )
-    width_f = _number("width")
-    height_f = _number("height")
-    if not all(math.isfinite(v) and v == int(v) for v in (width_f, height_f)):
-        raise IntrinsicsConfigError("width and height must be integers")
-    width, height = int(width_f), int(height_f)
-    if grid_shape is not None and grid_shape != (height, width):
-        grid_h, grid_w = grid_shape
-        raise IntrinsicsConfigError(
-            f"camera size {width}x{height} does not match the {grid_w}x{grid_h} "
-            "depth grid (width x height)"
-        )
-    fov_y = _number("fov_y_deg") if "fov_y_deg" in entries else None
+        raise IntrinsicsConfigError(f"{'explicit' if explicit else 'estimation'} mode "
+                                    f"missing keys: {', '.join(sorted(missing))}")
+    number: dict[str, float] = {}
+    for key, value in entries.items():
+        try:  # ASCII with no "_", as the CSV readers have it; float() takes both
+            number[key] = float(value if value.isascii() and "_" not in value else "")
+        except ValueError:
+            raise IntrinsicsConfigError(f"value for {key!r} is not a number: {value!r}") from None
     try:
-        return estimate_intrinsics_from_fov(width, height, _number("fov_x_deg"), fov_y)
+        if explicit:
+            return CameraIntrinsics(number["fx"], number["fy"], number["cx"], number["cy"])
+        if not all(math.isfinite(v) and v == int(v) for v in (number["width"], number["height"])):
+            raise IntrinsicsConfigError("width and height must be integers")
+        width, height = int(number["width"]), int(number["height"])
+        if grid_shape is not None and grid_shape != (height, width):
+            grid_h, grid_w = grid_shape
+            raise IntrinsicsConfigError(f"camera size {width}x{height} does not match the "
+                                        f"{grid_w}x{grid_h} depth grid (width x height)")
+        return estimate_intrinsics_from_fov(width, height, number["fov_x_deg"],
+                                            number.get("fov_y_deg"))
     except InvalidInputError as exc:
         raise IntrinsicsConfigError(str(exc)) from exc
 

@@ -15,8 +15,8 @@ import warnings
 import numpy as np
 
 from .depth import DepthKind, DepthMap
-from .errors import (DepthFileError, InvalidInputError, NonFiniteInputError, data_line,
-                     float_array, reading, to_float32, write_output)
+from .errors import (DepthFileError, InvalidInputError, NonFiniteInputError, bad_row,
+                     data_line, float_array, reading, to_float32, write_output)
 
 # magic, width, height, scale, then exactly one whitespace byte before raster
 _PFM_HEADER = re.compile(rb"^(P[fF])\s+(\d+)\s+(\d+)\s+([-+]?[0-9.eE+-]+)\s")
@@ -114,7 +114,11 @@ def write_pgm(path: str, samples: np.ndarray, maxval: int) -> None:
 
 
 def read_csv(path: str) -> np.ndarray:
-    """Read a headerless comma-separated grid of numbers, streamed from the file."""
+    """Read a headerless comma-separated grid of numbers, streamed from the file.
+
+    A malformed file is read again to name its first bad row, as
+    :func:`~pseudo3d.policy_loss.read_actions_csv` does, with the first row's width.
+    """
     try:
         with open(path, encoding="utf-8-sig") as fh, warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # no data: the error below says so
@@ -123,7 +127,10 @@ def read_csv(path: str) -> np.ndarray:
     except (OSError, UnicodeDecodeError) as exc:
         raise DepthFileError(f"{path}: cannot read: {exc}") from exc
     except ValueError as exc:
-        raise DepthFileError(f"{path}: malformed CSV: {exc}") from exc
+        with reading(path, DepthFileError, text=True) as text:
+            lines = [line for line in text.split("\n") if data_line(line)]
+            raise DepthFileError(
+                f"malformed CSV: {bad_row(lines, len(lines[0].split(',')))}") from exc
     if grid.size == 0:
         raise DepthFileError(f"{path}: empty CSV grid")
     return grid

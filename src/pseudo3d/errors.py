@@ -15,6 +15,7 @@ calls :func:`check_finite` on the result.  Every array a value type stores is a
 float64, finite, read-only copy of the required shape made by :func:`frozen_array`.
 """
 
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -82,6 +83,30 @@ def reading(path: str, error: type[Pseudo3dError], text: bool = False):
 def data_line(line: str) -> bool:
     """False for a blank line of a text file, or one whose first non-blank character is ``#``."""
     return line.lstrip()[:1] not in ("", "#")
+
+
+def number_rows(lines) -> np.ndarray | None:
+    """``lines`` of comma-separated numbers as a 2-D float64 array, or None."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # no data: an empty cell
+            return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except (ValueError, UserWarning):
+        return None
+
+
+def bad_row(lines: list[str], width: int, start: int = 1, finite: bool = False) -> str | None:
+    """Name the first of ``lines``, counted from ``start``, that has other than
+    ``width`` cells, or a cell that is not a number (with ``finite``, a finite one)."""
+    for i, line in enumerate(lines, start=start):
+        row, values = line.split(","), number_rows([line])
+        if len(row) != width:
+            return f"row {i} has {len(row)} columns, expected {width}"
+        if values is None:
+            return f"row {i} is not numeric: {row}"
+        if finite and not np.isfinite(values).all():
+            return f"row {i} is not finite: {row}"
+    return None
 
 
 def write_output(path: str, error: type[Pseudo3dError], *chunks) -> None:

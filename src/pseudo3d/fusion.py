@@ -107,6 +107,8 @@ class FusionParams:
     b_ff2: np.ndarray | None = None         # (C,)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.strategy, Strategy):
+            raise InvalidInputError(f"strategy must be a Strategy, got {self.strategy!r}")
         c = self.channels
         if c < 1:
             raise InvalidInputError(f"channels must be >= 1, got {c}")

@@ -15,13 +15,12 @@ number of steps across all trajectories.
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Sequence
 
 import numpy as np
 
-from .errors import (ActionsFileError, InvalidInputError, NonFiniteInputError, check_finite,
-                     data_line, float_array, reading)
+from .errors import (ActionsFileError, InvalidInputError, NonFiniteInputError, bad_row,
+                     check_finite, data_line, float_array, number_rows, reading)
 
 BCE_EPS = 1e-7
 _UNIT_TOL = 1e-6
@@ -90,16 +89,6 @@ def dataset_loss(trajectories: Sequence[np.ndarray]) -> float:
     return float(np.cumsum(totals)[-1]) / totals.size
 
 
-def _rows(lines: list[str]) -> np.ndarray | None:
-    """``lines`` of comma-separated numbers as a 2-D float64 array, or None."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", UserWarning)  # no data: an empty cell
-            return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-    except (ValueError, UserWarning):
-        return None
-
-
 def read_actions_csv(path: str) -> np.ndarray:
     """Read one action per row as an (N, 8) array: columns x, y, z, qw, qx, qy, qz, open.
 
@@ -110,19 +99,12 @@ def read_actions_csv(path: str) -> np.ndarray:
     with reading(path, ActionsFileError, text=True) as text:
         lines = [line for line in text.split("\n") if data_line(line)]
         first = lines[0].split(",") if lines else []
-        header = int(len(first) == 8 and all(_rows([cell]) is None for cell in first))
+        header = int(len(first) == 8 and all(number_rows([cell]) is None for cell in first))
         if len(lines) == header:
             raise ActionsFileError("no action rows found")
-        actions = _rows(lines[header:])
+        actions = number_rows(lines[header:])
         if actions is None or actions.shape[1] != 8 or not np.isfinite(actions).all():
-            for i, line in enumerate(lines[header:], start=1 + header):  # name the first bad row
-                row, values = line.split(","), _rows([line])
-                if len(row) != 8:
-                    raise ActionsFileError(f"row {i} has {len(row)} columns, expected 8")
-                if values is None:
-                    raise ActionsFileError(f"row {i} is not numeric: {row}")
-                if not np.isfinite(values).all():
-                    raise ActionsFileError(f"row {i} is not finite: {row}")
+            raise ActionsFileError(bad_row(lines[header:], 8, start=1 + header, finite=True))
         return actions
 
 

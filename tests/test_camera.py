@@ -178,6 +178,13 @@ class TestIntrinsicsConfig:
         )
         assert intr.fy == 11.0
 
+    # a line ends at \n, \r\n or \r, as in the files load_intrinsics reads
+    def test_universal_newlines_end_a_line(self):
+        intr = parse_intrinsics_config("fx = 1\r\nfy = 2\rcx = 0\ncy = 0")
+        assert intr == CameraIntrinsics(fx=1.0, fy=2.0, cx=0.0, cy=0.0)
+        with pytest.raises(IntrinsicsConfigError, match="^line 3: duplicate key 'fx'$"):
+            parse_intrinsics_config("fx = 1\r\n\rfx = 2")
+
     def test_mixed_modes_rejected(self):
         with pytest.raises(IntrinsicsConfigError, match="mixes"):
             parse_intrinsics_config("fx = 1\nfy = 1\ncx = 0\ncy = 0\nwidth = 4\n")

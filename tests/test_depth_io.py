@@ -18,7 +18,10 @@ from pseudo3d.depth_io import (
     write_pfm,
     write_pgm,
 )
-from pseudo3d.errors import DepthFileError, InvalidInputError
+from pseudo3d.camera import load_intrinsics
+from pseudo3d.errors import (ActionsFileError, DepthFileError, IntrinsicsConfigError,
+                             InvalidInputError)
+from pseudo3d.policy_loss import read_actions_csv
 
 
 class TestPfm:
@@ -253,6 +256,20 @@ class TestCsv:
         path.write_text("  # made by hand\n1,2,3\n# a note\n4,5,6\n")
         assert_array_equal(read_csv(str(path)), [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
 
+    # np.loadtxt named the first at "row 1, column 2", counting from 0, and
+    # the second "at row 2"; both are file line 3 and the second row read
+    @pytest.mark.parametrize("text, message", [
+        ("# note\n1,2\n3,x\n", "row 2 is not numeric: ['3', 'x']"),
+        ("# note\n1,2\n\n3,4,5\n", "row 2 has 3 columns, expected 2"),
+        ("1,2,3\n4,5\n6,z\n", "row 2 has 2 columns, expected 3"),
+    ], ids=["not-numeric", "too-wide", "narrower-before-bad-cell"])
+    def test_a_bad_row_is_counted_from_1_over_the_lines_read(self, tmp_path, text, message):
+        path = tmp_path / "bad-row.csv"
+        path.write_text(text)
+        with pytest.raises(DepthFileError,
+                           match=f"^{re.escape(f'{path}: malformed CSV: {message}')}$"):
+            read_csv(str(path))
+
     def test_streams_the_file(self, tmp_path):
         # 3.2 MB measured for the 5.6 MB text of a 480x640 grid (the grid is
         # 2.5 MB); reading the whole text into a StringIO peaked at 33.9 MB
@@ -272,6 +289,26 @@ class TestCsv:
         path.write_bytes(b"\xff\xfe1,2\n")
         with pytest.raises(DepthFileError, match="utf16.csv"):
             read_csv(str(path))
+
+
+# str.splitlines() also breaks at these; the intrinsics parser used it and
+# read "fx = 1\x0bfy = 2\x85cx = 0\x0ccy = 0" as four keys
+_NOT_NEWLINES = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("sep", _NOT_NEWLINES, ids=[f"U+{ord(c):04X}" for c in _NOT_NEWLINES])
+@pytest.mark.parametrize("reader, error, first, second", [
+    (read_csv, DepthFileError, "1,2", "3,4"),
+    (read_actions_csv, ActionsFileError, "1,2,3,1,0,0,0,1", "4,5,6,1,0,0,0,0"),
+    (load_intrinsics, IntrinsicsConfigError, "fx = 1\nfy = 2\ncx = 0", "cy = 0"),
+], ids=["depth-csv", "actions-csv", "intrinsics"])
+def test_a_line_ends_only_at_a_newline(tmp_path, sep, reader, error, first, second):
+    """Each text reader ends a line at \\n, \\r\\n or \\r only, so two data
+    lines joined by any other line separator are one bad line."""
+    path = tmp_path / "joined.txt"
+    path.write_text(first + sep + second + "\n", encoding="utf-8")
+    with pytest.raises(error, match=re.escape(str(path))):
+        reader(str(path))
 
 
 class TestCrossFormat:

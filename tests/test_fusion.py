@@ -356,6 +356,14 @@ class TestDispatchAndShapes:
         with pytest.raises(InvalidInputError, match=next(iter(extra))):
             FusionParams(**weights)
 
+    # "add" was accepted, and fuse then took the sattn branch and failed with
+    # AttributeError: 'NoneType' object has no attribute 'T'
+    @pytest.mark.parametrize("strategy", ["add", "sattn", None], ids=["add", "sattn", "none"])
+    def test_strategy_must_be_a_strategy(self, strategy):
+        with pytest.raises(InvalidInputError,
+                           match=re.escape(f"strategy must be a Strategy, got {strategy!r}")):
+            init_fusion_params(strategy, 4, seed=0)
+
     def test_init_deterministic(self):
         p1 = init_fusion_params(Strategy.SELF_ATTENTION, 8, seed=1234, heads=4)
         p2 = init_fusion_params(Strategy.SELF_ATTENTION, 8, seed=1234, heads=4)

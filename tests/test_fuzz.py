@@ -414,7 +414,7 @@ def csv_files(draw, widths, cells, bad):
 def test_csv_values(tmp_path):
     """read_csv returns each cell as float() reads it, NaN and infinities
     included, skipping blank lines; a cell that is not a number raises
-    DepthFileError naming the file."""
+    DepthFileError naming the file and the row."""
     path = tmp_path / "values.csv"
     reached = {"grid": 0, "not a number": 0}
     cells = _FINITE_CELLS | st.sampled_from(_NON_FINITE_CELLS)
@@ -432,9 +432,11 @@ def test_csv_values(tmp_path):
             assert_array_equal(np.signbit(grid), np.signbit(expected))
         else:
             reached["not a number"] += 1
+            [i] = [i for i, row in enumerate(values) if None in row]
             with pytest.raises(DepthFileError) as exc:
                 read_csv(str(path))
-            assert str(exc.value).startswith(f"{path}: malformed CSV: "), str(exc.value)
+            assert str(exc.value).startswith(
+                f"{path}: malformed CSV: row {i + 1} is not numeric: "), str(exc.value)
 
     run()
     assert reached["grid"] >= 50 and reached["not a number"] >= 10, reached

@@ -108,6 +108,18 @@ def test_every_array_parameter_goes_through_float_array():
     assert found == set()
 
 
+def test_no_module_calls_splitlines():
+    """No module calls ``str.splitlines``, which also ends a line at ``\\x0b``,
+    ``\\x0c``, ``\\x1c``-``\\x1e``, ``\\x85``, U+2028 and U+2029: a text file's
+    line ends at ``\\n``, ``\\r\\n`` or ``\\r`` only, in every reader."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(_PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "splitlines"]
+    assert found == []
+
+
 def test_no_collected_test_is_decorated_with_given():
     """Every ``@given`` function is nested inside a test, never collected itself.
 
