@@ -2,9 +2,9 @@
 
 A pseudo point cloud is the back-projection of a full depth grid: one 3-D
 point per pixel and nothing else, stored as an (H, W, 3) float64 array so
-that grid neighbors stay array neighbors.  :func:`to_coordinate_map` lays
-the same data out planar-first, (3, H, W), the layout the convolutional
-encoder consumes.
+that grid neighbors stay array neighbors.  :func:`to_coordinate_map` shows
+the same data planar-first, (3, H, W), the layout the convolutional encoder
+consumes, as a read-only view that copies nothing.
 """
 
 from __future__ import annotations
@@ -29,12 +29,14 @@ def cloud_from_depth(depth: DepthMap, intrinsics: CameraIntrinsics) -> np.ndarra
 
 
 def to_coordinate_map(points: np.ndarray) -> np.ndarray:
-    """Repack (H, W, 3) points as a (3, H, W) array of planes.  Pure layout change.
+    """View (H, W, 3) points as a (3, H, W) array of planes.  Pure layout change.
 
-    Only the shape is checked: the encoder checks the values.
+    The map is a read-only view of a float64 ``points``: writes to the cloud
+    show through it.  Only the shape is checked: the encoder checks the values.
     """
-    grid = float_array("point grid", points, (None, None, 3))
-    return np.ascontiguousarray(grid.transpose(2, 0, 1))
+    cmap = float_array("point grid", points, (None, None, 3)).transpose(2, 0, 1)
+    cmap.flags.writeable = False
+    return cmap
 
 
 # bytes of one band's (rows, W, 3) diff in local_continuity: the steps buffer

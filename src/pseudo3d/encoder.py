@@ -230,19 +230,25 @@ def _hidden_bands(x: np.ndarray, params: EncoderParams):
 def encode(grid: np.ndarray, params: EncoderParams) -> np.ndarray:
     """Run the encoder on a (3, H, W) coordinate map; returns (H', W', C) features.
 
+    Each band's product goes through one reused (C, rows*W') buffer into its
+    rows of the output.  A strided map, such as the view from
+    :func:`~pseudo3d.cloud.to_coordinate_map`, is read in place.
+
     A finite map whose features overflow float64 raises :class:`InvalidInputError`.
     """
     x = _encoder_input(grid)
     h2, w2, co = output_shape(*x.shape[1:], params.out_channels)
     w = params.w2.reshape(co, -1)
-    z2 = np.empty((co, h2 * w2))
+    out = np.empty((h2, w2, co))
+    buf = np.empty((co, _band_rows((x.shape[2] - 1) // STRIDE + 1, h2, w2) * w2))
     with np.errstate(over="ignore", invalid="ignore"):
         for r0, r1, _, hidden, top in _hidden_bands(x, params):
-            band = z2[:, r0 * w2:r1 * w2]
+            band = buf[:, :(r1 - r0) * w2]
             np.matmul(w, _columns(hidden, r0, r1, top), out=band)
             band += params.b2[:, np.newaxis]
-    check_no_overflow("encode", z2)
-    return np.ascontiguousarray(z2.reshape(co, h2, w2).transpose(1, 2, 0))
+            out[r0:r1] = band.reshape(co, r1 - r0, w2).transpose(1, 2, 0)
+    check_no_overflow("encode", out)
+    return out
 
 
 def output_shape(height: int, width: int, out_channels: int) -> tuple[int, int, int]:
@@ -332,23 +338,26 @@ def normalize_coordinate_map(
     """
     data = float_array("coordinate map", cmap, (3, None, None))
     check_finite("coordinate map", data)
-    out = np.empty_like(data)
-    n = data[0].size
+    out = np.empty(data.shape)
+    squares = np.empty(data.shape[1:])
+    n = squares.size
     flags = []
     for c in range(3):
-        channel = data[c]
-        # the mean is subtracted once; the arithmetic is ndarray.mean's and ndarray.std's
+        # ndarray.mean's and .std's arithmetic, summed over the plane's contiguous copy
+        plane = out[c]
+        plane[...] = data[c]
         with np.errstate(over="ignore", invalid="ignore"):
-            np.subtract(channel, channel.sum() / n, out=out[c])
-            std = np.sqrt((out[c] * out[c]).sum() / n)
+            plane -= plane.sum() / n
+            np.multiply(plane, plane, out=squares)
+            std = np.sqrt(squares.sum() / n)
         if not np.isfinite(std):
             raise InvalidInputError(f"coordinate map channel {'XYZ'[c]}: spread "
                                     "overflows float64, cannot normalize")
         if std == 0.0:
-            out[c] = channel
+            plane[...] = data[c]
             flags.append(True)
         else:
-            out[c] /= std
+            plane /= std
             flags.append(False)
     return out, (flags[0], flags[1], flags[2])
 

@@ -5,7 +5,8 @@ one of the same shape, by the strategy its parameters were built for:
 
 * ``add``    -- elementwise sum; strictly per-position.
 * ``concat`` -- channel concatenation followed by a learned 1x1
-  projection back to C channels; also per-position.
+  projection back to C channels; also per-position, so it runs in bands
+  of positions through one reused (rows, 2C) buffer of ``_BAND_BYTES``.
 * ``xattn``  -- the 2-D map queries the 3-D map with multi-head
   cross-attention; output is a residual on the 2-D map.
 * ``sattn``  -- both maps are flattened, concatenated along the sequence
@@ -41,6 +42,9 @@ FFN_EXPANSION = 4
 # query rows and keys per score block of _attention
 _BLOCK_Q = 128
 _BLOCK_K = 2048
+
+# bytes of concat's reused (rows, 2C) buffer: 2048 rows at C = 32
+_BAND_BYTES = 1 << 20
 
 
 class Strategy(enum.Enum):
@@ -216,8 +220,12 @@ def fuse(f2d: np.ndarray, f3d: np.ndarray, params: FusionParams) -> np.ndarray:
         if params.strategy is Strategy.ADD:
             out = a + b
         elif params.strategy is Strategy.CONCAT:
-            cat = np.concatenate([a, b], axis=2).reshape(n, 2 * c)
-            out = cat @ params.proj_weight.T
+            rows = max(1, _BAND_BYTES // (16 * c))
+            out, cat = np.empty((n, c)), np.empty((min(n, rows), 2 * c))
+            for i in range(0, n, rows):
+                band = cat[:min(rows, n - i)]
+                np.concatenate([m.reshape(n, c)[i:i + rows] for m in (a, b)], axis=1, out=band)
+                np.matmul(band, params.proj_weight.T, out=out[i:i + rows])
             out += params.proj_bias
         elif params.strategy is Strategy.CROSS_ATTENTION:
             q_seq = a.reshape(n, c)

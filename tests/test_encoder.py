@@ -10,6 +10,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.testing import assert_allclose, assert_array_equal
 
 from pseudo3d import encoder
+from pseudo3d.cloud import to_coordinate_map
 from pseudo3d.encoder import (
     EncoderParams,
     HIDDEN_CHANNELS,
@@ -304,6 +305,18 @@ class TestForward:
         shuffled = x.reshape(3, 64)[:, perm].reshape(3, 8, 8)
         assert not np.allclose(encode(x, params), encode(shuffled, params))
 
+    # the cloud's (3, H, W) view is read in place: copying its taps changes no byte
+    @pytest.mark.parametrize("h, w", [(37, 53), (480, 641)])
+    @pytest.mark.parametrize("c", [1, 32])
+    def test_a_strided_map_gives_the_bytes_of_its_copy(self, h, w, c):
+        points = np.random.default_rng(h + c).standard_normal((h, w, 3))
+        view = to_coordinate_map(points)
+        assert not view.flags.c_contiguous
+        params = init_params(out_channels=c, seed=c)
+        out = encode(view, params)
+        assert out.flags.c_contiguous
+        assert out.tobytes() == encode(np.ascontiguousarray(view), params).tobytes()
+
     def test_too_small_input(self):
         params = init_params(out_channels=4, seed=6)
         with pytest.raises(InvalidInputError):
@@ -439,11 +452,11 @@ class TestMemory:
 
     def test_a_frame_peaks_at_its_activations_and_a_few_bands(self):
         """At 480x640 neither pass holds the hidden layer (9.4 MiB) or its
-        gradient whole.  encode holds its (C, H', W') output and the
-        channels-last copy (4.7 MiB each), encode_backward its dx (7.0 MiB),
-        and each a few bands of about 1 MiB.  Measured peaks are 10.5 and 10.8
-        MiB; a whole hidden layer gave 18.75 and 20.3, and whole-frame columns
-        35.2 and 44.8."""
+        gradient whole.  encode holds its channels-last output (4.7 MiB),
+        encode_backward its dx (7.0 MiB), and each a few bands of about 1 MiB.
+        Measured peaks are 6.85 and 10.8 MiB; a (C, H', W') output beside its
+        channels-last copy gave 10.5, a whole hidden layer 18.75 and 20.3, and
+        whole-frame columns 35.2 and 44.8."""
         rng = np.random.default_rng(4)
         params = init_params(out_channels=32, seed=4)
         x = rng.standard_normal((3, 480, 640))
@@ -457,7 +470,7 @@ class TestMemory:
             _, backward_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert encode_peak <= 12 * 2**20, encode_peak / 2**20
+        assert encode_peak <= 8 * 2**20, encode_peak / 2**20
         assert backward_peak <= 12 * 2**20, backward_peak / 2**20
 
 
@@ -559,6 +572,18 @@ class TestNormalizeCoordinateMap:
             for c in range(3):
                 channel = cmap[c]
                 assert out[c].tobytes() == ((channel - channel.mean()) / channel.std()).tobytes()
+
+    def test_a_view_and_its_copy_give_the_same_bytes_and_flags(self):
+        rng = np.random.default_rng(58)
+        for h, w in [(17, 23), (480, 640)]:
+            points = rng.standard_normal((h, w, 3)) * np.array([2.0, 0.5, 30.0]) + 5.0
+            points[..., 1] = 1.25  # one constant channel, copied through
+            view = to_coordinate_map(points)
+            out, flags = normalize_coordinate_map(view)
+            copy_out, copy_flags = normalize_coordinate_map(np.ascontiguousarray(view))
+            assert flags == copy_flags == (False, True, False)
+            assert out.flags.c_contiguous and out.flags.writeable
+            assert out.tobytes() == copy_out.tobytes()
 
     def test_constant_channel_flagged_and_untouched(self):
         rng = np.random.default_rng(56)

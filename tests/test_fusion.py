@@ -92,6 +92,19 @@ class TestConcat:
         )
         assert_allclose(fuse(a, b, params), fuse(a, b, add_params(5)), atol=1e-12)
 
+    def test_banded_projection_is_the_whole_product_byte_for_byte(self):
+        # 65 x 65 = 4225 positions: two full bands of 2048 and a ragged 129
+        a, b = random_pair(h=65, w=65, c=32, seed=12)
+        n, rows = 65 * 65, fusion._BAND_BYTES // (16 * 32)
+        assert (n // rows, n % rows) == (2, 129)
+        rng = np.random.default_rng(13)
+        params = FusionParams(strategy=Strategy.CONCAT, channels=32,
+                              proj_weight=rng.uniform(-1.0, 1.0, (32, 64)),
+                              proj_bias=rng.standard_normal(32))
+        cat = np.concatenate([a, b], -1).reshape(n, 64)
+        expected = cat @ params.proj_weight.T + params.proj_bias
+        assert fuse(a, b, params).tobytes() == expected.tobytes()
+
     def test_channel_count_must_match_params(self):
         a, b = random_pair(c=4, seed=10)
         params = init_fusion_params(Strategy.CONCAT, 8, seed=11)
@@ -298,16 +311,19 @@ class TestBlockedAttention:
             tracemalloc.stop()
 
     # measured tracemalloc peaks at 32x32x32, 4 heads: xattn 2.5 MB, sattn 5.0 MB,
-    # of which the one reused 128 x 2048 score block is 2 MB
-    @pytest.mark.parametrize("strategy, limit_mb", [
-        (Strategy.CROSS_ATTENTION, 4), (Strategy.SELF_ATTENTION, 8),
-    ], ids=["xattn", "sattn"])
-    def test_fuse_peak_memory_is_bounded(self, strategy, limit_mb):
+    # of which the one reused 128 x 2048 score block is 2 MB; concat at
+    # 128x128x32 holds its 4 MiB output and a 1 MiB band: 5.5 MiB, where the
+    # whole (N, 2C) concatenation gave 12.5
+    @pytest.mark.parametrize("strategy, side, limit_mb", [
+        (Strategy.CROSS_ATTENTION, 32, 4), (Strategy.SELF_ATTENTION, 32, 8),
+        (Strategy.CONCAT, 128, 6),
+    ], ids=["xattn", "sattn", "concat"])
+    def test_fuse_peak_memory_is_bounded(self, strategy, side, limit_mb):
         # 32x32 positions: a full (4, N, N) score tensor is 32 MB for xattn
         # and 64 MB for sattn's N queries against 2N keys, before the
         # softmax's temporaries; a score block over all 4 heads at once
         # would be 8 MB
-        peak = self.fuse_peak(strategy, 32)
+        peak = self.fuse_peak(strategy, side)
         assert peak <= limit_mb * 2**20, f"peak {peak / 2**20:.1f} MB"
 
     def test_sattn_score_memory_does_not_grow_with_n2(self):
