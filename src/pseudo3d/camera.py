@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntrinsicsConfigError, InvalidInputError, data_line, float_array, reading
+from .errors import FileError, InvalidInputError, data_line, float_array, reading
 
 
 @dataclass(frozen=True)
@@ -127,12 +127,12 @@ def parse_intrinsics_config(
 
     When ``grid_shape`` (H, W) of the depth grid the camera will be
     applied to is given, an estimation-mode width/height that differs from
-    it raises :class:`IntrinsicsConfigError`.
+    it raises :class:`FileError`.
 
     A line ends at ``\\n``, ``\\r\\n`` or ``\\r``, nowhere else.  A line splits
     at its first ``=``, else at its first ``:``; blank lines and lines starting
     with ``#`` are ignored.  Mixing modes, unknown or duplicate keys, or
-    non-numeric values (the first in file order) raise :class:`IntrinsicsConfigError`.
+    non-numeric values (the first in file order) raise :class:`FileError`.
     """
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(re.split(r"\r\n?|\n", text), start=1):
@@ -142,46 +142,45 @@ def parse_intrinsics_config(
         key, sep, value = line.partition("=" if "=" in line else ":")
         key, value = key.strip(), value.strip()
         if not (key and sep and value):
-            raise IntrinsicsConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
+            raise FileError(f"line {lineno}: expected 'key = value', got {line!r}")
         if key in entries:
-            raise IntrinsicsConfigError(f"line {lineno}: duplicate key {key!r}")
+            raise FileError(f"line {lineno}: duplicate key {key!r}")
         if key not in _EXPLICIT_KEYS | _FOV_KEYS:
-            raise IntrinsicsConfigError(f"line {lineno}: unknown key {key!r}")
+            raise FileError(f"line {lineno}: unknown key {key!r}")
         entries[key] = value
 
     explicit = not _EXPLICIT_KEYS.isdisjoint(entries)
     if explicit and not _FOV_KEYS.isdisjoint(entries):
-        raise IntrinsicsConfigError("config mixes explicit intrinsics with "
-                                    "field-of-view estimation keys")
+        raise FileError("config mixes explicit intrinsics with field-of-view estimation keys")
     if not entries:
-        raise IntrinsicsConfigError("config contains no intrinsics keys")
+        raise FileError("config contains no intrinsics keys")
     missing = (_EXPLICIT_KEYS if explicit else _FOV_KEYS - {"fov_y_deg"}) - entries.keys()
     if missing:
-        raise IntrinsicsConfigError(f"{'explicit' if explicit else 'estimation'} mode "
-                                    f"missing keys: {', '.join(sorted(missing))}")
+        raise FileError(f"{'explicit' if explicit else 'estimation'} mode "
+                        f"missing keys: {', '.join(sorted(missing))}")
     number: dict[str, float] = {}
     for key, value in entries.items():
         try:  # ASCII with no "_", as the CSV readers have it; float() takes both
             number[key] = float(value if value.isascii() and "_" not in value else "")
         except ValueError:
-            raise IntrinsicsConfigError(f"value for {key!r} is not a number: {value!r}") from None
+            raise FileError(f"value for {key!r} is not a number: {value!r}") from None
     try:
         if explicit:
             return CameraIntrinsics(number["fx"], number["fy"], number["cx"], number["cy"])
         if not all(math.isfinite(v) and v == int(v) for v in (number["width"], number["height"])):
-            raise IntrinsicsConfigError("width and height must be integers")
+            raise FileError("width and height must be integers")
         width, height = int(number["width"]), int(number["height"])
         if grid_shape is not None and grid_shape != (height, width):
             grid_h, grid_w = grid_shape
-            raise IntrinsicsConfigError(f"camera size {width}x{height} does not match the "
-                                        f"{grid_w}x{grid_h} depth grid (width x height)")
+            raise FileError(f"camera size {width}x{height} does not match the "
+                            f"{grid_w}x{grid_h} depth grid (width x height)")
         return estimate_intrinsics_from_fov(width, height, number["fov_x_deg"],
                                             number.get("fov_y_deg"))
     except InvalidInputError as exc:
-        raise IntrinsicsConfigError(str(exc)) from exc
+        raise FileError(str(exc)) from exc
 
 
 def load_intrinsics(path: str, grid_shape: tuple[int, int] | None = None) -> CameraIntrinsics:
     """Read and parse an intrinsics config file from disk; see :func:`parse_intrinsics_config`."""
-    with reading(path, IntrinsicsConfigError, text=True) as text:
+    with reading(path, text=True) as text:
         return parse_intrinsics_config(text, grid_shape)

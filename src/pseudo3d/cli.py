@@ -23,7 +23,7 @@ import sys
 from .cloud import cloud_from_depth, local_continuity
 from .camera import load_intrinsics
 from .depth import DepthKind, pipeline_relative_to_dr, reciprocal_depth
-from .depth_io import load_depth_map
+from .depth_io import READERS, load_depth_map
 from .errors import InvalidInputError, Pseudo3dError
 from .ply import export_ply
 from .verification import ALL_PROPS, render_report, render_report_json, run_properties
@@ -156,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="convert a relative depth file into a binary PLY point cloud",
     )
     gen.add_argument("--depth", required=True, help="input depth file")
-    gen.add_argument("--format", required=True, choices=("pfm", "pgm", "csv"),
+    gen.add_argument("--format", required=True, choices=tuple(READERS),
                      help="depth file format")
     gen.add_argument("--intrinsics", required=True,
                      help="camera intrinsics config (key = value lines)")

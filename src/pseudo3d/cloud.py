@@ -15,7 +15,7 @@ import numpy as np
 
 from .camera import CameraIntrinsics, backproject
 from .depth import DepthKind, DepthMap
-from .errors import InvalidInputError, check_finite, float_array
+from .errors import InvalidInputError, check_count, check_finite, float_array
 
 
 def cloud_from_depth(depth: DepthMap, intrinsics: CameraIntrinsics) -> np.ndarray:
@@ -104,7 +104,8 @@ def synth_wedge(height: int, width: int, z_near: float, z_far: float) -> DepthMa
     A wedge has unequal near and far depth steps, which is exactly the
     structure that exposes shift distortion in the naive reciprocal.
     """
-    if height < 1 or width < 2:
+    check_count("height", height)
+    if width < 2:
         raise InvalidInputError(f"wedge needs width >= 2, got {height}x{width}")
     if not z_near > 0.0:
         raise InvalidInputError(f"z_near must be positive, got {z_near}")
@@ -116,6 +117,8 @@ def synth_wedge(height: int, width: int, z_near: float, z_far: float) -> DepthMa
 
 def synth_random(height: int, width: int, rng: np.random.Generator) -> DepthMap:
     """Random strictly positive, non-constant metric scene for sweeps."""
+    check_count("height", height)
+    check_count("width", width)
     if height * width < 2:
         raise InvalidInputError("random scene needs at least two pixels")
     while True:

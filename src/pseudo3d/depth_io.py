@@ -15,8 +15,8 @@ import warnings
 import numpy as np
 
 from .depth import DepthKind, DepthMap
-from .errors import (DepthFileError, InvalidInputError, NonFiniteInputError, bad_row,
-                     data_line, float_array, reading, to_float32, write_output)
+from .errors import (FileError, InvalidInputError, NonFiniteInputError, bad_row, data_line,
+                     float_array, reading, to_float32, write_output)
 
 # magic, width, height, scale, then exactly one whitespace byte before raster
 _PFM_HEADER = re.compile(rb"^(P[fF])\s+(\d+)\s+(\d+)\s+([-+]?[0-9.eE+-]+)\s")
@@ -35,26 +35,26 @@ def read_pfm(path: str) -> np.ndarray:
     flipped to top-to-bottom on read.  Samples are float32 widened to
     float64.  The raster must be exactly width * height samples.
     """
-    with reading(path, DepthFileError) as data:
+    with reading(path) as data:
         m = _PFM_HEADER.match(data[:128])
         if m is None:
-            raise DepthFileError("not a valid PFM header")
+            raise FileError("not a valid PFM header")
         magic = m.group(1)
         if magic != b"Pf":
-            raise DepthFileError(f"only grayscale 'Pf' is supported, got {magic.decode()!r}")
+            raise FileError(f"only grayscale 'Pf' is supported, got {magic.decode()!r}")
         width = int(m.group(2))
         height = int(m.group(3))
         try:
             scale = float(m.group(4))
         except ValueError:
-            raise DepthFileError(f"malformed PFM scale {m.group(4)!r}") from None
+            raise FileError(f"malformed PFM scale {m.group(4)!r}") from None
         if scale == 0.0 or width < 1 or height < 1:
-            raise DepthFileError("malformed PFM header")
+            raise FileError("malformed PFM header")
         raster = data[m.end():]
         expected = width * height * 4
         if len(raster) != expected:
             state = "truncated" if len(raster) < expected else "too long"
-            raise DepthFileError(f"PFM raster {state} ({len(raster)} bytes, need {expected})")
+            raise FileError(f"PFM raster {state} ({len(raster)} bytes, need {expected})")
         dtype = "<f4" if scale < 0.0 else ">f4"
         grid = np.frombuffer(raster, dtype=dtype).reshape(height, width)
         return np.flipud(grid).astype(np.float64)
@@ -63,13 +63,12 @@ def read_pfm(path: str) -> np.ndarray:
 def write_pfm(path: str, values: np.ndarray) -> None:
     """Write an (H, W) array as little-endian grayscale PFM (scale -1.0).
 
-    A finite value beyond float32's range raises :class:`DepthFileError`
+    A finite value beyond float32's range raises :class:`FileError`
     and nothing is written; NaN and infinities are written as they are.
     """
-    arr = to_float32(path, DepthFileError, float_array("depth grid", values, (None, None)))
+    arr = to_float32(path, float_array("depth grid", values, (None, None)))
     h, w = arr.shape
-    write_output(path, DepthFileError, b"Pf\n%d %d\n-1.0\n" % (w, h),
-                 np.flipud(arr).astype("<f4").tobytes())
+    write_output(path, b"Pf\n%d %d\n-1.0\n" % (w, h), np.flipud(arr).astype("<f4").tobytes())
 
 
 def read_pgm(path: str) -> np.ndarray:
@@ -80,21 +79,21 @@ def read_pgm(path: str) -> np.ndarray:
     skipped.  Bytes after the raster are ignored: Netpbm allows a sequence of
     images in one file, and this reads the first.
     """
-    with reading(path, DepthFileError) as data:
+    with reading(path) as data:
         m = _PGM_HEADER.match(data)
         if m is None:
-            raise DepthFileError("malformed PGM header: expected 'P5' and three 1-9 digit fields")
+            raise FileError("malformed PGM header: expected 'P5' and three 1-9 digit fields")
         width, height, maxval = map(int, m.groups())
         if width < 1 or height < 1 or not 0 < maxval < 65536:
-            raise DepthFileError("malformed PGM header")
+            raise FileError("malformed PGM header")
         dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
         expected = width * height * dtype.itemsize
         raster = data[m.end():m.end() + expected]
         if len(raster) < expected:
-            raise DepthFileError(f"PGM raster truncated ({len(raster)} bytes, need {expected})")
+            raise FileError(f"PGM raster truncated ({len(raster)} bytes, need {expected})")
         samples = np.frombuffer(raster, dtype=dtype).reshape(height, width)
         if samples.max(initial=0) > maxval:
-            raise DepthFileError(f"PGM sample exceeds maxval {maxval}")
+            raise FileError(f"PGM sample exceeds maxval {maxval}")
         return samples.astype(np.float64) / float(maxval)
 
 
@@ -109,8 +108,7 @@ def write_pgm(path: str, samples: np.ndarray, maxval: int) -> None:
         raise InvalidInputError("PGM samples must be integers")
     h, w = arr.shape
     dtype = ">u2" if maxval > 255 else "u1"
-    write_output(path, DepthFileError, b"P5\n%d %d\n%d\n" % (w, h, maxval),
-                 arr.astype(dtype).tobytes())
+    write_output(path, b"P5\n%d %d\n%d\n" % (w, h, maxval), arr.astype(dtype).tobytes())
 
 
 def read_csv(path: str) -> np.ndarray:
@@ -125,14 +123,13 @@ def read_csv(path: str) -> np.ndarray:
             grid = np.loadtxt((line for line in fh if data_line(line)), delimiter=",",
                               comments=None, ndmin=2)
     except (OSError, UnicodeDecodeError) as exc:
-        raise DepthFileError(f"{path}: cannot read: {exc}") from exc
+        raise FileError(f"{path}: cannot read: {exc}") from exc
     except ValueError as exc:
-        with reading(path, DepthFileError, text=True) as text:
+        with reading(path, text=True) as text:
             lines = [line for line in text.split("\n") if data_line(line)]
-            raise DepthFileError(
-                f"malformed CSV: {bad_row(lines, len(lines[0].split(',')))}") from exc
+            raise FileError(f"malformed CSV: {bad_row(lines, len(lines[0].split(',')))}") from exc
     if grid.size == 0:
-        raise DepthFileError(f"{path}: empty CSV grid")
+        raise FileError(f"{path}: empty CSV grid")
     return grid
 
 
@@ -140,24 +137,24 @@ def write_csv(path: str, values: np.ndarray) -> None:
     """Write an (H, W) array as CSV with round-trip-exact formatting."""
     buf = io.BytesIO()
     np.savetxt(buf, float_array("depth grid", values, (None, None)), delimiter=",", fmt="%.17g")
-    write_output(path, DepthFileError, buf.getvalue())
+    write_output(path, buf.getvalue())
 
 
-_READERS = {"pfm": read_pfm, "pgm": read_pgm, "csv": read_csv}
+READERS = {"pfm": read_pfm, "pgm": read_pgm, "csv": read_csv}
 
 
 def load_depth_map(path: str, fmt: str, kind: DepthKind) -> DepthMap:
     """Read a depth file in the named format and tag it with a kind.
 
-    A NaN or infinite sample raises :class:`DepthFileError` naming the path.
+    A NaN or infinite sample raises :class:`FileError` naming the path.
     """
     try:
-        reader = _READERS[fmt]
+        reader = READERS[fmt]
     except KeyError:
         raise InvalidInputError(
-            f"unknown depth format {fmt!r}; expected one of {sorted(_READERS)}") from None
+            f"unknown depth format {fmt!r}; expected one of {sorted(READERS)}") from None
     values = reader(path)
     try:
         return DepthMap(values, kind)
     except NonFiniteInputError as exc:
-        raise DepthFileError(f"{path}: {exc}") from exc
+        raise FileError(f"{path}: {exc}") from exc

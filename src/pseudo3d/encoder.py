@@ -38,8 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidInputError, NonFiniteInputError, ParamsIoError, check_finite,
-                     check_no_overflow, float_array, frozen_array, reading, write_output)
+from .errors import (FileError, InvalidInputError, NonFiniteInputError, check_count,
+                     check_finite, check_no_overflow, float_array, frozen_array, reading,
+                     write_output)
 from .fusion import _init_weights
 
 HIDDEN_CHANNELS = 16
@@ -87,8 +88,7 @@ class EncoderParams:
 
 def init_params(out_channels: int, seed: int) -> EncoderParams:
     """Seeded initialization: uniform +-1/sqrt(fan_in) weights, zero biases."""
-    if out_channels < 1:
-        raise InvalidInputError(f"out_channels must be >= 1, got {out_channels}")
+    check_count("out_channels", out_channels)
     return EncoderParams(**_init_weights(_param_shapes(out_channels), seed))
 
 
@@ -366,26 +366,24 @@ def save_params(path: str, params: EncoderParams) -> None:
     """Serialize parameters as a little-endian binary blob."""
     c = params.out_channels
     arrays = (np.ascontiguousarray(getattr(params, name), dtype="<f8") for name in _param_shapes(c))
-    write_output(path, ParamsIoError, _MAGIC, struct.pack("<II", _VERSION, c), *arrays)
+    write_output(path, _MAGIC, struct.pack("<II", _VERSION, c), *arrays)
 
 
 def load_params(path: str) -> EncoderParams:
     """Inverse of :func:`save_params`; validates magic, version, and size."""
-    with reading(path, ParamsIoError) as data:
+    with reading(path) as data:
         head = len(_MAGIC) + 8
         if len(data) < head or data[:4] != _MAGIC:
-            raise ParamsIoError("not an encoder parameter file")
+            raise FileError("not an encoder parameter file")
         version, c = struct.unpack("<II", data[4:head])
         if version != _VERSION:
-            raise ParamsIoError(f"unsupported version {version}")
+            raise FileError(f"unsupported version {version}")
         if c < 1:
-            raise ParamsIoError(f"invalid channel count {c}")
+            raise FileError(f"invalid channel count {c}")
         shapes = _param_shapes(c)
         expected = head + 8 * sum(math.prod(shape) for shape in shapes.values())
         if len(data) != expected:
-            raise ParamsIoError(
-                f"blob is {len(data)} bytes, expected {expected} for C={c}"
-            )
+            raise FileError(f"blob is {len(data)} bytes, expected {expected} for C={c}")
         offset = head
         arrays = {}
         for name, shape in shapes.items():
@@ -395,4 +393,4 @@ def load_params(path: str) -> EncoderParams:
         try:
             return EncoderParams(**arrays)
         except NonFiniteInputError as exc:
-            raise ParamsIoError(str(exc)) from exc
+            raise FileError(str(exc)) from exc

@@ -1,13 +1,11 @@
 """Every error the package raises, the file boundary, and the one array contract.
 
-There are nine exception classes, all under :class:`Pseudo3dError`:
+There are four exception classes, all under :class:`Pseudo3dError`:
 
-* :class:`InvalidInputError` (a value outside its domain),
-  :class:`ShapeMismatchError` and :class:`NonFiniteInputError` are also
-  ``ValueError`` subclasses;
-* :class:`DepthFileError`, :class:`CloudIoError`, :class:`ParamsIoError`,
-  :class:`ActionsFileError` and :class:`IntrinsicsConfigError`, one per file
-  kind, are not; read through :func:`reading`, their messages start with the path.
+* :class:`InvalidInputError` (a value outside its domain, or an array of the
+  wrong shape) and :class:`NonFiniteInputError` are also ``ValueError`` subclasses;
+* :class:`FileError`, for every file the package reads or writes, is not;
+  read through :func:`reading`, its message starts with the path.
 
 Every array argument goes through :func:`float_array`, which checks its shape
 and copies nothing that is already float64; a caller that needs finite values
@@ -25,59 +23,36 @@ class Pseudo3dError(Exception):
     """Base class for every error raised by this package."""
 
 
-# --- values: all three are ValueErrors ---
-
 class InvalidInputError(Pseudo3dError, ValueError):
     """An argument violates its domain: a degenerate range, a non-positive depth,
-    a grid too small, a bad count or size, an unknown name."""
-
-
-class ShapeMismatchError(Pseudo3dError, ValueError):
-    """Array shapes, or a channel count, incompatible with the requested operation."""
+    a grid too small, a bad count or size, an unknown name, a wrong shape."""
 
 
 class NonFiniteInputError(Pseudo3dError, ValueError):
     """An input array contains NaN or infinity."""
 
 
-# --- the file boundary: one class per file kind ---
-
-class DepthFileError(Pseudo3dError):
-    """Depth map file could not be read, parsed or written."""
-
-
-class CloudIoError(Pseudo3dError):
-    """Point cloud file could not be read, parsed or written."""
-
-
-class ParamsIoError(Pseudo3dError):
-    """Encoder parameter file is malformed or truncated, or could not be written."""
-
-
-class ActionsFileError(Pseudo3dError):
-    """Actions CSV could not be read or parsed."""
-
-
-class IntrinsicsConfigError(Pseudo3dError):
-    """Malformed or ambiguous intrinsics configuration file."""
+class FileError(Pseudo3dError):
+    """A depth map, intrinsics, encoder parameter, actions or point cloud file
+    could not be read, parsed or written."""
 
 
 @contextmanager
-def reading(path: str, error: type[Pseudo3dError], text: bool = False):
+def reading(path: str, text: bool = False):
     """Yield the bytes of ``path``, or with ``text`` its UTF-8 text, less a BOM, newlines universal.
 
-    A failed read, and any ``error`` raised in the block, becomes an ``error``
-    whose message starts with the path.  Other exceptions pass through.
+    A failed read, and any :class:`FileError` raised in the block, becomes a
+    :class:`FileError` whose message starts with the path.  Other exceptions pass through.
     """
     try:
         with open(path, "r" if text else "rb", encoding="utf-8-sig" if text else None) as fh:
             data = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise error(f"{path}: cannot read: {exc}") from exc
+        raise FileError(f"{path}: cannot read: {exc}") from exc
     try:
         yield data
-    except error as exc:
-        raise error(f"{path}: {exc}") from exc
+    except FileError as exc:
+        raise FileError(f"{path}: {exc}") from exc
 
 
 def data_line(line: str) -> bool:
@@ -109,17 +84,17 @@ def bad_row(lines: list[str], width: int, start: int = 1, finite: bool = False) 
     return None
 
 
-def write_output(path: str, error: type[Pseudo3dError], *chunks) -> None:
-    """Write ``chunks`` to ``path`` in order; a failure becomes an ``error`` naming the path."""
+def write_output(path: str, *chunks) -> None:
+    """Write ``chunks`` to ``path`` in order; a failure raises :class:`FileError` naming it."""
     try:
         with open(path, "wb") as fh:
             fh.writelines(chunks)
     except OSError as exc:
-        raise error(f"{path}: cannot write: {exc}") from exc
+        raise FileError(f"{path}: cannot write: {exc}") from exc
 
 
-def to_float32(path: str, error: type[Pseudo3dError], values: np.ndarray) -> np.ndarray:
-    """``values`` as float32; a finite value beyond its range raises ``error`` naming ``path``."""
+def to_float32(path: str, values: np.ndarray) -> np.ndarray:
+    """``values`` as float32; a finite value beyond its range raises :class:`FileError`."""
     with np.errstate(over="ignore"):
         narrow = values.astype(np.float32)
     overflow = np.isinf(narrow)
@@ -127,8 +102,9 @@ def to_float32(path: str, error: type[Pseudo3dError], values: np.ndarray) -> np.
         overflow &= np.isfinite(values)
         if overflow.any():
             first = tuple(np.argwhere(overflow)[0])
-            raise error(f"{path}: {np.count_nonzero(overflow)} value(s) beyond float32's range, "
-                        f"first {float(values[first])!r} at row {first[0]}, column {first[1]}")
+            raise FileError(f"{path}: {np.count_nonzero(overflow)} value(s) beyond float32's "
+                            f"range, first {float(values[first])!r} at row {first[0]}, "
+                            f"column {first[1]}")
     return narrow
 
 
@@ -152,12 +128,20 @@ def check_no_overflow(name: str, *outputs: np.ndarray) -> None:
         raise InvalidInputError(f"{name}: finite inputs overflow float64")
 
 
+def check_count(name: str, value) -> None:
+    """Raise :class:`InvalidInputError` unless ``value`` is an integer (numpy's too) >= 1."""
+    if not isinstance(value, (int, np.integer)):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise InvalidInputError(f"{name} must be >= 1, got {value}")
+
+
 def float_array(name: str, values, shape: tuple[int | None, ...] | None) -> np.ndarray:
     """``values`` as a float64 array of ``shape``, not copied if it already is one.
 
     A ``None`` side of ``shape`` matches any length >= 1, and ``shape=None``
     any shape.  Values that are not numbers, or a ragged list, raise
-    :class:`InvalidInputError`; a wrong shape raises :class:`ShapeMismatchError`.
+    :class:`InvalidInputError`, and so does a wrong shape.
     """
     if values is None:
         raise InvalidInputError(f"{name} is required")
@@ -167,7 +151,7 @@ def float_array(name: str, values, shape: tuple[int | None, ...] | None) -> np.n
         raise InvalidInputError(f"{name} is not an array of numbers: {exc}") from None
     if shape is not None and (arr.ndim != len(shape) or not all(
             n >= 1 if want is None else n == want for n, want in zip(arr.shape, shape))):
-        raise ShapeMismatchError(
+        raise InvalidInputError(
             f"{name} must have shape {str(shape).replace('None', '*')}, got {arr.shape}")
     return arr
 

@@ -33,8 +33,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import (InvalidInputError, check_finite, check_no_overflow, float_array,
-                     frozen_array)
+from .errors import (InvalidInputError, check_count, check_finite, check_no_overflow,
+                     float_array, frozen_array)
 
 LN_EPS = 1e-5
 FFN_EXPANSION = 4
@@ -114,10 +114,8 @@ class FusionParams:
         if not isinstance(self.strategy, Strategy):
             raise InvalidInputError(f"strategy must be a Strategy, got {self.strategy!r}")
         c = self.channels
-        if c < 1:
-            raise InvalidInputError(f"channels must be >= 1, got {c}")
-        if self.heads < 1:
-            raise InvalidInputError(f"heads must be >= 1, got {self.heads}")
+        check_count("channels", c)
+        check_count("heads", self.heads)
         if self.strategy in _ATTENTION and c % self.heads != 0:
             raise InvalidInputError(f"channels {c} not divisible by heads {self.heads}")
         shapes = _weight_shapes(self.strategy, c)
@@ -132,6 +130,7 @@ def init_fusion_params(
     strategy: Strategy, channels: int, seed: int, heads: int = 1
 ) -> FusionParams:
     """Seeded uniform +-1/sqrt(fan_in) weights, zero biases."""
+    check_count("channels", channels)  # before the draw, which takes it as a size
     weights = _init_weights(_weight_shapes(strategy, channels), seed)
     return FusionParams(strategy=strategy, channels=channels, heads=heads, **weights)
 

@@ -12,7 +12,7 @@ import re
 
 import numpy as np
 
-from .errors import CloudIoError, check_finite, float_array, reading, to_float32, write_output
+from .errors import FileError, check_finite, float_array, reading, to_float32, write_output
 
 _HEADER = ("ply\nformat binary_little_endian 1.0\ncomment grid {h} {w}\nelement vertex {n}\n"
            "property float x\nproperty float y\nproperty float z\nend_header\n")
@@ -26,35 +26,35 @@ _HEADER_PATTERN = re.compile(re.escape(_HEADER).replace(r"\{", "(?P<").replace(
 def export_ply(path: str, points: np.ndarray) -> None:
     """Write a finite (H, W, 3) point grid as binary little-endian PLY 1.0.
 
-    A point beyond float32's range raises :class:`CloudIoError` and nothing is written.
+    A point beyond float32's range raises :class:`FileError` and nothing is written.
     """
     points = float_array("point grid", points, (None, None, 3))
     check_finite("point grid", points)
     h, w, _ = points.shape
     # x, y, z little-endian float32 records are the bytes of a C-contiguous (n, 3) <f4 array
-    body = to_float32(path, CloudIoError, points).astype("<f4", order="C", copy=False)
-    write_output(path, CloudIoError, _HEADER.format(h=h, w=w, n=h * w).encode("ascii"), body)
+    body = to_float32(path, points).astype("<f4", order="C", copy=False)
+    write_output(path, _HEADER.format(h=h, w=w, n=h * w).encode("ascii"), body)
 
 
 def read_ply(path: str) -> np.ndarray:
     """Read a file written by :func:`export_ply` as a read-only (H, W, 3) float32 grid.
 
-    Anything else raises :class:`CloudIoError` naming the path, including a
+    Anything else raises :class:`FileError` naming the path, including a
     body that is not exactly the grid's records and a NaN or infinite vertex.
     """
-    with reading(path, CloudIoError) as data:
+    with reading(path) as data:
         match = _HEADER_PATTERN.match(data)
         if match is None:
-            raise CloudIoError("not a PLY header as export_ply writes it: binary little-endian "
-                               "1.0, 'comment grid H W', vertices of float x, y, z")
+            raise FileError("not a PLY header as export_ply writes it: binary little-endian "
+                            "1.0, 'comment grid H W', vertices of float x, y, z")
         h, w, n = (int(match[name]) for name in "hwn")
         if h * w != n:
-            raise CloudIoError(f"grid {h}x{w} does not match {n} vertices")
+            raise FileError(f"grid {h}x{w} does not match {n} vertices")
         available = len(data) - match.end()
         if available != 12 * n:
-            raise CloudIoError(f"vertex data {'truncated' if available < 12 * n else 'too long'} "
-                               f"({available} bytes, need {12 * n})")
+            raise FileError(f"vertex data {'truncated' if available < 12 * n else 'too long'} "
+                            f"({available} bytes, need {12 * n})")
         grid = np.frombuffer(data, "<f4", 3 * n, match.end()).reshape(h, w, 3)
         if not np.isfinite(grid).all():
-            raise CloudIoError("vertex data contains NaN or infinite values")
+            raise FileError("vertex data contains NaN or infinite values")
         return grid

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (ActionsFileError, InvalidInputError, NonFiniteInputError, bad_row,
+from .errors import (FileError, InvalidInputError, NonFiniteInputError, bad_row,
                      check_finite, data_line, float_array, number_rows, reading)
 
 BCE_EPS = 1e-7
@@ -96,15 +96,15 @@ def read_actions_csv(path: str) -> np.ndarray:
     skipped, and so is a first row of 8 cells none of which is a number (a
     header).  Prediction and target files are row-aligned by convention.
     """
-    with reading(path, ActionsFileError, text=True) as text:
+    with reading(path, text=True) as text:
         lines = [line for line in text.split("\n") if data_line(line)]
         first = lines[0].split(",") if lines else []
         header = int(len(first) == 8 and all(number_rows([cell]) is None for cell in first))
         if len(lines) == header:
-            raise ActionsFileError("no action rows found")
+            raise FileError("no action rows found")
         actions = number_rows(lines[header:])
         if actions is None or actions.shape[1] != 8 or not np.isfinite(actions).all():
-            raise ActionsFileError(bad_row(lines[header:], 8, start=1 + header, finite=True))
+            raise FileError(bad_row(lines[header:], 8, start=1 + header, finite=True))
         return actions
 
 

@@ -11,7 +11,7 @@ from pseudo3d.camera import CameraIntrinsics, backproject, project
 from pseudo3d.cloud import local_continuity, to_coordinate_map
 from pseudo3d.depth_io import write_csv, write_pfm, write_pgm
 from pseudo3d.encoder import encode, encode_backward, init_params, normalize_coordinate_map
-from pseudo3d.errors import InvalidInputError, ShapeMismatchError, float_array
+from pseudo3d.errors import InvalidInputError, float_array
 from pseudo3d.fusion import Strategy, fuse, init_fusion_params
 from pseudo3d.ply import export_ply
 from pseudo3d.policy_loss import dataset_loss, trajectory_from_rows
@@ -47,7 +47,7 @@ ENTRIES = {
 @pytest.mark.parametrize("entry", ENTRIES)
 def test_wrong_rank_is_a_shape_error_naming_the_argument(tmp_path, entry):
     name, shape, call = ENTRIES[entry]
-    with pytest.raises(ShapeMismatchError,
+    with pytest.raises(InvalidInputError,
                        match=re.escape(f"{name} must have shape {shape}, got (5,)")):
         call(np.zeros(5), tmp_path)
 
@@ -62,7 +62,7 @@ EMPTY = {"write_pfm": (0, 4), "write_csv": (0, 4), "write_pgm": (4, 0), "backpro
 @pytest.mark.parametrize("entry", EMPTY)
 def test_empty_side_is_a_shape_error(tmp_path, entry):
     (name, want, call), shape = ENTRIES[entry], EMPTY[entry]
-    with pytest.raises(ShapeMismatchError,
+    with pytest.raises(InvalidInputError,
                        match=re.escape(f"{name} must have shape {want}, got {shape}")):
         call(np.zeros(shape), tmp_path)
     assert list(tmp_path.iterdir()) == []
@@ -86,7 +86,7 @@ def test_project_non_numbers_are_invalid_input(value):
 
 def test_row_pairs_of_one_dimension_are_rejected():
     # a pair of (8,) rows used to stack into an (8, 2) array
-    with pytest.raises(ShapeMismatchError, match=re.escape("prediction rows must have shape")):
+    with pytest.raises(InvalidInputError, match=re.escape("prediction rows must have shape")):
         trajectory_from_rows(np.zeros(8), np.zeros(8))
 
 

@@ -13,7 +13,7 @@ from pseudo3d.camera import (
     parse_intrinsics_config,
     project,
 )
-from pseudo3d.errors import IntrinsicsConfigError, InvalidInputError, ShapeMismatchError
+from pseudo3d.errors import FileError, InvalidInputError
 
 
 class TestIntrinsicsType:
@@ -65,7 +65,7 @@ class TestBackproject:
 
     def test_rejects_wrong_rank(self):
         intr = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0)
-        with pytest.raises(ShapeMismatchError,
+        with pytest.raises(InvalidInputError,
                            match=re.escape("depth grid must have shape (*, *), got (5,)")):
             backproject(np.zeros(5), intr)
 
@@ -182,29 +182,29 @@ class TestIntrinsicsConfig:
     def test_universal_newlines_end_a_line(self):
         intr = parse_intrinsics_config("fx = 1\r\nfy = 2\rcx = 0\ncy = 0")
         assert intr == CameraIntrinsics(fx=1.0, fy=2.0, cx=0.0, cy=0.0)
-        with pytest.raises(IntrinsicsConfigError, match="^line 3: duplicate key 'fx'$"):
+        with pytest.raises(FileError, match="^line 3: duplicate key 'fx'$"):
             parse_intrinsics_config("fx = 1\r\n\rfx = 2")
 
     def test_mixed_modes_rejected(self):
-        with pytest.raises(IntrinsicsConfigError, match="mixes"):
+        with pytest.raises(FileError, match="mixes"):
             parse_intrinsics_config("fx = 1\nfy = 1\ncx = 0\ncy = 0\nwidth = 4\n")
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(IntrinsicsConfigError, match="unknown key"):
+        with pytest.raises(FileError, match="unknown key"):
             parse_intrinsics_config("fx = 1\nskew = 0\n")
 
     def test_duplicate_key_rejected(self):
-        with pytest.raises(IntrinsicsConfigError, match="duplicate"):
+        with pytest.raises(FileError, match="duplicate"):
             parse_intrinsics_config("fx = 1\nfx = 2\n")
 
     def test_missing_keys_rejected(self):
-        with pytest.raises(IntrinsicsConfigError, match="missing"):
+        with pytest.raises(FileError, match="missing"):
             parse_intrinsics_config("fx = 1\nfy = 1\ncx = 0\n")
-        with pytest.raises(IntrinsicsConfigError, match="missing"):
+        with pytest.raises(FileError, match="missing"):
             parse_intrinsics_config("fov_x_deg = 60\nwidth = 4\n")
 
     def test_non_numeric_value_rejected(self):
-        with pytest.raises(IntrinsicsConfigError, match="not a number"):
+        with pytest.raises(FileError, match="not a number"):
             parse_intrinsics_config("fx = wide\nfy = 1\ncx = 0\ncy = 0\n")
 
     # float() reads all three (1000, 1 and 640); the CSV readers reject them
@@ -214,12 +214,12 @@ class TestIntrinsicsConfig:
         ("fov_x_deg = 60\nwidth = 6_4_0\nheight = 480\n", "width", "6_4_0"),
     ], ids=["underscore", "full-width", "separated-size"])
     def test_only_ascii_numbers_without_separators(self, text, key, value):
-        with pytest.raises(IntrinsicsConfigError,
+        with pytest.raises(FileError,
                            match=re.escape(f"value for {key!r} is not a number: {value!r}")):
             parse_intrinsics_config(text)
 
     def test_fractional_size_rejected(self):
-        with pytest.raises(IntrinsicsConfigError, match="integers"):
+        with pytest.raises(FileError, match="integers"):
             parse_intrinsics_config("fov_x_deg = 60\nwidth = 4.5\nheight = 3\n")
 
     @pytest.mark.parametrize("value", ["inf", "nan", "1e400"])
@@ -227,27 +227,27 @@ class TestIntrinsicsConfig:
     def test_non_finite_size_rejected(self, key, value):
         sizes = {"width": "4", "height": "3", key: value}
         text = f"fov_x_deg = 60\nwidth = {sizes['width']}\nheight = {sizes['height']}\n"
-        with pytest.raises(IntrinsicsConfigError, match="integers"):
+        with pytest.raises(FileError, match="integers"):
             parse_intrinsics_config(text)
 
     def test_empty_config_rejected(self):
-        with pytest.raises(IntrinsicsConfigError):
+        with pytest.raises(FileError, match="^config contains no intrinsics keys$"):
             parse_intrinsics_config("# nothing here\n")
 
     def test_separatorless_line_rejected(self):
-        with pytest.raises(IntrinsicsConfigError, match="key = value"):
+        with pytest.raises(FileError, match="key = value"):
             parse_intrinsics_config("fx 500\n")
 
     def test_bad_values_surface_as_config_errors(self):
-        with pytest.raises(IntrinsicsConfigError):
+        with pytest.raises(FileError, match="^focal lengths must be positive"):
             parse_intrinsics_config("fx = -5\nfy = 1\ncx = 0\ncy = 0\n")
-        with pytest.raises(IntrinsicsConfigError):
+        with pytest.raises(FileError, match="^fov_x_deg must lie strictly between"):
             parse_intrinsics_config("fov_x_deg = 200\nwidth = 4\nheight = 3\n")
 
     def test_fov_size_checked_against_grid_shape(self):
         text = "fov_x_deg = 60\nwidth = 640\nheight = 480\n"
         assert parse_intrinsics_config(text, grid_shape=(480, 640)) == parse_intrinsics_config(text)
-        with pytest.raises(IntrinsicsConfigError, match="640x480.*3x2"):
+        with pytest.raises(FileError, match="640x480.*3x2"):
             parse_intrinsics_config(text, grid_shape=(2, 3))
 
     def test_explicit_mode_ignores_grid_shape(self):
@@ -256,7 +256,7 @@ class TestIntrinsicsConfig:
 
     def test_size_mismatch_names_the_path(self, intrinsics_file):
         path = intrinsics_file("fov_x_deg = 60\nwidth = 4\nheight = 3\n", name="camera-b.cfg")
-        with pytest.raises(IntrinsicsConfigError, match=re.escape(f"{path}: ")):
+        with pytest.raises(FileError, match=re.escape(f"{path}: ")):
             load_intrinsics(path, grid_shape=(4, 3))
 
     def test_load_from_file(self, intrinsics_file):
@@ -271,7 +271,7 @@ class TestIntrinsicsConfig:
         assert load_intrinsics(str(path)).fx == 2.0
 
     def test_load_missing_file(self, tmp_path):
-        with pytest.raises(IntrinsicsConfigError, match="cannot read"):
+        with pytest.raises(FileError, match="cannot read"):
             load_intrinsics(str(tmp_path / "absent.cfg"))
 
     @pytest.mark.parametrize("text", [
@@ -280,11 +280,11 @@ class TestIntrinsicsConfig:
     ], ids=["unknown-key", "mixed-modes", "missing-key", "empty", "bad-fov"])
     def test_parse_errors_name_the_path(self, intrinsics_file, text):
         path = intrinsics_file(text, name="camera-a.cfg")
-        with pytest.raises(IntrinsicsConfigError, match=re.escape(path)):
+        with pytest.raises(FileError, match=re.escape(path)):
             load_intrinsics(path)
 
     def test_load_non_utf8_file_names_path(self, tmp_path):
         path = tmp_path / "utf16.cfg"
         path.write_bytes(b"\xff\xfefx = 1\n")
-        with pytest.raises(IntrinsicsConfigError, match="utf16.cfg"):
+        with pytest.raises(FileError, match="utf16.cfg"):
             load_intrinsics(str(path))

@@ -18,13 +18,7 @@ from pseudo3d.cloud import (
 )
 from pseudo3d.depth import DepthKind, DepthMap
 from pseudo3d.encoder import normalize_coordinate_map
-from pseudo3d.errors import (
-    CloudIoError,
-    InvalidInputError,
-    NonFiniteInputError,
-    ShapeMismatchError,
-    frozen_array,
-)
+from pseudo3d.errors import FileError, InvalidInputError, NonFiniteInputError, frozen_array
 from pseudo3d.ply import export_ply, read_ply
 
 
@@ -71,7 +65,7 @@ class TestCoordinateMap:
             assert_array_equal(cmap[channel], points[..., channel])
 
     def test_rejects_wrong_leading_axis(self):
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(InvalidInputError, match=re.escape("(3, *, *), got (4, 2, 2)")):
             normalize_coordinate_map(np.zeros((4, 2, 2)))
 
     def test_is_a_read_only_view_of_the_points(self):
@@ -192,6 +186,26 @@ class TestSyntheticScenes:
         with pytest.raises(InvalidInputError):
             synth_wedge(2, 3, 3.0, 2.0)
 
+    # synth_wedge(0, 3, ...) blamed the width
+    @pytest.mark.parametrize("height, width, message", [
+        (0, 3, "height must be >= 1, got 0"),
+        (2, 1, "wedge needs width >= 2, got 2x1"),
+    ], ids=["height", "width"])
+    def test_wedge_names_the_side_that_is_wrong(self, height, width, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            synth_wedge(height, width, 1.0, 2.0)
+
+    # synth_random(-1, -3, rng) passed the two-pixel guard and numpy raised
+    # "negative dimensions are not allowed"
+    @pytest.mark.parametrize("height, width, message", [
+        (-1, -3, "height must be >= 1, got -1"),
+        (2, 0, "width must be >= 1, got 0"),
+        (1, 1, "random scene needs at least two pixels"),
+    ], ids=["both-negative", "zero-width", "one-pixel"])
+    def test_random_scene_names_the_side_that_is_wrong(self, height, width, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            synth_random(height, width, np.random.default_rng(0))
+
     def test_random_scene_is_positive_and_varied(self):
         rng = np.random.default_rng(9)
         for _ in range(5):
@@ -228,7 +242,7 @@ class TestCloudType:
     @pytest.mark.parametrize("shape", [(2, 2), (2, 2, 4), (0, 2, 3), (2, 0, 3)])
     def test_rejects_wrong_shape(self, tmp_path, shape):
         for call in _TAKES_POINTS:
-            with pytest.raises(ShapeMismatchError, match=re.escape("(*, *, 3)")):
+            with pytest.raises(InvalidInputError, match=re.escape("(*, *, 3)")):
                 call(np.zeros(shape), tmp_path)
 
     def test_point_beyond_float64_rejected(self):
@@ -313,7 +327,7 @@ class TestPly:
         pts[1, 2, 0] = -1e39
         pts[0, 1, 1] = 5e38
         path = tmp_path / "huge.ply"
-        with pytest.raises(CloudIoError, match=re.escape(
+        with pytest.raises(FileError, match=re.escape(
                 f"{path}: 2 value(s) beyond float32's range, first 5e+38 at row 0, column 1")):
             export_ply(str(path), pts)
         assert not path.exists()
@@ -341,13 +355,13 @@ class TestPly:
         path.write_bytes(b"ply\nformat binary_little_endian 1.0\nelement vertex 2\n"
                          b"property float x\nproperty float y\nproperty float z\n"
                          b"end_header\n" + bytes(2 * 12))
-        with pytest.raises(CloudIoError, match=re.escape(f"{path}: not a PLY header")):
+        with pytest.raises(FileError, match=re.escape(f"{path}: not a PLY header")):
             read_ply(str(path))
 
     def test_rejects_non_ply(self, tmp_path):
         path = tmp_path / "junk.ply"
         path.write_bytes(b"OFF\n0 0 0\n")
-        with pytest.raises(CloudIoError, match=re.escape(f"{path}: not a PLY header")):
+        with pytest.raises(FileError, match=re.escape(f"{path}: not a PLY header")):
             read_ply(str(path))
 
     def test_rejects_ascii_format(self, tmp_path):
@@ -355,14 +369,14 @@ class TestPly:
         path.write_bytes(b"ply\nformat ascii 1.0\ncomment grid 1 1\nelement vertex 1\n"
                          b"property float x\nproperty float y\nproperty float z\n"
                          b"end_header\n0 0 0\n")
-        with pytest.raises(CloudIoError, match=re.escape(f"{path}: not a PLY header")):
+        with pytest.raises(FileError, match=re.escape(f"{path}: not a PLY header")):
             read_ply(str(path))
 
     def test_rejects_truncated_body(self, tmp_path):
         path = str(tmp_path / "trunc.ply")
         export_ply(path, np.zeros((2, 2, 3)))
         Path(path).write_bytes(Path(path).read_bytes()[:-5])
-        with pytest.raises(CloudIoError, match=re.escape(
+        with pytest.raises(FileError, match=re.escape(
                 f"{path}: vertex data truncated (43 bytes, need 48)")):
             read_ply(path)
 
@@ -370,7 +384,7 @@ class TestPly:
         path = str(tmp_path / "long.ply")
         export_ply(path, np.zeros((2, 2, 3)))
         Path(path).write_bytes(Path(path).read_bytes() + bytes(5))
-        with pytest.raises(CloudIoError, match=re.escape(
+        with pytest.raises(FileError, match=re.escape(
                 f"{path}: vertex data too long (53 bytes, need 48)")):
             read_ply(path)
 
@@ -378,7 +392,7 @@ class TestPly:
     def test_rejects_non_finite_vertex(self, tmp_path, value):
         path = tmp_path / "nan.ply"
         path.write_bytes(_HEADER_1X1 + struct.pack("<3f", value, 1.0, 2.0))
-        with pytest.raises(CloudIoError, match=re.escape(
+        with pytest.raises(FileError, match=re.escape(
                 f"{path}: vertex data contains NaN or infinite values")):
             read_ply(str(path))
 
@@ -388,12 +402,12 @@ class TestPly:
                          b"element vertex 1\n"
                          b"property double x\nproperty double y\nproperty double z\n"
                          b"end_header\n" + bytes(24))
-        with pytest.raises(CloudIoError, match=re.escape(f"{path}: not a PLY header")):
+        with pytest.raises(FileError, match=re.escape(f"{path}: not a PLY header")):
             read_ply(str(path))
 
     def test_read_missing_file(self, tmp_path):
         path = tmp_path / "absent.ply"
-        with pytest.raises(CloudIoError, match=re.escape(f"{path}: cannot read")):
+        with pytest.raises(FileError, match=re.escape(f"{path}: cannot read")):
             read_ply(str(path))
 
     @pytest.mark.parametrize("element_line", [
@@ -406,7 +420,7 @@ class TestPly:
                          + element_line + b"\n"
                          b"property float x\nproperty float y\nproperty float z\n"
                          b"end_header\n" + bytes(12))
-        with pytest.raises(CloudIoError, match=re.escape(str(path))):
+        with pytest.raises(FileError, match=re.escape(str(path))):
             read_ply(str(path))
 
     @pytest.mark.parametrize("digits", [19, 5000])  # 5000 is past int()'s digit limit
@@ -415,13 +429,13 @@ class TestPly:
         path.write_bytes(b"ply\nformat binary_little_endian 1.0\ncomment grid 1 1\n"
                          b"element vertex " + b"1" * digits + b"\n"
                          b"property float x\nproperty float y\nproperty float z\nend_header\n")
-        with pytest.raises(CloudIoError, match=re.escape(f"{path}: not a PLY header")):
+        with pytest.raises(FileError, match=re.escape(f"{path}: not a PLY header")):
             read_ply(str(path))
 
     @pytest.mark.parametrize("grid", [b"5 7", b"-1 3", b"0 3", b"3 0", b"-3 -1", b"1 2", b"03 1"])
     def test_grid_comment_must_match_vertex_count(self, tmp_path, grid):
         path = _three_vertex_ply(tmp_path, b"comment grid " + grid)
-        with pytest.raises(CloudIoError, match=re.escape(path) + ".*grid"):
+        with pytest.raises(FileError, match=re.escape(path) + ".*grid"):
             read_ply(path)
 
     @pytest.mark.parametrize("comment, grid_shape", [

@@ -19,8 +19,7 @@ from pseudo3d.depth_io import (
     write_pgm,
 )
 from pseudo3d.camera import load_intrinsics
-from pseudo3d.errors import (ActionsFileError, DepthFileError, IntrinsicsConfigError,
-                             InvalidInputError)
+from pseudo3d.errors import FileError, InvalidInputError
 from pseudo3d.policy_loss import read_actions_csv
 
 
@@ -52,32 +51,32 @@ class TestPfm:
     def test_color_pfm_rejected(self, tmp_path):
         path = tmp_path / "color.pfm"
         path.write_bytes(b"PF\n1 1\n-1.0\n" + struct.pack("<3f", 1, 2, 3))
-        with pytest.raises(DepthFileError, match="grayscale"):
+        with pytest.raises(FileError, match="grayscale"):
             read_pfm(str(path))
 
     def test_truncated_raster_rejected(self, tmp_path):
         path = tmp_path / "short.pfm"
         path.write_bytes(b"Pf\n2 2\n-1.0\n" + struct.pack("<3f", 1, 2, 3))
-        with pytest.raises(DepthFileError, match="truncated"):
+        with pytest.raises(FileError, match="truncated"):
             read_pfm(str(path))
 
     # a header that understates the width used to give a sheared grid
     def test_bytes_after_the_raster_rejected(self, tmp_path):
         path = tmp_path / "long.pfm"
         path.write_bytes(b"Pf\n2 2\n-1.0\n" + struct.pack("<8f", *range(8)))
-        with pytest.raises(DepthFileError, match=r"too long \(32 bytes, need 16\)"):
+        with pytest.raises(FileError, match=r"too long \(32 bytes, need 16\)"):
             read_pfm(str(path))
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.pfm"
         path.write_bytes(b"P5\n2 2\n255\n" + b"\x00" * 4)
-        with pytest.raises(DepthFileError):
+        with pytest.raises(FileError, match="bad.pfm: not a valid PFM header$"):
             read_pfm(str(path))
 
     def test_zero_scale_rejected(self, tmp_path):
         path = tmp_path / "zscale.pfm"
         path.write_bytes(b"Pf\n1 1\n0.0\n" + struct.pack("<f", 1.0))
-        with pytest.raises(DepthFileError, match="malformed"):
+        with pytest.raises(FileError, match="malformed"):
             read_pfm(str(path))
 
     def test_write_read_round_trip(self, tmp_path):
@@ -88,14 +87,14 @@ class TestPfm:
         assert_array_equal(read_pfm(path), grid)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(DepthFileError, match="cannot read"):
+        with pytest.raises(FileError, match="cannot read"):
             read_pfm(str(tmp_path / "nope.pfm"))
 
     def test_value_beyond_float32_range_rejected(self, tmp_path):
         path = str(tmp_path / "huge.pfm")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DepthFileError, match=re.escape(f"{path}: ") + ".*float32"):
+            with pytest.raises(FileError, match=re.escape(f"{path}: ") + ".*float32"):
                 write_pfm(path, np.array([[1.0, 1.7976931348623157e308], [2.0, 3.0]]))
         assert not (tmp_path / "huge.pfm").exists()
 
@@ -128,19 +127,19 @@ class TestPgm:
     def test_sample_above_maxval_rejected(self, tmp_path):
         path = tmp_path / "over.pgm"
         path.write_bytes(b"P5\n1 1\n1000\n" + struct.pack(">H", 2000))
-        with pytest.raises(DepthFileError, match="exceeds maxval"):
+        with pytest.raises(FileError, match="exceeds maxval"):
             read_pgm(str(path))
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "p2.pgm"
         path.write_bytes(b"P2\n1 1\n255\n0\n")
-        with pytest.raises(DepthFileError, match="P5"):
+        with pytest.raises(FileError, match="P5"):
             read_pgm(str(path))
 
     def test_oversized_maxval_rejected(self, tmp_path):
         path = tmp_path / "big.pgm"
         path.write_bytes(b"P5\n1 1\n70000\n" + b"\x00\x00\x00")
-        with pytest.raises(DepthFileError, match="malformed"):
+        with pytest.raises(FileError, match="malformed"):
             read_pgm(str(path))
 
     # int() read the first two as 10 and 5; a field is 1 to 9 ASCII digits
@@ -151,7 +150,7 @@ class TestPgm:
         path = tmp_path / "field.pgm"
         path.write_bytes(header + bytes(10))
         message = f"{path}: malformed PGM header: expected 'P5'"
-        with pytest.raises(DepthFileError, match=re.escape(message)):
+        with pytest.raises(FileError, match=re.escape(message)):
             read_pgm(str(path))
 
     def test_unterminated_comment_is_rejected_in_linear_time(self, tmp_path):
@@ -160,14 +159,14 @@ class TestPgm:
         path = tmp_path / "hashes.pgm"
         path.write_bytes(b"P5 " + b"#" * 100_000)
         start = time.perf_counter()
-        with pytest.raises(DepthFileError, match="malformed PGM header: expected 'P5'"):
+        with pytest.raises(FileError, match="malformed PGM header: expected 'P5'"):
             read_pgm(str(path))
         assert time.perf_counter() - start < 0.1
 
     def test_truncated_raster_rejected(self, tmp_path):
         path = tmp_path / "short.pgm"
         path.write_bytes(b"P5\n2 2\n255\n" + bytes([1, 2]))
-        with pytest.raises(DepthFileError, match="truncated"):
+        with pytest.raises(FileError, match="truncated"):
             read_pgm(str(path))
 
     def test_write_read_round_trip_16bit(self, tmp_path):
@@ -221,7 +220,7 @@ class TestCsv:
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1.0,2.0\n3.0,oops\n")
-        with pytest.raises(DepthFileError, match="malformed"):
+        with pytest.raises(FileError, match="malformed"):
             read_csv(str(path))
 
     # a line of only whitespace used to fail as "malformed CSV"
@@ -234,7 +233,7 @@ class TestCsv:
     def test_whitespace_only_file_is_empty(self, tmp_path, text):
         path = tmp_path / "blank.csv"
         path.write_text(text)
-        with pytest.raises(DepthFileError, match=re.escape(f"{path}: empty CSV grid")):
+        with pytest.raises(FileError, match=re.escape(f"{path}: empty CSV grid")):
             read_csv(str(path))
 
     def test_empty_rejected(self, tmp_path):
@@ -242,7 +241,7 @@ class TestCsv:
         # np.loadtxt warns on a file with no data; the warning must not escape
         for text in ["", "\n\n", "# a comment\n"]:
             path.write_text(text)
-            with pytest.raises(DepthFileError, match=re.escape(f"{path}: empty CSV grid")):
+            with pytest.raises(FileError, match=re.escape(f"{path}: empty CSV grid")):
                 read_csv(str(path))
 
     # np.loadtxt's default comments="#" cut each row at its "#", and this
@@ -251,7 +250,7 @@ class TestCsv:
     def test_a_hash_inside_a_row_is_not_a_comment(self, tmp_path):
         path = tmp_path / "hash.csv"
         path.write_text("1#,2,3\n4#,5,6\n")
-        with pytest.raises(DepthFileError, match=re.escape(f"{path}: malformed CSV: ")):
+        with pytest.raises(FileError, match=re.escape(f"{path}: malformed CSV: ")):
             read_csv(str(path))
         path.write_text("  # made by hand\n1,2,3\n# a note\n4,5,6\n")
         assert_array_equal(read_csv(str(path)), [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
@@ -266,7 +265,7 @@ class TestCsv:
     def test_a_bad_row_is_counted_from_1_over_the_lines_read(self, tmp_path, text, message):
         path = tmp_path / "bad-row.csv"
         path.write_text(text)
-        with pytest.raises(DepthFileError,
+        with pytest.raises(FileError,
                            match=f"^{re.escape(f'{path}: malformed CSV: {message}')}$"):
             read_csv(str(path))
 
@@ -287,7 +286,7 @@ class TestCsv:
     def test_non_utf8_rejected_with_path(self, tmp_path):
         path = tmp_path / "utf16.csv"
         path.write_bytes(b"\xff\xfe1,2\n")
-        with pytest.raises(DepthFileError, match="utf16.csv"):
+        with pytest.raises(FileError, match="utf16.csv"):
             read_csv(str(path))
 
 
@@ -297,17 +296,17 @@ _NOT_NEWLINES = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u20
 
 
 @pytest.mark.parametrize("sep", _NOT_NEWLINES, ids=[f"U+{ord(c):04X}" for c in _NOT_NEWLINES])
-@pytest.mark.parametrize("reader, error, first, second", [
-    (read_csv, DepthFileError, "1,2", "3,4"),
-    (read_actions_csv, ActionsFileError, "1,2,3,1,0,0,0,1", "4,5,6,1,0,0,0,0"),
-    (load_intrinsics, IntrinsicsConfigError, "fx = 1\nfy = 2\ncx = 0", "cy = 0"),
+@pytest.mark.parametrize("reader, first, second", [
+    (read_csv, "1,2", "3,4"),
+    (read_actions_csv, "1,2,3,1,0,0,0,1", "4,5,6,1,0,0,0,0"),
+    (load_intrinsics, "fx = 1\nfy = 2\ncx = 0", "cy = 0"),
 ], ids=["depth-csv", "actions-csv", "intrinsics"])
-def test_a_line_ends_only_at_a_newline(tmp_path, sep, reader, error, first, second):
+def test_a_line_ends_only_at_a_newline(tmp_path, sep, reader, first, second):
     """Each text reader ends a line at \\n, \\r\\n or \\r only, so two data
     lines joined by any other line separator are one bad line."""
     path = tmp_path / "joined.txt"
     path.write_text(first + sep + second + "\n", encoding="utf-8")
-    with pytest.raises(error, match=re.escape(str(path))):
+    with pytest.raises(FileError, match=re.escape(str(path))):
         reader(str(path))
 
 
@@ -334,7 +333,7 @@ class TestWriters:
         lambda p: write_csv(p, np.ones((2, 2))),
     ], ids=["pfm", "pgm", "csv"])
     def test_unwritable_path_names_path(self, tmp_path, write):
-        with pytest.raises(DepthFileError, match=re.escape(f"{tmp_path}: cannot write")):
+        with pytest.raises(FileError, match=re.escape(f"{tmp_path}: cannot write")):
             write(str(tmp_path))
 
 
@@ -351,7 +350,7 @@ class TestLoadDepthMap:
 
     def test_missing_file_surfaces_path(self, tmp_path):
         missing = str(tmp_path / "gone.csv")
-        with pytest.raises(DepthFileError, match="gone.csv"):
+        with pytest.raises(FileError, match="gone.csv"):
             load_depth_map(missing, "csv", DepthKind.METRIC)
 
     @pytest.mark.parametrize("name, fmt, data", [
@@ -361,6 +360,6 @@ class TestLoadDepthMap:
     def test_non_finite_sample_names_path(self, tmp_path, name, fmt, data):
         path = tmp_path / name
         path.write_bytes(data)
-        with pytest.raises(DepthFileError, match=re.escape(
+        with pytest.raises(FileError, match=re.escape(
                 f"{path}: depth grid contains NaN or infinite values")):
             load_depth_map(str(path), fmt, DepthKind.PREDICTED_RELATIVE)

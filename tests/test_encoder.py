@@ -24,12 +24,7 @@ from pseudo3d.encoder import (
     output_shape,
     save_params,
 )
-from pseudo3d.errors import (
-    InvalidInputError,
-    NonFiniteInputError,
-    ParamsIoError,
-    ShapeMismatchError,
-)
+from pseudo3d.errors import FileError, InvalidInputError, NonFiniteInputError
 
 # ---------------------------------------------------------------------------
 # independent oracle: direct six-deep loop convolution with bounds checks
@@ -324,7 +319,7 @@ class TestForward:
 
     def test_wrong_channel_count(self):
         params = init_params(out_channels=4, seed=6)
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(InvalidInputError, match=re.escape("(3, *, *), got (4, 8, 8)")):
             encode(np.zeros((4, 8, 8)), params)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -407,7 +402,8 @@ class TestBackward:
 
     def test_rejects_mismatched_upstream(self):
         params = init_params(out_channels=5, seed=1)
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(InvalidInputError,
+                           match=re.escape("grad_out must have shape (2, 2, 5)")):
             encode_backward(np.zeros((3, 8, 8)), params, np.zeros((2, 2, 4)))
 
     @pytest.mark.parametrize("value", [np.nan, -np.inf])
@@ -490,16 +486,23 @@ class TestInit:
         assert np.abs(p.w2).max() <= 1.0 / np.sqrt(HIDDEN_CHANNELS * 9)
 
     def test_param_shape_validation(self):
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(InvalidInputError, match=re.escape("w1 must have shape (16, 3, 3, 3)")):
             EncoderParams(w1=np.zeros((8, 3, 3, 3)), b1=np.zeros(16),
                           w2=np.zeros((4, 16, 3, 3)), b2=np.zeros(4))
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(InvalidInputError, match=re.escape("b2 must have shape (4,), got (5,)")):
             EncoderParams(w1=np.zeros((16, 3, 3, 3)), b1=np.zeros(16),
                           w2=np.zeros((4, 16, 3, 3)), b2=np.zeros(5))
 
     def test_rejects_bad_channel_count(self):
         with pytest.raises(InvalidInputError):
             init_params(out_channels=0, seed=0)
+
+    # raised numpy's bare TypeError from the weight draw
+    def test_channel_count_must_be_an_integer(self):
+        with pytest.raises(InvalidInputError,
+                           match=re.escape("out_channels must be an integer, got 2.5")):
+            init_params(2.5, 0)
+        assert init_params(np.int64(3), 0).out_channels == 3
 
     def test_missing_weight_rejected(self):
         p = init_params(out_channels=2, seed=0)
@@ -615,7 +618,7 @@ class TestNormalizeCoordinateMap:
 
     # a wrong channel count is a shape error like a wrong rank, not a class of its own
     @pytest.mark.parametrize("shape", [(4, 2, 2), (3, 2)], ids=["channels", "rank"])
-    @pytest.mark.parametrize("caught", [ShapeMismatchError, ValueError],
+    @pytest.mark.parametrize("caught", [InvalidInputError, ValueError],
                              ids=lambda cls: cls.__name__)
     def test_wrong_shape_is_a_shape_error(self, shape, caught):
         with pytest.raises(caught, match=re.escape("coordinate map must have shape (3, *, *)")):
@@ -636,7 +639,7 @@ class TestSerialization:
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"XXXX" + b"\x00" * 64)
-        with pytest.raises(ParamsIoError, match="not an encoder"):
+        with pytest.raises(FileError, match="not an encoder"):
             load_params(str(path))
 
     def test_rejects_wrong_version(self, tmp_path):
@@ -646,7 +649,7 @@ class TestSerialization:
         raw = bytearray(path.read_bytes())
         raw[4] = 9  # bump the little-endian version field
         path.write_bytes(bytes(raw))
-        with pytest.raises(ParamsIoError, match="version"):
+        with pytest.raises(FileError, match="version"):
             load_params(str(path))
 
     def test_rejects_truncation(self, tmp_path):
@@ -654,7 +657,7 @@ class TestSerialization:
         path = tmp_path / "short.bin"
         save_params(str(path), params)
         path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(ParamsIoError, match="bytes"):
+        with pytest.raises(FileError, match="bytes"):
             load_params(str(path))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -665,15 +668,15 @@ class TestSerialization:
         raw = bytearray(path.read_bytes())
         raw[12:20] = struct.pack("<d", value)  # the first w1 weight, after magic and header
         path.write_bytes(bytes(raw))
-        with pytest.raises(ParamsIoError, match="bad.penc.*w1"):
+        with pytest.raises(FileError, match="bad.penc.*w1"):
             load_params(str(path))
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ParamsIoError, match="cannot read"):
+        with pytest.raises(FileError, match="cannot read"):
             load_params(str(tmp_path / "absent.bin"))
 
     def test_unwritable_path_names_path(self, tmp_path):
-        with pytest.raises(ParamsIoError, match=re.escape(f"{tmp_path}: cannot write")):
+        with pytest.raises(FileError, match=re.escape(f"{tmp_path}: cannot write")):
             save_params(str(tmp_path), init_params(out_channels=2, seed=1))
 
     def test_loaded_params_encode_identically(self, tmp_path):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from pseudo3d.errors import InvalidInputError, NonFiniteInputError, ShapeMismatchError
+from pseudo3d.errors import InvalidInputError, NonFiniteInputError
 from pseudo3d import fusion
 from pseudo3d.fusion import (FusionParams, Strategy, _attention, _layer_norm, fuse,
                              init_fusion_params)
@@ -58,17 +58,17 @@ class TestAdd:
         assert delta[2, 1, 3] != 0.0
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(InvalidInputError, match=re.escape("f3d must have shape (2, 2, 4)")):
             fuse(np.zeros((2, 2, 4)), np.zeros((2, 3, 4)), add_params(4))
 
     @pytest.mark.parametrize("shape", [(4,), (6, 4), (1, 2, 3, 4)], ids=["1d", "2d", "4d"])
     def test_maps_that_are_not_h_w_c_rejected(self, shape):
-        with pytest.raises(ShapeMismatchError, match=re.escape("f2d must have shape (*, *, 4)")):
+        with pytest.raises(InvalidInputError, match=re.escape("f2d must have shape (*, *, 4)")):
             fuse(np.zeros(shape), np.zeros(shape), add_params(4))
 
     def test_channel_count_must_match_params(self):
         a, b = random_pair(c=4, seed=34)
-        with pytest.raises(ShapeMismatchError, match=re.escape("f2d must have shape (*, *, 8)")):
+        with pytest.raises(InvalidInputError, match=re.escape("f2d must have shape (*, *, 8)")):
             fuse(a, b, add_params(8))
 
 
@@ -108,7 +108,7 @@ class TestConcat:
     def test_channel_count_must_match_params(self):
         a, b = random_pair(c=4, seed=10)
         params = init_fusion_params(Strategy.CONCAT, 8, seed=11)
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(InvalidInputError, match=re.escape("f2d must have shape (*, *, 8)")):
             fuse(a, b, params)
 
 
@@ -379,6 +379,25 @@ class TestDispatchAndShapes:
         with pytest.raises(InvalidInputError,
                            match=re.escape(f"strategy must be a Strategy, got {strategy!r}")):
             init_fusion_params(strategy, 4, seed=0)
+
+    # float counts were accepted: fuse then raised a bare TypeError (heads) or
+    # "must have shape (*, *, 2.5)" (channels), and concat's init numpy's TypeError
+    @pytest.mark.parametrize("strategy, channels, heads, message", [
+        (Strategy.SELF_ATTENTION, 4, 2.0, "heads must be an integer, got 2.0"),
+        (Strategy.CROSS_ATTENTION, 3, 1.5, "heads must be an integer, got 1.5"),
+        (Strategy.ADD, 2.5, 1, "channels must be an integer, got 2.5"),
+        (Strategy.CONCAT, 2.5, 1, "channels must be an integer, got 2.5"),
+    ], ids=["sattn-heads", "xattn-heads", "add-channels", "concat-channels"])
+    def test_counts_must_be_integers(self, strategy, channels, heads, message):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            init_fusion_params(strategy, channels, seed=0, heads=heads)
+
+    def test_numpy_integer_counts_are_accepted(self):
+        params = init_fusion_params(Strategy.CROSS_ATTENTION, np.int64(4), seed=0,
+                                    heads=np.int32(2))
+        a, b = random_pair(c=4, seed=1)
+        assert_array_equal(fuse(a, b, params),
+                           fuse(a, b, init_fusion_params(Strategy.CROSS_ATTENTION, 4, 0, heads=2)))
 
     def test_init_deterministic(self):
         p1 = init_fusion_params(Strategy.SELF_ATTENTION, 8, seed=1234, heads=4)

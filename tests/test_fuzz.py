@@ -19,7 +19,7 @@ from pseudo3d import cli
 from pseudo3d.camera import CameraIntrinsics, load_intrinsics
 from pseudo3d.depth_io import read_csv, read_pfm, read_pgm, write_csv, write_pfm, write_pgm
 from pseudo3d.encoder import EncoderParams, init_params, load_params, save_params
-from pseudo3d.errors import ActionsFileError, CloudIoError, DepthFileError, Pseudo3dError
+from pseudo3d.errors import FileError, Pseudo3dError
 from pseudo3d.ply import _HEADER, export_ply, read_ply
 from pseudo3d.policy_loss import read_actions_csv
 
@@ -205,23 +205,35 @@ def test_gen_cloud_exits_cleanly(tmp_path, fmt):
 
 _F32_MAX = float(np.finfo(np.float32).max)
 _F32_EDGES = [np.nan, np.inf, -np.inf, 1e-45, -1e-45, 1e-40, _F32_MAX, -_F32_MAX, -0.0]
+_F32_FINITE = st.floats(width=32, allow_nan=False, allow_infinity=False) \
+    | st.sampled_from([edge for edge in _F32_EDGES if np.isfinite(edge)])
 
 
 @st.composite
-def pfm_files(draw):
-    """A valid grayscale PFM header, little- or big-endian, over a drawn float32 body."""
+def float32_values(draw, n, finite):
+    """``n`` float32 values: all finite, or any with at least one NaN or infinite."""
+    value = _F32_FINITE if finite else st.floats(width=32) | st.sampled_from(_F32_EDGES)
+    values = draw(st.lists(value, min_size=n, max_size=n))
+    if not finite:
+        values[draw(st.integers(0, n - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return values
+
+
+@st.composite
+def pfm_files(draw, finite):
+    """A valid grayscale PFM header, little- or big-endian, over a drawn float32
+    body, finite or not as ``finite`` says."""
     h, w = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     little = draw(st.booleans())
-    value = st.floats(width=32) | st.sampled_from(_F32_EDGES)
-    body = np.array(draw(st.lists(value, min_size=h * w, max_size=h * w)),
-                    dtype="<f4" if little else ">f4")
+    body = np.array(draw(float32_values(h * w, finite)), dtype="<f4" if little else ">f4")
     return b"Pf\n%d %d\n%s\n" % (w, h, b"-1.0" if little else b"1.0") + body.tobytes(), body
 
 
 def test_gen_cloud_on_pfm_values(tmp_path):
     """gen-cloud on any float32 raster behind a valid PFM header exits 0, or
     exits 1 with one ``stage=`` line; a NaN or infinite sample fails at
-    ``stage=read`` naming the file."""
+    ``stage=read`` naming the file.  Finite and non-finite rasters each get
+    a run of their own."""
     path = tmp_path / "values.pfm"
     intrinsics = tmp_path / "cam.cfg"
     intrinsics.write_text("fx = 4\nfy = 4\ncx = 1.5\ncy = 1\n")
@@ -229,69 +241,67 @@ def test_gen_cloud_on_pfm_values(tmp_path):
             "--intrinsics", str(intrinsics), "--out", str(tmp_path / "out.ply")]
     reached = {"non-finite": 0, "finite": 0}
 
-    @settings(FUZZ, max_examples=100)
-    @given(pfm_files())
-    def run(file):
-        data, body = file
-        path.write_bytes(data)
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
-        lines = err.getvalue().splitlines()
-        if np.isfinite(body).all():
-            reached["finite"] += 1
-            assert code == 0 and lines == [] or code == 1 and len(lines) == 1, (code, lines)
-            assert all(line.startswith("gen-cloud: stage=") for line in lines), lines
-        else:
-            reached["non-finite"] += 1
-            assert code == 1
-            assert lines == [f"gen-cloud: stage=read: {path}: "
-                             "depth grid contains NaN or infinite values"], lines
+    for finite in (True, False):
+        @settings(FUZZ, max_examples=100)
+        @given(pfm_files(finite))
+        def run(file):
+            data, body = file
+            path.write_bytes(data)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            lines = err.getvalue().splitlines()
+            if np.isfinite(body).all():
+                reached["finite"] += 1
+                assert code == 0 and lines == [] or code == 1 and len(lines) == 1, (code, lines)
+                assert all(line.startswith("gen-cloud: stage=") for line in lines), lines
+            else:
+                reached["non-finite"] += 1
+                assert code == 1
+                assert lines == [f"gen-cloud: stage=read: {path}: "
+                                 "depth grid contains NaN or infinite values"], lines
 
-    run()
+        run()
     assert min(reached.values()) >= 25, reached
 
 
 @st.composite
-def ply_files(draw):
+def ply_files(draw, finite):
     """export_ply's header for a drawn grid shape over drawn float32 x/y/z
-    triples; about half the bodies hold a NaN or infinite value."""
+    triples, finite or not as ``finite`` says."""
     h, w = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    finite = [edge for edge in _F32_EDGES if np.isfinite(edge)]
-    value = st.floats(width=32, allow_nan=False, allow_infinity=False) | st.sampled_from(finite)
-    body = draw(st.lists(value, min_size=3 * h * w, max_size=3 * h * w))
-    if draw(st.booleans()):
-        body[draw(st.integers(0, len(body) - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
-    body = np.array(body, dtype="<f4").reshape(h, w, 3)
+    body = np.array(draw(float32_values(3 * h * w, finite)), dtype="<f4").reshape(h, w, 3)
     return _HEADER.format(h=h, w=w, n=h * w).encode("ascii") + body.tobytes(), body
 
 
 def test_ply_values(tmp_path):
     """read_ply on any float32 triples behind a valid header: a finite body
     comes back exactly and export_ply writes it back byte for byte; a NaN or
-    infinite vertex raises CloudIoError naming the file."""
+    infinite vertex raises FileError naming the file.  Finite and non-finite
+    bodies each get a run of their own."""
     path = tmp_path / "values.ply"
     rewritten = tmp_path / "rewritten.ply"
     reached = {"non-finite": 0, "finite": 0}
 
-    @settings(FUZZ, max_examples=100)
-    @given(ply_files())
-    def run(file):
-        data, body = file
-        path.write_bytes(data)
-        if np.isfinite(body).all():
-            reached["finite"] += 1
-            grid = read_ply(str(path))
-            assert grid.shape == body.shape and grid.tobytes() == body.tobytes()
-            export_ply(str(rewritten), grid)
-            assert rewritten.read_bytes() == data
-        else:
-            reached["non-finite"] += 1
-            with pytest.raises(CloudIoError) as exc:
-                read_ply(str(path))
-            assert str(exc.value) == f"{path}: vertex data contains NaN or infinite values"
+    for finite in (True, False):
+        @settings(FUZZ, max_examples=100)
+        @given(ply_files(finite))
+        def run(file):
+            data, body = file
+            path.write_bytes(data)
+            if np.isfinite(body).all():
+                reached["finite"] += 1
+                grid = read_ply(str(path))
+                assert grid.shape == body.shape and grid.tobytes() == body.tobytes()
+                export_ply(str(rewritten), grid)
+                assert rewritten.read_bytes() == data
+            else:
+                reached["non-finite"] += 1
+                with pytest.raises(FileError) as exc:
+                    read_ply(str(path))
+                assert str(exc.value) == f"{path}: vertex data contains NaN or infinite values"
 
-    run()
+        run()
     assert min(reached.values()) >= 25, reached
 
 
@@ -340,15 +350,17 @@ def test_gen_cloud_intrinsics_values(tmp_path, naive):
 
 
 @st.composite
-def pgm_files(draw):
-    """A valid P5 header over drawn 8- or 16-bit samples, many at maxval; some
-    rasters hold one sample above maxval, where the sample width allows one."""
+def pgm_files(draw, above):
+    """A valid P5 header over drawn 8- or 16-bit samples, many at maxval; with
+    ``above``, one sample is above maxval."""
     h, w = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     maxval = draw(st.sampled_from([1, 255, 256, 65535]) | st.integers(1, 65535))
     top = 255 if maxval < 256 else 65535
+    if above and maxval == top:  # leave the sample width room above maxval
+        maxval -= 1
     samples = draw(st.lists(st.integers(0, maxval) | st.just(maxval),
                             min_size=h * w, max_size=h * w))
-    if maxval < top and draw(st.integers(0, 3)) == 1:
+    if above:
         samples[draw(st.integers(0, h * w - 1))] = draw(st.integers(maxval + 1, top))
     raster = np.array(samples, dtype="u1" if top == 255 else ">u2").tobytes()
     return b"P5\n%d %d\n%d\n" % (w, h, maxval) + raster, maxval, np.reshape(samples, (h, w))
@@ -356,26 +368,28 @@ def pgm_files(draw):
 
 def test_pgm_values(tmp_path):
     """read_pgm on any samples behind a valid header returns v / maxval for
-    each, or raises DepthFileError naming the file for a sample above maxval."""
+    each, or raises FileError naming the file for a sample above maxval.
+    Rasters with and without such a sample each get a run of their own."""
     path = tmp_path / "values.pgm"
     reached = {"grid": 0, "above maxval": 0}
 
-    @settings(FUZZ, max_examples=100)
-    @given(pgm_files())
-    def run(file):
-        data, maxval, samples = file
-        path.write_bytes(data)
-        if samples.max() <= maxval:
-            reached["grid"] += 1
-            expected = [[int(s) / maxval for s in row] for row in samples]
-            assert read_pgm(str(path)).tolist() == expected
-        else:
-            reached["above maxval"] += 1
-            with pytest.raises(DepthFileError) as exc:
-                read_pgm(str(path))
-            assert str(exc.value) == f"{path}: PGM sample exceeds maxval {maxval}"
+    for above in (False, True):
+        @settings(FUZZ, max_examples=100)
+        @given(pgm_files(above))
+        def run(file):
+            data, maxval, samples = file
+            path.write_bytes(data)
+            if samples.max() <= maxval:
+                reached["grid"] += 1
+                expected = [[int(s) / maxval for s in row] for row in samples]
+                assert read_pgm(str(path)).tolist() == expected
+            else:
+                reached["above maxval"] += 1
+                with pytest.raises(FileError) as exc:
+                    read_pgm(str(path))
+                assert str(exc.value) == f"{path}: PGM sample exceeds maxval {maxval}"
 
-    run()
+        run()
     assert reached["grid"] >= 50 and reached["above maxval"] >= 10, reached
 
 
@@ -396,12 +410,12 @@ def _cell_value(cell: str) -> float | None:
 @st.composite
 def csv_files(draw, widths, cells, bad):
     """Rows of drawn cells, as many a row as ``widths`` draws, with blank and
-    whitespace-only lines between them; some files hold one ``bad`` cell.
-    Returns the text and the rows of cells."""
+    whitespace-only lines between them; if ``bad`` names any cells, one cell
+    is drawn from them.  Returns the text and the rows of cells."""
     columns = draw(widths)
     rows = draw(st.lists(st.lists(cells, min_size=columns, max_size=columns),
                          min_size=1, max_size=4))
-    if draw(st.integers(0, 3)) == 1:
+    if bad:
         row = draw(st.integers(0, len(rows) - 1))
         rows[row][draw(st.integers(0, columns - 1))] = draw(st.sampled_from(bad))
     blank = st.lists(st.sampled_from(["", "  ", "\t", " \t "]), max_size=2)
@@ -414,60 +428,64 @@ def csv_files(draw, widths, cells, bad):
 def test_csv_values(tmp_path):
     """read_csv returns each cell as float() reads it, NaN and infinities
     included, skipping blank lines; a cell that is not a number raises
-    DepthFileError naming the file and the row."""
+    FileError naming the file and the row.  Files with and without such a
+    cell each get a run of their own."""
     path = tmp_path / "values.csv"
     reached = {"grid": 0, "not a number": 0}
     cells = _FINITE_CELLS | st.sampled_from(_NON_FINITE_CELLS)
 
-    @settings(FUZZ, max_examples=100)
-    @given(csv_files(st.integers(1, 4), cells, _NOT_A_NUMBER_CELLS))
-    def run(file):
-        text, rows = file
-        path.write_text(text)
-        values = [[_cell_value(cell) for cell in row] for row in rows]
-        if all(v is not None for row in values for v in row):
-            reached["grid"] += 1
-            grid, expected = read_csv(str(path)), np.array(values)
-            assert_array_equal(grid, expected)
-            assert_array_equal(np.signbit(grid), np.signbit(expected))
-        else:
-            reached["not a number"] += 1
-            [i] = [i for i, row in enumerate(values) if None in row]
-            with pytest.raises(DepthFileError) as exc:
-                read_csv(str(path))
-            assert str(exc.value).startswith(
-                f"{path}: malformed CSV: row {i + 1} is not numeric: "), str(exc.value)
+    for bad_cells in ([], _NOT_A_NUMBER_CELLS):
+        @settings(FUZZ, max_examples=100)
+        @given(csv_files(st.integers(1, 4), cells, bad_cells))
+        def run(file):
+            text, rows = file
+            path.write_text(text)
+            values = [[_cell_value(cell) for cell in row] for row in rows]
+            if all(v is not None for row in values for v in row):
+                reached["grid"] += 1
+                grid, expected = read_csv(str(path)), np.array(values)
+                assert_array_equal(grid, expected)
+                assert_array_equal(np.signbit(grid), np.signbit(expected))
+            else:
+                reached["not a number"] += 1
+                [i] = [i for i, row in enumerate(values) if None in row]
+                with pytest.raises(FileError) as exc:
+                    read_csv(str(path))
+                assert str(exc.value).startswith(
+                    f"{path}: malformed CSV: row {i + 1} is not numeric: "), str(exc.value)
 
-    run()
+        run()
     assert reached["grid"] >= 50 and reached["not a number"] >= 10, reached
 
 
 def test_actions_csv_values(tmp_path):
     """read_actions_csv returns the finite rows as float() reads them,
     skipping blank lines; a cell that is not a number, or not finite, raises
-    ActionsFileError naming the file and the row."""
+    FileError naming the file and the row.  Files with and without such a
+    cell each get a run of their own."""
     path = tmp_path / "values-actions.csv"
     reached = {"actions": 0, "bad row": 0}
 
-    @settings(FUZZ, max_examples=100)
-    @given(csv_files(st.just(8), _FINITE_CELLS, _NON_FINITE_CELLS + _NOT_A_NUMBER_CELLS))
-    def run(file):
-        text, rows = file
-        path.write_text(text)
-        values = [[_cell_value(cell) for cell in row] for row in rows]
-        bad = [(i, row) for i, row in enumerate(values)
-               if not all(v is not None and np.isfinite(v) for v in row)]
-        if not bad:
-            reached["actions"] += 1
-            assert read_actions_csv(str(path)).tolist() == values
-        else:
-            reached["bad row"] += 1
-            [(i, row)] = bad
-            kind = "numeric" if None in row else "finite"
-            with pytest.raises(ActionsFileError) as exc:
-                read_actions_csv(str(path))
-            assert str(exc.value).startswith(f"{path}: row {i + 1} is not {kind}: "), \
-                str(exc.value)
+    for bad_cells in ([], _NON_FINITE_CELLS + _NOT_A_NUMBER_CELLS):
+        @settings(FUZZ, max_examples=100)
+        @given(csv_files(st.just(8), _FINITE_CELLS, bad_cells))
+        def run(file):
+            text, rows = file
+            path.write_text(text)
+            values = [[_cell_value(cell) for cell in row] for row in rows]
+            bad = [(i, row) for i, row in enumerate(values)
+                   if not all(v is not None and np.isfinite(v) for v in row)]
+            if not bad:
+                reached["actions"] += 1
+                assert read_actions_csv(str(path)).tolist() == values
+            else:
+                reached["bad row"] += 1
+                [(i, row)] = bad
+                kind = "numeric" if None in row else "finite"
+                with pytest.raises(FileError) as exc:
+                    read_actions_csv(str(path))
+                assert str(exc.value).startswith(f"{path}: row {i + 1} is not {kind}: "), \
+                    str(exc.value)
 
-    run()
+        run()
     assert reached["actions"] >= 50 and reached["bad row"] >= 10, reached

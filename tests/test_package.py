@@ -1,4 +1,5 @@
 import ast
+import builtins
 import functools
 import re
 import subprocess
@@ -43,21 +44,18 @@ def _class_names(expr: ast.expr) -> set[str]:
 def test_every_raise_is_a_class_from_errors():
     """Each ``raise`` in the package raises, or re-raises, a class errors.py defines.
 
-    A raised name may also be a parameter annotated ``type[C]``, a local bound
-    to ``C(...)`` or the ``as`` name of ``except C``, for C from errors.py.
+    A raised name may also be a local bound to ``C(...)`` or the ``as`` name
+    of ``except C``, for C from errors.py.
     """
     errors_tree = ast.parse((_PACKAGE / "errors.py").read_text())
     classes = {node.name for node in errors_tree.body if isinstance(node, ast.ClassDef)}
-    assert len(classes) <= 9, sorted(classes)
+    assert len(classes) <= 4, sorted(classes)
     checked, wrong = 0, []
     for path in sorted(_PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
         bound: dict[str, set[str]] = {}  # local name -> the classes it may hold
         for node in ast.walk(tree):
-            if isinstance(node, ast.arg) and isinstance(node.annotation, ast.Subscript) \
-                    and ast.unparse(node.annotation.value) == "type":
-                bound.setdefault(node.arg, set()).update(_class_names(node.annotation.slice))
-            elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call) \
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call) \
                     and [type(t) for t in node.targets] == [ast.Name]:
                 bound.setdefault(node.targets[0].id, set()).add(ast.unparse(node.value.func))
             elif isinstance(node, ast.ExceptHandler) and node.name:
@@ -186,3 +184,13 @@ def test_readme_layout_lists_every_module():
     listed = re.findall(r"^  (\S+)", block, re.MULTILINE)
     modules = [path.name for path in _PACKAGE.glob("*.py") if not path.name.startswith("__")]
     assert sorted(listed) == sorted(modules)
+
+
+def test_readme_error_list_names_every_class():
+    """README's list of exception classes, the sentence that opens it and its
+    bullets, names each class errors.py defines and no other but Python's own."""
+    after = _README.read_text().split("Every exception the library raises", 1)[1]
+    intro, bullets = after.split("\n\n")[:2]
+    listed = set(re.findall(r"`(\w+Error)`", intro + bullets)) - set(dir(builtins))
+    tree = ast.parse((_PACKAGE / "errors.py").read_text())
+    assert listed == {node.name for node in tree.body if isinstance(node, ast.ClassDef)}

@@ -7,12 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from pseudo3d.errors import (
-    ActionsFileError,
-    InvalidInputError,
-    NonFiniteInputError,
-    ShapeMismatchError,
-)
+from pseudo3d.errors import FileError, InvalidInputError, NonFiniteInputError
 from pseudo3d.policy_loss import (
     Action,
     BCE_EPS,
@@ -54,9 +49,9 @@ def one_step(pred, target):
 
 class TestAction:
     def test_validates_shapes(self):
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(InvalidInputError, match=re.escape("xyz must have shape (3,)")):
             Action(xyz=np.zeros(2), quat=IDENTITY_Q, open_prob=1.0)
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(InvalidInputError, match=re.escape("quat must have shape (4,)")):
             Action(xyz=np.zeros(3), quat=np.zeros(3), open_prob=1.0)
 
     def test_rejects_non_finite(self):
@@ -232,7 +227,7 @@ class TestDatasetLoss:
 
     @pytest.mark.parametrize("shape", [(3, 8), (3, 2, 7), (3, 3, 8)])
     def test_wrong_trajectory_shape_rejected(self, shape):
-        with pytest.raises(ShapeMismatchError, match=re.escape("(*, 2, 8)")):
+        with pytest.raises(InvalidInputError, match=re.escape("(*, 2, 8)")):
             dataset_loss([np.zeros(shape)])
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -275,7 +270,7 @@ class TestCsvActions:
     def test_first_row_with_a_number_is_not_a_header(self, tmp_path):
         path = tmp_path / "acts.csv"
         path.write_text("0.1,0.2,O.3,1,0,0,0,1\n0.4,0.5,0.6,0,1,0,0,0\n")
-        with pytest.raises(ActionsFileError, match="row 1 is not numeric") as exc_info:
+        with pytest.raises(FileError, match="row 1 is not numeric") as exc_info:
             read_actions_csv(str(path))
         assert str(path) in str(exc_info.value)
 
@@ -284,7 +279,7 @@ class TestCsvActions:
     def test_only_ascii_numbers_without_separators(self, tmp_path, cell):
         path = tmp_path / "acts.csv"
         path.write_text(f"{cell},2,3,1,0,0,0,1\n", encoding="utf-8")
-        with pytest.raises(ActionsFileError, match="row 1 is not numeric"):
+        with pytest.raises(FileError, match="row 1 is not numeric"):
             read_actions_csv(str(path))
 
     # csv.reader unquoted the first and dropped the second as blank
@@ -292,7 +287,7 @@ class TestCsvActions:
     def test_every_cell_is_a_bare_number(self, tmp_path, row):
         path = tmp_path / "acts.csv"
         path.write_text("1,2,3,1,0,0,0,1\n" + row + "\n")
-        with pytest.raises(ActionsFileError, match="row 2 is not numeric"):
+        with pytest.raises(FileError, match="row 2 is not numeric"):
             read_actions_csv(str(path))
 
     # as in the depth CSV, a line that starts with "#" is skipped and not
@@ -303,7 +298,7 @@ class TestCsvActions:
         assert read_actions_csv(str(path)).tolist() == [[0.1, 0.2, 0.3, 1, 0, 0, 0, 1],
                                                         [0.4, 0.5, 0.6, 0, 1, 0, 0, 0]]
         path.write_text("# demo 3\n" + self.CSV + "1,2,3,1,0,0,0,1#\n")
-        with pytest.raises(ActionsFileError, match="row 4 is not numeric"):
+        with pytest.raises(FileError, match="row 4 is not numeric"):
             read_actions_csv(str(path))
 
     def test_reads_in_bounded_memory(self, tmp_path):
@@ -324,32 +319,32 @@ class TestCsvActions:
     def test_wrong_column_count(self, tmp_path):
         path = tmp_path / "acts.csv"
         path.write_text("1,2,3\n")
-        with pytest.raises(ActionsFileError, match="columns"):
+        with pytest.raises(FileError, match="columns"):
             read_actions_csv(str(path))
 
     def test_non_numeric_mid_file(self, tmp_path):
         path = tmp_path / "acts.csv"
         path.write_text("1,2,3,1,0,0,0,1\nx,y,z,qw,qx,qy,qz,open\n")
-        with pytest.raises(ActionsFileError, match="not numeric"):
+        with pytest.raises(FileError, match="not numeric"):
             read_actions_csv(str(path))
 
     def test_header_only_rejected(self, tmp_path):
         path = tmp_path / "acts.csv"
         path.write_text("x,y,z,qw,qx,qy,qz,open\n")
-        with pytest.raises(ActionsFileError, match="no action rows"):
+        with pytest.raises(FileError, match="no action rows"):
             read_actions_csv(str(path))
 
     @pytest.mark.parametrize("row", ["1,2,3,1,0,0,0,nan", "1,inf,3,1,0,0,0,1"])
     def test_non_finite_row_names_path_and_row(self, tmp_path, row):
         path = tmp_path / "acts.csv"
         path.write_text("x,y,z,qw,qx,qy,qz,open\n1,2,3,1,0,0,0,1\n" + row + "\n")
-        with pytest.raises(ActionsFileError, match="row 3 is not finite") as exc_info:
+        with pytest.raises(FileError, match="row 3 is not finite") as exc_info:
             read_actions_csv(str(path))
         assert str(path) in str(exc_info.value)
 
     def test_missing_file_names_path(self, tmp_path):
         path = str(tmp_path / "absent.csv")
-        with pytest.raises(ActionsFileError, match="cannot read") as exc_info:
+        with pytest.raises(FileError, match="cannot read") as exc_info:
             read_actions_csv(path)
         assert path in str(exc_info.value)
 
@@ -383,5 +378,6 @@ class TestCsvActions:
     def test_misaligned_files_rejected(self):
         a = [action()]
         b = [action(), action()]
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(InvalidInputError,
+                           match=re.escape("target rows must have shape (1, 8)")):
             trajectory_from_rows(a, b)
