@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FileError, InvalidInputError, data_line, float_array, reading
+from .errors import FileError, InvalidInputError, check_integer, data_line, float_array, reading
 
 
 @dataclass(frozen=True)
@@ -92,6 +92,8 @@ def estimate_intrinsics_from_fov(
     not given it is derived from the horizontal one under square pixels,
     which makes fy == fx exactly.
     """
+    check_integer("width", width)
+    check_integer("height", height)
     if width < 1 or height < 1:
         raise InvalidInputError(f"image size must be at least 1x1, got {width}x{height}")
     for name, fov in (("fov_x_deg", fov_x_deg), ("fov_y_deg", fov_y_deg)):

@@ -9,6 +9,7 @@ consumes, as a read-only view that copies nothing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,12 +106,15 @@ def synth_wedge(height: int, width: int, z_near: float, z_far: float) -> DepthMa
     structure that exposes shift distortion in the naive reciprocal.
     """
     check_count("height", height)
+    check_count("width", width)
     if width < 2:
         raise InvalidInputError(f"wedge needs width >= 2, got {height}x{width}")
     if not z_near > 0.0:
         raise InvalidInputError(f"z_near must be positive, got {z_near}")
     if not z_near < z_far:
         raise InvalidInputError(f"need z_near < z_far, got {z_near} >= {z_far}")
+    if math.isinf(z_far):
+        raise InvalidInputError(f"z_far must be finite, got {z_far}")
     row = np.linspace(z_near, z_far, width, dtype=np.float64)
     return DepthMap(np.broadcast_to(row, (height, width)).copy(), DepthKind.METRIC)
 
@@ -121,6 +125,8 @@ def synth_random(height: int, width: int, rng: np.random.Generator) -> DepthMap:
     check_count("width", width)
     if height * width < 2:
         raise InvalidInputError("random scene needs at least two pixels")
+    if not isinstance(rng, np.random.Generator):
+        raise InvalidInputError(f"rng must be a numpy Generator, got {rng!r}")
     while True:
         z = rng.uniform(0.5, 10.0, size=(height, width))
         if z.max() > z.min():

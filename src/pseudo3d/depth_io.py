@@ -1,4 +1,4 @@
-"""Readers and writers for single-channel depth files: PFM, 16-bit PGM, CSV.
+"""Readers and writers for single-channel depth files: PFM, 8- or 16-bit PGM, CSV.
 
 All readers return an (H, W) float64 array in the conventional image
 orientation (row 0 at the top).  Writers exist mainly to build fixtures

@@ -128,10 +128,15 @@ def check_no_overflow(name: str, *outputs: np.ndarray) -> None:
         raise InvalidInputError(f"{name}: finite inputs overflow float64")
 
 
-def check_count(name: str, value) -> None:
-    """Raise :class:`InvalidInputError` unless ``value`` is an integer (numpy's too) >= 1."""
-    if not isinstance(value, (int, np.integer)):
+def check_integer(name: str, value) -> None:
+    """Raise :class:`InvalidInputError` unless ``value`` is an integer (numpy's too), not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+
+
+def check_count(name: str, value) -> None:
+    """Raise :class:`InvalidInputError` unless ``value`` passes :func:`check_integer` and is >= 1."""
+    check_integer(name, value)
     if value < 1:
         raise InvalidInputError(f"{name} must be >= 1, got {value}")
 

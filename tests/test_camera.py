@@ -144,8 +144,26 @@ class TestFovEstimation:
             estimate_intrinsics_from_fov(10, 10, fov)
 
     def test_rejects_empty_image(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError,
+                           match=f"^{re.escape('image size must be at least 1x1, got 0x10')}$"):
             estimate_intrinsics_from_fov(0, 10, 60.0)
+
+    # (2.5, 3) gave cx = 0.75 and (True, 3) was taken as one pixel wide;
+    # ("4", 3) raised a bare TypeError from the size comparison
+    @pytest.mark.parametrize("width, height, name, value", [
+        (2.5, 3, "width", 2.5),
+        (True, 3, "width", True),
+        ("4", 3, "width", "'4'"),
+        (4, 3.0, "height", 3.0),
+    ], ids=["float-width", "bool-width", "str-width", "float-height"])
+    def test_image_size_must_be_integers(self, width, height, name, value):
+        with pytest.raises(InvalidInputError,
+                           match=f"^{re.escape(f'{name} must be an integer, got {value}')}$"):
+            estimate_intrinsics_from_fov(width, height, 60.0)
+
+    def test_numpy_integer_size_is_accepted(self):
+        assert estimate_intrinsics_from_fov(np.int64(5), np.int32(3), 60.0) == \
+            estimate_intrinsics_from_fov(5, 3, 60.0)
 
 
 class TestIntrinsicsConfig:

@@ -186,11 +186,14 @@ class TestSyntheticScenes:
         with pytest.raises(InvalidInputError):
             synth_wedge(2, 3, 3.0, 2.0)
 
-    # synth_wedge(0, 3, ...) blamed the width
+    # synth_wedge(0, 3, ...) blamed the width; a float width passed the
+    # width >= 2 guard and np.linspace raised a bare TypeError
     @pytest.mark.parametrize("height, width, message", [
         (0, 3, "height must be >= 1, got 0"),
         (2, 1, "wedge needs width >= 2, got 2x1"),
-    ], ids=["height", "width"])
+        (2, 2.5, "width must be an integer, got 2.5"),
+        (2, True, "width must be an integer, got True"),
+    ], ids=["height", "width", "float-width", "bool-width"])
     def test_wedge_names_the_side_that_is_wrong(self, height, width, message):
         with pytest.raises(InvalidInputError, match=f"^{message}$"):
             synth_wedge(height, width, 1.0, 2.0)
@@ -205,6 +208,16 @@ class TestSyntheticScenes:
     def test_random_scene_names_the_side_that_is_wrong(self, height, width, message):
         with pytest.raises(InvalidInputError, match=f"^{message}$"):
             synth_random(height, width, np.random.default_rng(0))
+
+    # np.linspace warned "invalid value encountered"
+    def test_wedge_far_depth_must_be_finite(self):
+        with pytest.raises(InvalidInputError, match="^z_far must be finite, got inf$"):
+            synth_wedge(2, 3, 1.0, np.inf)
+
+    # raised a bare AttributeError: 'NoneType' object has no attribute 'uniform'
+    def test_random_scene_needs_a_generator(self):
+        with pytest.raises(InvalidInputError, match="^rng must be a numpy Generator, got None$"):
+            synth_random(2, 2, None)
 
     def test_random_scene_is_positive_and_varied(self):
         rng = np.random.default_rng(9)

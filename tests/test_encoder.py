@@ -497,11 +497,12 @@ class TestInit:
         with pytest.raises(InvalidInputError):
             init_params(out_channels=0, seed=0)
 
-    # raised numpy's bare TypeError from the weight draw
+    # 2.5 and True raised numpy's bare TypeError from the weight draw
     def test_channel_count_must_be_an_integer(self):
-        with pytest.raises(InvalidInputError,
-                           match=re.escape("out_channels must be an integer, got 2.5")):
-            init_params(2.5, 0)
+        for count in (2.5, True):
+            with pytest.raises(InvalidInputError,
+                               match=re.escape(f"out_channels must be an integer, got {count}")):
+                init_params(count, 0)
         assert init_params(np.int64(3), 0).out_channels == 3
 
     def test_missing_weight_rejected(self):

@@ -387,7 +387,11 @@ class TestDispatchAndShapes:
         (Strategy.CROSS_ATTENTION, 3, 1.5, "heads must be an integer, got 1.5"),
         (Strategy.ADD, 2.5, 1, "channels must be an integer, got 2.5"),
         (Strategy.CONCAT, 2.5, 1, "channels must be an integer, got 2.5"),
-    ], ids=["sattn-heads", "xattn-heads", "add-channels", "concat-channels"])
+        # a bool: concat's draw raised numpy's bare TypeError, sattn took True as 1 head
+        (Strategy.CONCAT, True, 1, "channels must be an integer, got True"),
+        (Strategy.SELF_ATTENTION, 4, True, "heads must be an integer, got True"),
+    ], ids=["sattn-heads", "xattn-heads", "add-channels", "concat-channels",
+            "concat-bool-channels", "sattn-bool-heads"])
     def test_counts_must_be_integers(self, strategy, channels, heads, message):
         with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             init_fusion_params(strategy, channels, seed=0, heads=heads)
