@@ -26,7 +26,6 @@ from .cloud import (
 )
 from .depth import (
     DepthKind,
-    DepthMap,
     disparity_from_metric,
     invert,
     normalize,
@@ -57,7 +56,6 @@ __all__ = [
     "CameraIntrinsics",
     "ContinuityStats",
     "DepthKind",
-    "DepthMap",
     "EncoderGradients",
     "EncoderParams",
     "FusionParams",

@@ -8,6 +8,7 @@ center of a centered camera sits at (W - 1) / 2.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 
@@ -61,18 +62,15 @@ def project(points: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
     """Map (..., 3) camera-frame points back to (..., 2) pixel coordinates.
 
     u = fx * X / Z + cx, v = fy * Y / Z + cy.  Every Z must be strictly
-    positive; the first 16 offending flat indices are attached to the
-    raised error as ``indices``.
+    positive.
     """
     pts = float_array("points", points, None)  # any rank, checked below
     if pts.ndim < 1 or pts.shape[-1] != 3:
         raise InvalidInputError(f"points must have a trailing axis of 3, got {pts.shape}")
     z = pts[..., 2]
-    bad = np.flatnonzero(~(z > 0.0))  # NaN fails z > 0 too
-    if bad.size:
-        exc = InvalidInputError(f"projection requires Z > 0; {bad.size} point(s) violate this")
-        exc.indices = tuple(bad[:16].tolist())
-        raise exc
+    n_bad = np.count_nonzero(~(z > 0.0))  # NaN fails z > 0 too
+    if n_bad:
+        raise InvalidInputError(f"projection requires Z > 0; {n_bad} point(s) violate this")
     uv = np.empty(pts.shape[:-1] + (2,), dtype=np.float64)
     uv[..., 0] = intrinsics.fx * pts[..., 0] / z + intrinsics.cx
     uv[..., 1] = intrinsics.fy * pts[..., 1] / z + intrinsics.cy
@@ -99,6 +97,8 @@ def estimate_intrinsics_from_fov(
     for name, fov in (("fov_x_deg", fov_x_deg), ("fov_y_deg", fov_y_deg)):
         if fov is None:
             continue
+        if isinstance(fov, bool) or not isinstance(fov, numbers.Real):
+            raise InvalidInputError(f"{name} must be a real number, got {fov!r}")
         if not math.isfinite(fov) or not 0.0 < fov < 180.0:
             raise InvalidInputError(
                 f"{name} must lie strictly between 0 and 180 degrees, got {fov}"

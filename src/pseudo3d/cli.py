@@ -69,7 +69,7 @@ def cmd_gen_cloud(args: argparse.Namespace) -> int:
     try:
         depth = load_depth_map(args.depth, args.format, DepthKind.PREDICTED_RELATIVE)
         stage = "intrinsics"
-        intrinsics = load_intrinsics(args.intrinsics, depth.values.shape)
+        intrinsics = load_intrinsics(args.intrinsics, depth.shape)
         if args.naive_reciprocal:
             stage = "reciprocal"
             d_r = reciprocal_depth(depth)
@@ -77,7 +77,7 @@ def cmd_gen_cloud(args: argparse.Namespace) -> int:
             stage = "normalize"
             d_r = pipeline_relative_to_dr(depth)
         del depth  # each depth grid is freed once the next stage has its output
-        dr_min, dr_max = float(d_r.values.min()), float(d_r.values.max())
+        dr_min, dr_max = float(d_r.min()), float(d_r.max())
         stage = "backproject"
         points = cloud_from_depth(d_r, intrinsics)
         del d_r

@@ -15,16 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import CameraIntrinsics, backproject
-from .depth import DepthKind, DepthMap
 from .errors import InvalidInputError, check_count, check_finite, float_array
 
 
-def cloud_from_depth(depth: DepthMap, intrinsics: CameraIntrinsics) -> np.ndarray:
+def cloud_from_depth(depth: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
     """Back-project a depth grid into a grid-preserving (H, W, 3) point cloud.
 
     A point beyond float64's range raises :class:`NonFiniteInputError`.
     """
-    points = backproject(depth.values, intrinsics)
+    points = backproject(depth, intrinsics)
     check_finite("point grid", points)
     return points
 
@@ -99,7 +98,7 @@ def local_continuity(points: np.ndarray) -> ContinuityStats:
     )
 
 
-def synth_wedge(height: int, width: int, z_near: float, z_far: float) -> DepthMap:
+def synth_wedge(height: int, width: int, z_near: float, z_far: float) -> np.ndarray:
     """Depth ramp: columns run linearly from z_near (left) to z_far (right).
 
     A wedge has unequal near and far depth steps, which is exactly the
@@ -116,10 +115,10 @@ def synth_wedge(height: int, width: int, z_near: float, z_far: float) -> DepthMa
     if math.isinf(z_far):
         raise InvalidInputError(f"z_far must be finite, got {z_far}")
     row = np.linspace(z_near, z_far, width, dtype=np.float64)
-    return DepthMap(np.broadcast_to(row, (height, width)).copy(), DepthKind.METRIC)
+    return np.broadcast_to(row, (height, width)).copy()
 
 
-def synth_random(height: int, width: int, rng: np.random.Generator) -> DepthMap:
+def synth_random(height: int, width: int, rng: np.random.Generator) -> np.ndarray:
     """Random strictly positive, non-constant metric scene for sweeps."""
     check_count("height", height)
     check_count("width", width)
@@ -130,4 +129,4 @@ def synth_random(height: int, width: int, rng: np.random.Generator) -> DepthMap:
     while True:
         z = rng.uniform(0.5, 10.0, size=(height, width))
         if z.max() > z.min():
-            return DepthMap(z, DepthKind.METRIC)
+            return z

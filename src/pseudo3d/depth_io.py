@@ -14,9 +14,9 @@ import warnings
 
 import numpy as np
 
-from .depth import DepthKind, DepthMap
-from .errors import (FileError, InvalidInputError, NonFiniteInputError, bad_row, data_line,
-                     float_array, reading, to_float32, write_output)
+from .depth import DepthKind
+from .errors import (FileError, InvalidInputError, NonFiniteInputError, bad_row, check_finite,
+                     data_line, float_array, reading, to_float32, write_output)
 
 # magic, width, height, scale, then exactly one whitespace byte before raster
 _PFM_HEADER = re.compile(rb"^(P[fF])\s+(\d+)\s+(\d+)\s+([-+]?[0-9.eE+-]+)\s")
@@ -100,6 +100,8 @@ def read_pgm(path: str) -> np.ndarray:
 def write_pgm(path: str, samples: np.ndarray, maxval: int) -> None:
     """Write raw integer samples as binary PGM with the given maxval."""
     arr = float_array("PGM samples", samples, (None, None))
+    if isinstance(maxval, (bool, np.bool_)):  # True would pass as maxval 1
+        raise InvalidInputError(f"maxval must be an integer, got {maxval!r}")
     if not (0 < maxval < 65536 and maxval == int(maxval)):  # the header writes an integer
         raise InvalidInputError(f"maxval must be an integer in [1, 65535], got {maxval}")
     if not (arr.min() >= 0 and arr.max() <= maxval):  # NaN fails too
@@ -143,18 +145,19 @@ def write_csv(path: str, values: np.ndarray) -> None:
 READERS = {"pfm": read_pfm, "pgm": read_pgm, "csv": read_csv}
 
 
-def load_depth_map(path: str, fmt: str, kind: DepthKind) -> DepthMap:
-    """Read a depth file in the named format and tag it with a kind.
+def load_depth_map(path: str, fmt: str, kind: DepthKind) -> np.ndarray:
+    """Read a depth file in the named format as an (H, W) float64 grid.
 
-    A NaN or infinite sample raises :class:`FileError` naming the path.
+    ``kind`` must be a :class:`~pseudo3d.depth.DepthKind` and changes no
+    result.  A NaN or infinite sample raises :class:`FileError` naming the path.
     """
+    if fmt not in READERS:
+        raise InvalidInputError(f"unknown depth format {fmt!r}; expected one of {sorted(READERS)}")
+    if not isinstance(kind, DepthKind):
+        raise InvalidInputError(f"kind must be a DepthKind, got {kind!r}")
+    values = READERS[fmt](path)
     try:
-        reader = READERS[fmt]
-    except KeyError:
-        raise InvalidInputError(
-            f"unknown depth format {fmt!r}; expected one of {sorted(READERS)}") from None
-    values = reader(path)
-    try:
-        return DepthMap(values, kind)
+        check_finite("depth grid", values)
     except NonFiniteInputError as exc:
         raise FileError(f"{path}: {exc}") from exc
+    return values

@@ -210,7 +210,7 @@ def _hidden_bands(x: np.ndarray, params: EncoderParams):
     """
     _, h, wd = x.shape
     h1, w1 = (h - 1) // STRIDE + 1, (wd - 1) // STRIDE + 1
-    h2, w2, _ = output_shape(h, wd, 1)
+    h2, w2 = (h1 - 1) // STRIDE + 1, (w1 - 1) // STRIDE + 1
     step = _band_rows(w1, h2, w2)
     w = params.w1.reshape(HIDDEN_CHANNELS, -1)
     slab = np.empty((HIDDEN_CHANNELS, (STRIDE * step + 1) * w1))

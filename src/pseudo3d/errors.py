@@ -9,8 +9,9 @@ There are four exception classes, all under :class:`Pseudo3dError`:
 
 Every array argument goes through :func:`float_array`, which checks its shape
 and copies nothing that is already float64; a caller that needs finite values
-calls :func:`check_finite` on the result.  Every array a value type stores is a
-float64, finite, read-only copy of the required shape made by :func:`frozen_array`.
+calls :func:`check_finite` on the result.  The two value types, ``EncoderParams``
+and ``FusionParams``, store each array as a float64, finite, read-only copy of
+the required shape made by :func:`frozen_array`.
 """
 
 import warnings
@@ -134,11 +135,12 @@ def check_integer(name: str, value) -> None:
         raise InvalidInputError(f"{name} must be an integer, got {value!r}")
 
 
-def check_count(name: str, value) -> None:
-    """Raise :class:`InvalidInputError` unless ``value`` passes :func:`check_integer` and is >= 1."""
+def check_count(name: str, value, minimum: int = 1) -> None:
+    """Raise :class:`InvalidInputError` unless ``value`` passes :func:`check_integer`
+    and is >= ``minimum``."""
     check_integer(name, value)
-    if value < 1:
-        raise InvalidInputError(f"{name} must be >= 1, got {value}")
+    if value < minimum:
+        raise InvalidInputError(f"{name} must be >= {minimum}, got {value}")
 
 
 def float_array(name: str, values, shape: tuple[int | None, ...] | None) -> np.ndarray:

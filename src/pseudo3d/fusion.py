@@ -74,8 +74,9 @@ def _init_weights(shapes: dict[str, tuple[int, ...]], seed: int) -> dict[str, np
     """Uniform +-1/sqrt(fan_in) weights and zero (1-D) biases, drawn in table order.
 
     Fan-in is the product of all but the first axis; ``default_rng(seed)``
-    gives the same arrays on every platform.
+    gives the same arrays on every platform.  ``seed`` must be an integer >= 0.
     """
+    check_count("seed", seed, minimum=0)
     rng = np.random.default_rng(seed)
     weights: dict[str, np.ndarray] = {}
     for name, shape in shapes.items():

@@ -37,6 +37,11 @@ def _f(x: float) -> str:
     return f"{x:.6e}"
 
 
+def _peak(*values: float) -> float:
+    """The largest of ``values``, NaN if any is NaN (``max(0.0, nan)`` is 0.0)."""
+    return float(np.max(values))
+
+
 Details = tuple[tuple[str, str], ...]
 
 
@@ -86,14 +91,14 @@ def check_affine(seed: int, break_shift: bool = False) -> tuple[bool, Details]:
         h = int(rng.integers(4, 25))
         w = int(rng.integers(4, 25))
         scene = synth_random(h, w, rng)
-        reference = normalize(disparity_from_metric(scene, 1.0, 0.0)).values
+        reference = normalize(disparity_from_metric(scene, 1.0, 0.0))
         for s in AFFINE_SCALES:
             for t in AFFINE_SHIFTS:
                 if break_shift:
-                    candidate = normalize(disparity_from_metric(scene, s, 0.0)).values + t
+                    candidate = normalize(disparity_from_metric(scene, s, 0.0)) + t
                 else:
-                    candidate = normalize(disparity_from_metric(scene, s, t)).values
-                max_dev = max(max_dev, float(np.abs(candidate - reference).max()))
+                    candidate = normalize(disparity_from_metric(scene, s, t))
+                max_dev = _peak(max_dev, float(np.abs(candidate - reference).max()))
     return max_dev <= AFFINE_TOL, (
         ("scenes", str(AFFINE_SCENES)),
         ("grid", str(len(AFFINE_SCALES) * len(AFFINE_SHIFTS))),
@@ -128,14 +133,14 @@ def check_shift(seed: int) -> tuple[bool, Details]:
         row = cloud_points[0]
         return np.linalg.norm(row[1:] - row[:-1], axis=1)
 
-    naive0 = _row_steps(backproject(reciprocal_depth(pred0).values, intr))
-    naive_t = _row_steps(backproject(reciprocal_depth(pred_t).values, intr))
+    naive0 = _row_steps(backproject(reciprocal_depth(pred0), intr))
+    naive_t = _row_steps(backproject(reciprocal_depth(pred_t), intr))
     ratios0 = naive0 / naive0[0]
     ratios_t = naive_t / naive_t[0]
     ratio_change = float(np.abs(ratios_t - ratios0).max() / np.abs(ratios0).max())
 
-    pipe0 = backproject(pipeline_relative_to_dr(pred0).values, intr)
-    pipe_t = backproject(pipeline_relative_to_dr(pred_t).values, intr)
+    pipe0 = backproject(pipeline_relative_to_dr(pred0), intr)
+    pipe_t = backproject(pipeline_relative_to_dr(pred_t), intr)
     pipe_dev = float(np.abs(pipe0 - pipe_t).max())
 
     return (ratio_change > SHIFT_RATIO_MIN) and (pipe_dev <= SHIFT_PIPELINE_TOL), (
@@ -178,7 +183,7 @@ def check_roundtrip(seed: int) -> tuple[bool, Details]:
         d = rng.uniform(0.1, 50.0, size=(h, w))
         points = backproject(d, intr)
         dev_z = float(np.abs(points[:, :, 2] - d).max())
-        max_dev = max(max_dev, _pixel_dev(points, intr), dev_z)
+        max_dev = _peak(max_dev, _pixel_dev(points, intr), dev_z)
     return max_dev <= ROUNDTRIP_TOL, (
         ("pairs", str(ROUNDTRIP_PAIRS)),
         ("max_dev", _f(max_dev)),
@@ -200,13 +205,13 @@ def check_scale(seed: int) -> tuple[bool, Details]:
     rng = np.random.default_rng(seed)
     scene = synth_random(12, 9, rng)
     intr = estimate_intrinsics_from_fov(9, 12, 70.0)
-    base = backproject(scene.values, intr)
+    base = backproject(scene, intr)
     max_scale_dev = 0.0
     for alpha in SCALE_FACTORS:
-        scaled = backproject(alpha * scene.values, intr)
-        max_scale_dev = max(max_scale_dev, float(np.abs(scaled - alpha * base).max()))
+        scaled = backproject(alpha * scene, intr)
+        max_scale_dev = _peak(max_scale_dev, float(np.abs(scaled - alpha * base).max()))
     grid_dev = _pixel_dev(base, intr)
-    depth_dev = float(np.abs(base[:, :, 2] - scene.values).max())
+    depth_dev = float(np.abs(base[:, :, 2] - scene).max())
     passed = max_scale_dev <= SCALE_TOL and grid_dev <= GRID_TOL and depth_dev == 0.0
     return passed, (
         ("factors", "0.5,2.0"),
@@ -267,7 +272,7 @@ def check_gradcheck(seed: int) -> tuple[bool, Details]:
                 rel = 0.0 if abs(an - fd) <= _GRADCHECK_ZERO else 1.0
             else:
                 rel = abs(an - fd) / scale
-            max_rel = max(max_rel, rel)
+            max_rel = _peak(max_rel, rel)
             n_coords += 1
     return (max_rel <= GRADCHECK_TOL) and (n_coords >= GRADCHECK_MIN_COORDS), (
         ("coords", str(n_coords)),
@@ -427,7 +432,7 @@ def check_loss(seed: int) -> tuple[bool, Details]:
                                    _random_action(rng, target=True))
                                   for _ in range(int(rng.integers(1, 6)))])
                         for _ in range(int(rng.integers(1, 5)))]
-        max_dev = max(max_dev, abs(dataset_loss(trajectories) - _loss_oracle(trajectories)))
+        max_dev = _peak(max_dev, abs(dataset_loss(trajectories) - _loss_oracle(trajectories)))
 
     # step 0, a perfect prediction: only the clamped BCE residue remains;
     # step 1, a single-axis position error of delta, contributes exactly delta^2/3

@@ -93,19 +93,19 @@ class TestProject:
         uv = project(np.array([0.0, 0.0, 4.0]), intr)
         assert_array_equal(uv, [31.5, 23.5])
 
-    def test_rejects_nonpositive_z_with_indices(self):
+    def test_rejects_nonpositive_z(self):
         intr = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0)
         pts = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
-        with pytest.raises(InvalidInputError) as exc_info:
+        with pytest.raises(InvalidInputError,
+                           match=r"^projection requires Z > 0; 2 point\(s\) violate this$"):
             project(pts, intr)
-        assert exc_info.value.indices == (1, 2)
 
-    def test_rejects_nan_z_with_index(self):
+    def test_rejects_nan_z(self):
         intr = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0)
         pts = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, np.nan]])
-        with pytest.raises(InvalidInputError) as exc_info:
+        with pytest.raises(InvalidInputError,
+                           match=r"^projection requires Z > 0; 1 point\(s\) violate this$"):
             project(pts, intr)
-        assert exc_info.value.indices == (1,)
 
     def test_rejects_bad_trailing_axis(self):
         intr = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0)
@@ -160,6 +160,22 @@ class TestFovEstimation:
         with pytest.raises(InvalidInputError,
                            match=f"^{re.escape(f'{name} must be an integer, got {value}')}$"):
             estimate_intrinsics_from_fov(width, height, 60.0)
+
+    # (4, 3, True) returned a 1-degree camera; (4, 3, "60") raised math's bare TypeError
+    @pytest.mark.parametrize("fovs, name, value", [
+        ((True,), "fov_x_deg", "True"),
+        (("60",), "fov_x_deg", "'60'"),
+        ((60.0, True), "fov_y_deg", "True"),
+        ((60.0, "45"), "fov_y_deg", "'45'"),
+    ], ids=["bool-x", "str-x", "bool-y", "str-y"])
+    def test_fov_must_be_a_real_number(self, fovs, name, value):
+        with pytest.raises(InvalidInputError,
+                           match=f"^{re.escape(f'{name} must be a real number, got {value}')}$"):
+            estimate_intrinsics_from_fov(4, 3, *fovs)
+
+    def test_numpy_fov_is_accepted(self):
+        assert estimate_intrinsics_from_fov(4, 3, np.float32(60.0), np.int64(45)) == \
+            estimate_intrinsics_from_fov(4, 3, 60.0, 45.0)
 
     def test_numpy_integer_size_is_accepted(self):
         assert estimate_intrinsics_from_fov(np.int64(5), np.int32(3), 60.0) == \

@@ -18,7 +18,7 @@ from conftest import run_cli
 from pseudo3d import cli
 from pseudo3d.cloud import cloud_from_depth, synth_wedge
 from pseudo3d.camera import estimate_intrinsics_from_fov
-from pseudo3d.depth import DepthKind, DepthMap, pipeline_relative_to_dr
+from pseudo3d.depth import pipeline_relative_to_dr
 from pseudo3d.depth_io import read_csv, write_csv, write_pfm
 from pseudo3d.ply import read_ply
 
@@ -26,7 +26,7 @@ from pseudo3d.ply import read_ply
 @pytest.fixture
 def wedge_csv(tmp_path):
     path = tmp_path / "wedge.csv"
-    write_csv(str(path), synth_wedge(6, 8, 2.0, 6.0).values)
+    write_csv(str(path), synth_wedge(6, 8, 2.0, 6.0))
     return str(path)
 
 
@@ -51,7 +51,7 @@ class TestGenCloud:
         assert proc.returncode == 0, proc.stderr
 
         # independent reconstruction through the library
-        depth = DepthMap(synth_wedge(6, 8, 2.0, 6.0).values, DepthKind.PREDICTED_RELATIVE)
+        depth = synth_wedge(6, 8, 2.0, 6.0)
         intr = estimate_intrinsics_from_fov(8, 6, 60.0)
         expected = cloud_from_depth(pipeline_relative_to_dr(depth), intr)
         assert_array_equal(read_ply(out), expected.astype(np.float32))

@@ -16,7 +16,6 @@ from pseudo3d.cloud import (
     synth_wedge,
     to_coordinate_map,
 )
-from pseudo3d.depth import DepthKind, DepthMap
 from pseudo3d.encoder import normalize_coordinate_map
 from pseudo3d.errors import FileError, InvalidInputError, NonFiniteInputError, frozen_array
 from pseudo3d.ply import export_ply, read_ply
@@ -24,7 +23,7 @@ from pseudo3d.ply import export_ply, read_ply
 
 def plane_cloud(h=4, w=5, z=3.0, fx=2.0, fy=4.0, cx=1.0, cy=0.5):
     intr = CameraIntrinsics(fx=fx, fy=fy, cx=cx, cy=cy)
-    return cloud_from_depth(DepthMap(np.full((h, w), z), DepthKind.METRIC), intr), intr
+    return cloud_from_depth(np.full((h, w), z), intr), intr
 
 
 class TestCloudGeometry:
@@ -41,9 +40,8 @@ class TestCloudGeometry:
 
     def test_wedge_depth_is_column_linear(self):
         wedge = synth_wedge(2, 5, 1.0, 9.0)
-        assert wedge.kind is DepthKind.METRIC
-        assert_array_equal(wedge.values[0], [1.0, 3.0, 5.0, 7.0, 9.0])
-        assert_array_equal(wedge.values[0], wedge.values[1])
+        assert_array_equal(wedge[0], [1.0, 3.0, 5.0, 7.0, 9.0])
+        assert_array_equal(wedge[0], wedge[1])
 
     def test_grid_shape_tracks_depth_shape(self):
         points, _ = plane_cloud(h=7, w=2)
@@ -223,13 +221,12 @@ class TestSyntheticScenes:
         rng = np.random.default_rng(9)
         for _ in range(5):
             scene = synth_random(4, 6, rng)
-            assert scene.kind is DepthKind.METRIC
-            assert scene.values.min() > 0.0
-            assert scene.values.max() > scene.values.min()
+            assert scene.min() > 0.0
+            assert scene.max() > scene.min()
 
     def test_random_scene_deterministic_per_seed(self):
-        a = synth_random(3, 3, np.random.default_rng(13)).values
-        b = synth_random(3, 3, np.random.default_rng(13)).values
+        a = synth_random(3, 3, np.random.default_rng(13))
+        b = synth_random(3, 3, np.random.default_rng(13))
         assert_array_equal(a, b)
 
 
@@ -261,7 +258,7 @@ class TestCloudType:
     def test_point_beyond_float64_rejected(self):
         intr = CameraIntrinsics(fx=1e-320, fy=1.0, cx=0.0, cy=0.0)
         with pytest.raises(NonFiniteInputError, match="point grid"):
-            cloud_from_depth(DepthMap(np.full((2, 2), 3.0), DepthKind.METRIC), intr)
+            cloud_from_depth(np.full((2, 2), 3.0), intr)
 
 
 class TestFrozenArray:

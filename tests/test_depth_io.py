@@ -10,6 +10,7 @@ from numpy.testing import assert_array_equal
 
 from pseudo3d.depth import DepthKind
 from pseudo3d.depth_io import (
+    READERS,
     load_depth_map,
     read_csv,
     read_pfm,
@@ -196,6 +197,15 @@ class TestPgm:
             write_pgm(str(path), np.array([[0.0, 0.0]]), maxval=maxval)
         assert not path.exists()
 
+    @pytest.mark.parametrize("maxval", [True, np.True_])
+    def test_writer_rejects_a_bool_maxval(self, tmp_path, maxval):
+        # True used to pass as an integer and write a file with maxval 1
+        path = tmp_path / "x.pgm"
+        with pytest.raises(InvalidInputError, match=re.escape(
+                f"maxval must be an integer, got {maxval!r}")):
+            write_pgm(str(path), np.array([[0.0, 1.0]]), maxval=maxval)
+        assert not path.exists()
+
 
 class TestCsv:
     def test_round_trip_preserves_float64(self, tmp_path):
@@ -339,19 +349,23 @@ class TestWriters:
 
 class TestLoadDepthMap:
     def test_tags_kind(self, tmp_path):
-        path = str(tmp_path / "d.csv")
-        write_csv(path, np.array([[1.0, 2.0]]))
-        dm = load_depth_map(path, "csv", DepthKind.PREDICTED_RELATIVE)
-        assert dm.kind is DepthKind.PREDICTED_RELATIVE
+        """The kind is only a tag: the grid is the reader's, value for value."""
+        writers = {"pfm": write_pfm, "csv": write_csv, "pgm": lambda p, v: write_pgm(p, v, 255)}
+        for fmt, write in writers.items():
+            path = str(tmp_path / f"d.{fmt}")
+            write(path, np.array([[1.0, 2.0], [3.0, 4.0]]))
+            grid = load_depth_map(path, fmt, DepthKind.PREDICTED_RELATIVE)
+            assert grid.dtype == np.float64
+            assert_array_equal(grid, READERS[fmt](path))
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(InvalidInputError, match="unknown depth format"):
-            load_depth_map(str(tmp_path / "d.exr"), "exr", DepthKind.METRIC)
+            load_depth_map(str(tmp_path / "d.exr"), "exr", DepthKind.PREDICTED_RELATIVE)
 
     def test_missing_file_surfaces_path(self, tmp_path):
         missing = str(tmp_path / "gone.csv")
         with pytest.raises(FileError, match="gone.csv"):
-            load_depth_map(missing, "csv", DepthKind.METRIC)
+            load_depth_map(missing, "csv", DepthKind.PREDICTED_RELATIVE)
 
     @pytest.mark.parametrize("name, fmt, data", [
         ("inf.pfm", "pfm", b"Pf\n2 1\n-1.0\n" + struct.pack("<2f", 1.0, float("inf"))),

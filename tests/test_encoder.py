@@ -505,6 +505,16 @@ class TestInit:
                 init_params(count, 0)
         assert init_params(np.int64(3), 0).out_channels == 3
 
+    # numpy's default_rng raised its bare ValueError for -1 and TypeError for 1.5
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidInputError, match="^seed must be >= 0, got -1$"):
+            init_params(4, -1)
+
+    def test_seed_must_be_an_integer(self):
+        with pytest.raises(InvalidInputError, match="^seed must be an integer, got 1.5$"):
+            init_params(4, 1.5)
+        assert_array_equal(init_params(4, np.int64(3)).w2, init_params(4, 3).w2)
+
     def test_missing_weight_rejected(self):
         p = init_params(out_channels=2, seed=0)
         with pytest.raises(InvalidInputError, match="w1 is required"):

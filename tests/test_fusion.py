@@ -396,6 +396,11 @@ class TestDispatchAndShapes:
         with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             init_fusion_params(strategy, channels, seed=0, heads=heads)
 
+    # numpy's default_rng raised its bare ValueError
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidInputError, match="^seed must be >= 0, got -1$"):
+            init_fusion_params(Strategy.CONCAT, 4, -1)
+
     def test_numpy_integer_counts_are_accepted(self):
         params = init_fusion_params(Strategy.CROSS_ATTENTION, np.int64(4), seed=0,
                                     heads=np.int32(2))

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import pseudo3d
 
 _PACKAGE = Path(pseudo3d.__file__).parent
@@ -175,6 +177,25 @@ def test_every_name_the_benchmark_calls_resolves():
             missing.append(chain)
     assert len(chains) > 20, sorted(chains)
     assert missing == []
+
+
+def test_the_benchmark_depth_chain_runs(tmp_path):
+    """The calls ``perfbench``'s policy-train item makes, in its order, on a small
+    PFM frame: the names it keeps are run, not only resolved."""
+    p3 = pseudo3d
+    d = np.random.default_rng(3).uniform(0.5, 10.0, (6, 8)).astype(np.float32).astype(np.float64)
+    path = str(tmp_path / "frame.pfm")
+    p3.write_pfm(path, d)
+    intr = p3.CameraIntrinsics(fx=5.0, fy=5.0, cx=3.5, cy=2.5)
+
+    depth = p3.load_depth_map(path, "pfm", p3.DepthKind.PREDICTED_RELATIVE)
+    cloud = p3.cloud_from_depth(p3.pipeline_relative_to_dr(depth), intr)
+    cmap, _ = p3.normalize_coordinate_map(p3.to_coordinate_map(cloud))
+
+    lo, span = d.min(), d.max() - d.min()
+    assert cloud.tobytes() == p3.backproject(1 - (d - lo) / span, intr).tobytes()
+    planar, _ = p3.normalize_coordinate_map(np.ascontiguousarray(cloud.transpose(2, 0, 1)))
+    assert cmap.tobytes() == planar.tobytes()
 
 
 def test_readme_layout_lists_every_module():

@@ -7,8 +7,10 @@ taken with, as ``GOLDEN_SHA256`` in ``test_fusion.py`` does.
 
 import hashlib
 
+import numpy as np
 import pytest
 
+from pseudo3d import verification
 from pseudo3d.verification import ALL_PROPS, render_report, render_report_json, run_properties
 
 # seed, break_shift -> sha256 of the text report, of the JSON report
@@ -44,3 +46,25 @@ def test_properties_run_in_report_order():
     assert ALL_PROPS == ("affine", "shift", "roundtrip", "scale", "gradcheck",
                          "fusion", "loss", "files", "determinism")
     assert [r.name for r in run_properties(["files", "affine"], 0)] == ["affine", "files"]
+
+
+# Python's max(0.0, nan) is 0.0: both checks passed with max_dev=0.000000e+00
+def test_roundtrip_fails_on_nan_points(monkeypatch):
+    backproject = verification.backproject
+
+    def nan_x(depth, intr):
+        points = backproject(depth, intr)
+        points[..., 0] = np.nan
+        return points
+
+    monkeypatch.setattr(verification, "backproject", nan_x)
+    result = verification.check_roundtrip(0)
+    assert not result.passed
+    assert dict(result.details)["max_dev"] == "nan"
+
+
+def test_affine_fails_on_nan_normalize(monkeypatch):
+    monkeypatch.setattr(verification, "normalize", lambda d: np.full(np.shape(d), np.nan))
+    result = verification.check_affine(0)
+    assert not result.passed
+    assert dict(result.details)["max_dev"] == "nan"
