@@ -27,7 +27,6 @@ from .cloud import (
 from .depth import (
     DepthKind,
     disparity_from_metric,
-    invert,
     normalize,
     pipeline_relative_to_dr,
     reciprocal_depth,
@@ -72,7 +71,6 @@ __all__ = [
     "fuse",
     "init_fusion_params",
     "init_params",
-    "invert",
     "load_depth_map",
     "load_intrinsics",
     "load_params",

@@ -8,13 +8,13 @@ center of a centered camera sits at (W - 1) / 2.
 from __future__ import annotations
 
 import math
-import numbers
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FileError, InvalidInputError, check_integer, data_line, float_array, reading
+from .errors import (FileError, InvalidInputError, check_integer, check_real, data_line,
+                     float_array, reading)
 
 
 @dataclass(frozen=True)
@@ -25,6 +25,8 @@ class CameraIntrinsics:
     cy: float
 
     def __post_init__(self) -> None:
+        for name in ("fx", "fy", "cx", "cy"):
+            check_real(name, getattr(self, name))
         vals = (self.fx, self.fy, self.cx, self.cy)
         if not all(math.isfinite(v) for v in vals):
             raise InvalidInputError(f"intrinsics must be finite, got {vals}")
@@ -95,10 +97,9 @@ def estimate_intrinsics_from_fov(
     if width < 1 or height < 1:
         raise InvalidInputError(f"image size must be at least 1x1, got {width}x{height}")
     for name, fov in (("fov_x_deg", fov_x_deg), ("fov_y_deg", fov_y_deg)):
-        if fov is None:
+        if fov is None and name == "fov_y_deg":  # only the vertical field of view is optional
             continue
-        if isinstance(fov, bool) or not isinstance(fov, numbers.Real):
-            raise InvalidInputError(f"{name} must be a real number, got {fov!r}")
+        check_real(name, fov)
         if not math.isfinite(fov) or not 0.0 < fov < 180.0:
             raise InvalidInputError(
                 f"{name} must lie strictly between 0 and 180 degrees, got {fov}"

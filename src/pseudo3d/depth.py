@@ -13,7 +13,8 @@ shift-invariant, which is what makes the downstream geometry stable when
 the estimator's unknown shift changes between frames.
 
 Each function reads its grid through :func:`~pseudo3d.errors.float_array`, with
-no copy of a float64 grid, and rejects a NaN or infinity.
+no copy of a float64 grid, and rejects a NaN or infinity.  Each allocates only
+the grid it returns.
 """
 
 from __future__ import annotations
@@ -56,14 +57,11 @@ def normalize(depth: np.ndarray) -> np.ndarray:
     return out
 
 
-def invert(depth: np.ndarray) -> np.ndarray:
-    """Flip a normalized grid so greater values mean farther: 1 - d."""
-    return 1.0 - _grid(depth)
-
-
 def pipeline_relative_to_dr(depth: np.ndarray) -> np.ndarray:
-    """Full relative-depth conditioning: normalize then invert."""
-    return invert(normalize(depth))
+    """Full relative-depth conditioning: normalize, then invert in place (1 - d)."""
+    out = normalize(depth)
+    np.subtract(1.0, out, out=out)
+    return out
 
 
 def disparity_from_metric(metric: np.ndarray, scale: float, shift: float) -> np.ndarray:

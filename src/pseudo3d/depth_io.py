@@ -151,7 +151,7 @@ def load_depth_map(path: str, fmt: str, kind: DepthKind) -> np.ndarray:
     ``kind`` must be a :class:`~pseudo3d.depth.DepthKind` and changes no
     result.  A NaN or infinite sample raises :class:`FileError` naming the path.
     """
-    if fmt not in READERS:
+    if not isinstance(fmt, str) or fmt not in READERS:
         raise InvalidInputError(f"unknown depth format {fmt!r}; expected one of {sorted(READERS)}")
     if not isinstance(kind, DepthKind):
         raise InvalidInputError(f"kind must be a DepthKind, got {kind!r}")

@@ -14,6 +14,7 @@ and ``FusionParams``, store each array as a float64, finite, read-only copy of
 the required shape made by :func:`frozen_array`.
 """
 
+import numbers
 import warnings
 from contextlib import contextmanager
 
@@ -133,6 +134,13 @@ def check_integer(name: str, value) -> None:
     """Raise :class:`InvalidInputError` unless ``value`` is an integer (numpy's too), not a bool."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+
+
+def check_real(name: str, value) -> None:
+    """Raise :class:`InvalidInputError` unless ``value`` is a real number (numpy's
+    too), not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidInputError(f"{name} must be a real number, got {value!r}")
 
 
 def check_count(name: str, value, minimum: int = 1) -> None:

@@ -28,7 +28,7 @@ from .camera import CameraIntrinsics, backproject, estimate_intrinsics_from_fov,
 from .cloud import synth_random, synth_wedge
 from .depth import disparity_from_metric, normalize, pipeline_relative_to_dr, reciprocal_depth
 from .encoder import EncoderParams, encode, encode_backward, init_params
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_count
 from .fusion import FusionParams, Strategy, fuse, init_fusion_params
 from .policy_loss import BCE_EPS, _step_losses, dataset_loss
 
@@ -539,11 +539,13 @@ def run_properties(
     """Run the named checks in canonical order and return their results.
 
     ``break_shift`` reaches only the ``affine`` check, its negative control.
-    No name, or a name not in :data:`ALL_PROPS`, raises :class:`InvalidInputError`.
+    No name, a name not in :data:`ALL_PROPS`, or a seed that is not an integer
+    >= 0 raises :class:`InvalidInputError`.
     """
     unknown = [n for n in names if n not in _CHECKS]
     if unknown or not names:
         found = f"unknown properties: {', '.join(unknown)}" if unknown else "no property selected"
         raise InvalidInputError(f"{found}; expected from {', '.join(ALL_PROPS)}")
+    check_count("seed", seed, minimum=0)
     return [_CHECKS[n](seed, break_shift) if n == "affine" else _CHECKS[n](seed)
             for n in ALL_PROPS if n in names]

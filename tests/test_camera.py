@@ -27,6 +27,19 @@ class TestIntrinsicsType:
         with pytest.raises(InvalidInputError):
             CameraIntrinsics(fx=1.0, fy=1.0, cx=math.nan, cy=0.0)
 
+    # "1" and None raised math's bare TypeError; True built a camera with fx=True
+    @pytest.mark.parametrize("field", ["fx", "fy", "cx", "cy"])
+    @pytest.mark.parametrize("value", ["1", None, True], ids=["str", "none", "bool"])
+    def test_fields_must_be_real_numbers(self, field, value):
+        fields = {"fx": 1.0, "fy": 1.0, "cx": 0.0, "cy": 0.0, field: value}
+        with pytest.raises(InvalidInputError,
+                           match=f"^{re.escape(f'{field} must be a real number, got {value!r}')}$"):
+            CameraIntrinsics(**fields)
+
+    def test_numpy_fields_are_accepted(self):
+        assert CameraIntrinsics(np.float32(2.0), np.int64(3), np.float64(0.5), np.int32(0)) == \
+            CameraIntrinsics(2.0, 3.0, 0.5, 0.0)
+
 
 class TestBackproject:
     def test_hand_computed_grid(self):
@@ -161,13 +174,15 @@ class TestFovEstimation:
                            match=f"^{re.escape(f'{name} must be an integer, got {value}')}$"):
             estimate_intrinsics_from_fov(width, height, 60.0)
 
-    # (4, 3, True) returned a 1-degree camera; (4, 3, "60") raised math's bare TypeError
+    # (4, 3, True) returned a 1-degree camera; (4, 3, "60") and (4, 3, None) raised
+    # math's bare TypeError.  Only fov_y_deg may be None.
     @pytest.mark.parametrize("fovs, name, value", [
         ((True,), "fov_x_deg", "True"),
         (("60",), "fov_x_deg", "'60'"),
+        ((None,), "fov_x_deg", "None"),
         ((60.0, True), "fov_y_deg", "True"),
         ((60.0, "45"), "fov_y_deg", "'45'"),
-    ], ids=["bool-x", "str-x", "bool-y", "str-y"])
+    ], ids=["bool-x", "str-x", "none-x", "bool-y", "str-y"])
     def test_fov_must_be_a_real_number(self, fovs, name, value):
         with pytest.raises(InvalidInputError,
                            match=f"^{re.escape(f'{name} must be a real number, got {value}')}$"):

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 from pseudo3d.depth import (
     DepthKind,
     disparity_from_metric,
-    invert,
     normalize,
     pipeline_relative_to_dr,
     reciprocal_depth,
@@ -21,7 +21,7 @@ def relative(values) -> np.ndarray:
 
 
 # each function that takes a depth grid, called on ``d``
-_TAKES_DEPTH = [normalize, invert, pipeline_relative_to_dr,
+_TAKES_DEPTH = [normalize, pipeline_relative_to_dr,
                 lambda d: disparity_from_metric(d, 1.0, 0.0), reciprocal_depth]
 
 
@@ -66,6 +66,21 @@ class TestDepthMap:
             kept = out.copy()
             src[...] = 99.0
             assert_array_equal(out, kept)
+
+    def test_allocates_only_the_returned_grid(self):
+        """At 480x640 the traced peak is the result plus at most a boolean mask:
+        the pipeline inverts inside normalize's grid instead of making a second one."""
+        d = np.random.default_rng(0).uniform(0.5, 9.0, (480, 640))
+        kept = d.copy()
+        for call in _TAKES_DEPTH:
+            tracemalloc.start()
+            try:
+                out = call(d)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.25 * out.nbytes, (call.__name__, peak / out.nbytes)
+            assert_array_equal(d, kept)
 
     def test_kind_must_be_enum(self, tmp_path):
         path = str(tmp_path / "d.csv")
@@ -115,9 +130,9 @@ class TestNormalize:
 
 class TestInvert:
     def test_one_minus(self):
-        n = normalize(relative([[0.0, 1.0, 3.0]]))
-        out = invert(n)
-        assert_array_equal(out, 1.0 - n)
+        d = relative([[0.0, 1.0, 3.0]])
+        n = normalize(d)
+        assert_array_equal(pipeline_relative_to_dr(d), 1.0 - n)
 
     def test_nearest_pixel_goes_to_zero(self):
         # the largest prediction (nearest in relative-depth convention,
@@ -129,10 +144,12 @@ class TestInvert:
 
 class TestPipeline:
     def test_is_literally_invert_of_normalize(self):
-        d = relative(np.random.default_rng(0).uniform(0, 9, (7, 4)))
-        via_pipeline = pipeline_relative_to_dr(d)
-        via_steps = invert(normalize(d))
-        assert_array_equal(via_pipeline, via_steps)
+        """Inverting in place is the same IEEE subtraction as 1 - normalize(d), on any grid."""
+        rng = np.random.default_rng(0)
+        for d in (rng.uniform(0, 9, (7, 4)), rng.integers(-50, 50, (5, 6)),
+                  np.asfortranarray(rng.normal(size=(6, 5))), 1.0 + rng.uniform(0, 1e-12, (4, 4)),
+                  [[-8e307, 0.0, 8e307]], rng.uniform(-1e299, 1e299, (3, 7))):
+            assert pipeline_relative_to_dr(d).tobytes() == (1.0 - normalize(d)).tobytes()
 
     def test_shift_invariance_of_full_pipeline(self):
         rng = np.random.default_rng(7)

@@ -362,6 +362,12 @@ class TestLoadDepthMap:
         with pytest.raises(InvalidInputError, match="unknown depth format"):
             load_depth_map(str(tmp_path / "d.exr"), "exr", DepthKind.PREDICTED_RELATIVE)
 
+    # a list raised a bare TypeError: unhashable type: 'list'
+    def test_format_that_is_not_a_str_is_unknown(self, tmp_path):
+        with pytest.raises(InvalidInputError, match=re.escape(
+                "unknown depth format ['pfm']; expected one of ['csv', 'pfm', 'pgm']")):
+            load_depth_map(str(tmp_path / "d.pfm"), ["pfm"], DepthKind.PREDICTED_RELATIVE)
+
     def test_missing_file_surfaces_path(self, tmp_path):
         missing = str(tmp_path / "gone.csv")
         with pytest.raises(FileError, match="gone.csv"):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from pseudo3d import verification
+from pseudo3d.errors import InvalidInputError
 from pseudo3d.verification import ALL_PROPS, render_report, render_report_json, run_properties
 
 # seed, break_shift -> sha256 of the text report, of the JSON report
@@ -46,6 +47,18 @@ def test_properties_run_in_report_order():
     assert ALL_PROPS == ("affine", "shift", "roundtrip", "scale", "gradcheck",
                          "fusion", "loss", "files", "determinism")
     assert [r.name for r in run_properties(["files", "affine"], 0)] == ["affine", "files"]
+
+
+# -1 leaked numpy's bare ValueError, 1.5 a TypeError from SeedSequence; True ran as seed 1
+@pytest.mark.parametrize("seed, message", [
+    (-1, "seed must be >= 0, got -1"),
+    (1.5, "seed must be an integer, got 1.5"),
+    (True, "seed must be an integer, got True"),
+], ids=["negative", "float", "bool"])
+def test_run_properties_rejects_a_bad_seed_before_any_check(monkeypatch, seed, message):
+    monkeypatch.setitem(verification._CHECKS, "affine", lambda *args: pytest.fail("a check ran"))
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        run_properties(["affine"], seed)
 
 
 # Python's max(0.0, nan) is 0.0: both checks passed with max_dev=0.000000e+00
