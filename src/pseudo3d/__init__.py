@@ -17,7 +17,6 @@ from .camera import (
     project,
 )
 from .cloud import (
-    ContinuityStats,
     cloud_from_depth,
     local_continuity,
     synth_random,
@@ -53,7 +52,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Action",
     "CameraIntrinsics",
-    "ContinuityStats",
     "DepthKind",
     "EncoderGradients",
     "EncoderParams",

@@ -82,7 +82,7 @@ def cmd_gen_cloud(args: argparse.Namespace) -> int:
         points = cloud_from_depth(d_r, intrinsics)
         del d_r
         stage = "continuity"
-        stats = local_continuity(points)
+        mean_step, max_step = local_continuity(points)
         stage = "export"
         export_ply(args.out, points)
     except Pseudo3dError as exc:
@@ -96,8 +96,8 @@ def cmd_gen_cloud(args: argparse.Namespace) -> int:
         "points": h * w,
         "dr_min": dr_min,
         "dr_max": dr_max,
-        "mean_step": stats.mean_step,
-        "max_step": stats.max_step,
+        "mean_step": mean_step,
+        "max_step": max_step,
         "out": args.out,
     }
     if args.json:

@@ -10,12 +10,11 @@ consumes, as a read-only view that copies nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .camera import CameraIntrinsics, backproject
-from .errors import InvalidInputError, check_count, check_finite, float_array
+from .errors import InvalidInputError, check_count, check_finite, check_real, float_array
 
 
 def cloud_from_depth(depth: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
@@ -44,22 +43,14 @@ def to_coordinate_map(points: np.ndarray) -> np.ndarray:
 _BAND_BYTES = 1 << 20
 
 
-@dataclass(frozen=True)
-class ContinuityStats:
-    """Euclidean step lengths between 4-adjacent grid points."""
-
-    mean_step: float
-    max_step: float
-    n_pairs: int
-
-
-def local_continuity(points: np.ndarray) -> ContinuityStats:
+def local_continuity(points: np.ndarray) -> tuple[float, float]:
     """Measure how smoothly the cloud varies across the pixel grid.
 
     Considers every horizontally and vertically adjacent pair of grid
-    points and reports the mean and maximum Euclidean distance.  A cloud
-    from a smooth depth map yields small steps; shift-distorted naive
-    reciprocals blow the ratio between near and far steps apart.
+    points and returns ``(mean_step, max_step)``, the mean and maximum
+    Euclidean distance, as Python floats.  A cloud from a smooth depth map
+    yields small steps; shift-distorted naive reciprocals blow the ratio
+    between near and far steps apart.
 
     Memory: one float64 step buffer, horizontal steps then vertical ones,
     filled in bands of grid rows with one ``_BAND_BYTES`` diff at a time;
@@ -91,11 +82,7 @@ def local_continuity(points: np.ndarray) -> ContinuityStats:
                 squared += d[..., 2]
                 del d  # freed before the next diff is built
     np.sqrt(steps, out=steps)
-    return ContinuityStats(
-        mean_step=float(steps.mean()),
-        max_step=float(steps.max()),
-        n_pairs=int(steps.size),
-    )
+    return float(steps.mean()), float(steps.max())
 
 
 def synth_wedge(height: int, width: int, z_near: float, z_far: float) -> np.ndarray:
@@ -108,6 +95,8 @@ def synth_wedge(height: int, width: int, z_near: float, z_far: float) -> np.ndar
     check_count("width", width)
     if width < 2:
         raise InvalidInputError(f"wedge needs width >= 2, got {height}x{width}")
+    check_real("z_near", z_near)
+    check_real("z_far", z_far)
     if not z_near > 0.0:
         raise InvalidInputError(f"z_near must be positive, got {z_near}")
     if not z_near < z_far:

@@ -23,7 +23,7 @@ import enum
 
 import numpy as np
 
-from .errors import InvalidInputError, check_finite, float_array
+from .errors import InvalidInputError, check_finite, check_real, float_array
 
 
 class DepthKind(enum.Enum):
@@ -73,6 +73,8 @@ def disparity_from_metric(metric: np.ndarray, scale: float, shift: float) -> np.
     A prediction beyond float64 raises :class:`NonFiniteInputError`.
     """
     z = _grid(metric)
+    check_real("scale", scale)
+    check_real("shift", shift)
     if scale == 0.0:
         raise InvalidInputError("disparity scale must be nonzero")
     if np.any(z <= 0.0):

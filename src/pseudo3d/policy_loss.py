@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (FileError, InvalidInputError, NonFiniteInputError, bad_row,
-                     check_finite, data_line, float_array, number_rows, reading)
+                     check_finite, check_real, data_line, float_array, number_rows, reading)
 
 BCE_EPS = 1e-7
 _UNIT_TOL = 1e-6
@@ -37,6 +37,7 @@ def Action(xyz, quat, open_prob: float) -> np.ndarray:  # noqa: N802 (the name c
     xyz, quat = float_array("xyz", xyz, (3,)), float_array("quat", quat, (4,))
     check_finite("xyz", xyz)
     check_finite("quat", quat)
+    check_real("open_prob", open_prob)
     if not math.isfinite(open_prob):  # not check_finite: numpy costs 1 us a scalar
         raise NonFiniteInputError("open_prob contains NaN or infinite values")
     return np.concatenate([xyz, quat, [open_prob]])

@@ -98,19 +98,24 @@ class TestCoordinateMap:
 class TestContinuity:
     def test_plane_steps_are_depth_over_focal(self):
         points, intr = plane_cloud(h=4, w=5, z=3.0)
-        stats = local_continuity(points)
+        mean_step, max_step = local_continuity(points)
         step_h = 3.0 / intr.fx   # horizontal neighbors differ only in X
         step_v = 3.0 / intr.fy   # vertical neighbors differ only in Y
         n_h = 4 * (5 - 1)
         n_v = (4 - 1) * 5
-        assert stats.n_pairs == n_h + n_v
-        assert_allclose(stats.max_step, max(step_h, step_v), rtol=1e-12)
+        assert_allclose(max_step, max(step_h, step_v), rtol=1e-12)
         expected_mean = (n_h * step_h + n_v * step_v) / (n_h + n_v)
-        assert_allclose(stats.mean_step, expected_mean, rtol=1e-12)
+        assert_allclose(mean_step, expected_mean, rtol=1e-12)
+
+    def test_returns_two_python_floats(self):
+        result = local_continuity(plane_cloud()[0])
+        assert type(result) is tuple and [type(v) for v in result] == [float, float]
 
     def test_single_row_uses_horizontal_pairs_only(self):
-        points, _ = plane_cloud(h=1, w=6)
-        assert local_continuity(points).n_pairs == 5
+        # one row has no vertical pair: a step taken for one would pull the
+        # mean off the one horizontal step size, 3 / fx
+        points, intr = plane_cloud(h=1, w=6)
+        assert local_continuity(points) == (3.0 / intr.fx, 3.0 / intr.fx)
 
     def test_single_point_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -120,8 +125,7 @@ class TestContinuity:
     def test_bit_identical_to_norm_oracle(self, shape):
         rng = np.random.default_rng(shape[0] * 1000 + shape[1])
         points = rng.uniform(-5.0, 5.0, (*shape, 3)) * rng.uniform(0.1, 10.0, shape)[..., None]
-        stats = local_continuity(points)
-        assert (stats.mean_step, stats.max_step, stats.n_pairs) == _continuity_oracle(points)
+        assert local_continuity(points) == _continuity_oracle(points)
 
     @pytest.mark.parametrize("band_rows", [1, 2, 5])
     @pytest.mark.parametrize("shape", [(2, 2), (7, 5), (33, 47)], ids=["2x2", "7x5", "33x47"])
@@ -131,25 +135,21 @@ class TestContinuity:
         monkeypatch.setattr(cloud, "_BAND_BYTES", band_rows * shape[1] * 3 * 8)
         rng = np.random.default_rng(shape[0] * 1000 + shape[1])
         points = rng.uniform(-5.0, 5.0, (*shape, 3)) * rng.uniform(0.1, 10.0, shape)[..., None]
-        stats = local_continuity(points)
-        assert (stats.mean_step, stats.max_step, stats.n_pairs) == _continuity_oracle(points)
+        assert local_continuity(points) == _continuity_oracle(points)
 
     def test_each_step_is_bit_identical_to_norm(self):
         # a two-point cloud's mean and max are its one step, so a step that
         # moves by an ulp (einsum's x² + z² + y² order does, for about 1 in 9) shows
         rng = np.random.default_rng(8)
         for pair in rng.standard_normal((500, 1, 2, 3)) * rng.uniform(1e-3, 1e3, (500, 1, 1, 1)):
-            stats = local_continuity(pair)
-            assert (stats.mean_step, stats.max_step, stats.n_pairs) == _continuity_oracle(pair)
+            assert local_continuity(pair) == _continuity_oracle(pair)
 
     @pytest.mark.parametrize("x", [(1e308, -1e308), (1e200, -1e200)],
                              ids=["difference-overflows", "square-overflows"])
     def test_overflowing_step_is_inf_without_warning(self, x):
         points = np.zeros((2, 3, 3))
         points[0, :2, 0] = x
-        stats = local_continuity(points)
-        assert stats.max_step == np.inf
-        assert stats.mean_step == np.inf
+        assert local_continuity(points) == (np.inf, np.inf)
 
     def test_memory_is_one_diff_plus_steps(self):
         # the 613,280 float64 steps (4.9 MB) plus one band's 1 MiB diff: 6.1 MB
@@ -170,7 +170,7 @@ def _continuity_oracle(points):
     """The step lengths as first written: a norm per diff array, concatenated."""
     diffs = [points[:, 1:, :] - points[:, :-1, :], points[1:, :, :] - points[:-1, :, :]]
     steps = np.concatenate([np.linalg.norm(d, axis=2).ravel() for d in diffs])
-    return float(steps.mean()), float(steps.max()), int(steps.size)
+    return float(steps.mean()), float(steps.max())
 
 
 class TestSyntheticScenes:
@@ -211,6 +211,19 @@ class TestSyntheticScenes:
     def test_wedge_far_depth_must_be_finite(self):
         with pytest.raises(InvalidInputError, match="^z_far must be finite, got inf$"):
             synth_wedge(2, 3, 1.0, np.inf)
+
+    # "1" and None raised bare TypeErrors from the comparisons; True built a wedge from 1.0
+    @pytest.mark.parametrize("name", ["z_near", "z_far"])
+    @pytest.mark.parametrize("value", ["1", None, True], ids=["str", "none", "bool"])
+    def test_wedge_depths_must_be_real_numbers(self, name, value):
+        depths = {"z_near": 1.0, "z_far": 2.0, name: value}
+        with pytest.raises(InvalidInputError,
+                           match=f"^{re.escape(f'{name} must be a real number, got {value!r}')}$"):
+            synth_wedge(4, 4, **depths)
+
+    def test_numpy_wedge_depths_are_accepted(self):
+        assert_array_equal(synth_wedge(2, 5, np.float32(1.0), np.int64(9)),
+                           synth_wedge(2, 5, 1.0, 9.0))
 
     # raised a bare AttributeError: 'NoneType' object has no attribute 'uniform'
     def test_random_scene_needs_a_generator(self):

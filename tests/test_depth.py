@@ -182,6 +182,20 @@ class TestDisparityFromMetric:
         with pytest.raises(NonFiniteInputError, match="^depth grid contains NaN or infinite values$"):
             disparity_from_metric(relative([[1e-300, 2.0]]), 1e10, 0.0)
 
+    # "1" leaked numpy's UFuncTypeError and None a bare TypeError; True ran as 1
+    @pytest.mark.parametrize("name", ["scale", "shift"])
+    @pytest.mark.parametrize("value", ["1", None, True], ids=["str", "none", "bool"])
+    def test_scale_and_shift_must_be_real_numbers(self, name, value):
+        args = {"scale": 1.0, "shift": 0.0, name: value}
+        with pytest.raises(InvalidInputError,
+                           match=f"^{re.escape(f'{name} must be a real number, got {value!r}')}$"):
+            disparity_from_metric(relative([[1.0, 2.0]]), **args)
+
+    def test_numpy_scale_and_shift_are_accepted(self):
+        metric = relative([[1.0, 2.0]])
+        assert_array_equal(disparity_from_metric(metric, np.float32(3.0), np.int64(-1)),
+                           disparity_from_metric(metric, 3.0, -1.0))
+
 
 class TestReciprocal:
     def test_inverse_values(self):

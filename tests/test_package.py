@@ -120,6 +120,29 @@ def test_no_module_calls_splitlines():
     assert found == []
 
 
+def test_files_are_opened_only_at_the_file_boundary():
+    """Only ``errors.reading`` and ``errors.write_output`` open files, with two
+    exceptions: ``depth_io.read_csv`` streams its file into ``np.loadtxt`` (a 480x640
+    frame read whole through ``reading`` and split raised its peak from 3.0 to
+    14.1 MiB), and ``cli.main`` opens ``os.devnull`` after a broken pipe.
+    A call counts when its callee's last dotted part is ``open`` (``open``,
+    ``os.open``, ``path.open``)."""
+    callers = set()
+
+    def visit(node: ast.AST, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where.partition('.')[0]}.{node.name}"
+        elif isinstance(node, ast.Call) and ast.unparse(node.func).rpartition(".")[2] == "open":
+            callers.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(_PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), f"{path.stem}.<module>")
+    assert callers == {"errors.reading", "errors.write_output", "depth_io.read_csv",
+                       "cli.main"}
+
+
 def test_no_collected_test_is_decorated_with_given():
     """Every ``@given`` function is nested inside a test, never collected itself.
 

@@ -60,6 +60,17 @@ class TestAction:
         with pytest.raises(NonFiniteInputError):
             action(open_prob=math.inf)
 
+    # None and "0.5" raised math's bare TypeError; True built a row with open = 1.0
+    @pytest.mark.parametrize("value", ["0.5", None, True], ids=["str", "none", "bool"])
+    def test_open_prob_must_be_a_real_number(self, value):
+        with pytest.raises(InvalidInputError,
+                           match=f"^{re.escape(f'open_prob must be a real number, got {value!r}')}$"):
+            action(open_prob=value)
+
+    def test_numpy_open_prob_is_accepted(self):
+        assert_array_equal(action(open_prob=np.float64(0.5)), action(open_prob=0.5))
+        assert_array_equal(action(open_prob=np.float32(1.0)), action(open_prob=1.0))
+
     def test_is_one_row_of_eight(self):
         row = action(xyz=(0.1, 0.2, 0.3), open_prob=0.0)
         assert row.shape == (8,) and row.dtype == np.float64
