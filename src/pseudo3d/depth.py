@@ -20,10 +20,11 @@ the grid it returns.
 from __future__ import annotations
 
 import enum
+import math
 
 import numpy as np
 
-from .errors import InvalidInputError, check_finite, check_real, float_array
+from .errors import InvalidInputError, NonFiniteInputError, check_finite, check_real, float_array
 
 
 class DepthKind(enum.Enum):
@@ -70,11 +71,14 @@ def disparity_from_metric(metric: np.ndarray, scale: float, shift: float) -> np.
     Models the estimator output as ``scale * (1 / z) + shift`` where ``z``
     is true metric depth.  Metric depth must be strictly positive; scale
     must be nonzero (a zero scale would produce a constant, useless map).
-    A prediction beyond float64 raises :class:`NonFiniteInputError`.
+    A NaN or infinite scale or shift, or a prediction beyond float64, raises
+    :class:`NonFiniteInputError`.
     """
     z = _grid(metric)
-    check_real("scale", scale)
-    check_real("shift", shift)
+    for name, value in (("scale", scale), ("shift", shift)):
+        check_real(name, value)
+        if not math.isfinite(value):
+            raise NonFiniteInputError(f"{name} contains NaN or infinite values")
     if scale == 0.0:
         raise InvalidInputError("disparity scale must be nonzero")
     if np.any(z <= 0.0):

@@ -16,7 +16,8 @@ import numpy as np
 
 from .depth import DepthKind
 from .errors import (FileError, InvalidInputError, NonFiniteInputError, bad_row, check_finite,
-                     data_line, float_array, reading, to_float32, write_output)
+                     check_path, check_real, data_line, float_array, reading, to_float32,
+                     write_output)
 
 # magic, width, height, scale, then exactly one whitespace byte before raster
 _PFM_HEADER = re.compile(rb"^(P[fF])\s+(\d+)\s+(\d+)\s+([-+]?[0-9.eE+-]+)\s")
@@ -102,6 +103,7 @@ def write_pgm(path: str, samples: np.ndarray, maxval: int) -> None:
     arr = float_array("PGM samples", samples, (None, None))
     if isinstance(maxval, (bool, np.bool_)):  # True would pass as maxval 1
         raise InvalidInputError(f"maxval must be an integer, got {maxval!r}")
+    check_real("maxval", maxval)
     if not (0 < maxval < 65536 and maxval == int(maxval)):  # the header writes an integer
         raise InvalidInputError(f"maxval must be an integer in [1, 65535], got {maxval}")
     if not (arr.min() >= 0 and arr.max() <= maxval):  # NaN fails too
@@ -119,6 +121,7 @@ def read_csv(path: str) -> np.ndarray:
     A malformed file is read again to name its first bad row, as
     :func:`~pseudo3d.policy_loss.read_actions_csv` does, with the first row's width.
     """
+    check_path(path)
     try:
         with open(path, encoding="utf-8-sig") as fh, warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # no data: the error below says so

@@ -5,7 +5,9 @@ There are four exception classes, all under :class:`Pseudo3dError`:
 * :class:`InvalidInputError` (a value outside its domain, or an array of the
   wrong shape) and :class:`NonFiniteInputError` are also ``ValueError`` subclasses;
 * :class:`FileError`, for every file the package reads or writes, is not;
-  read through :func:`reading`, its message starts with the path.
+  read through :func:`reading`, its message starts with the path.  A path
+  that is not a str, bytes or os.PathLike is an :class:`InvalidInputError`
+  (:func:`check_path`), never a file descriptor.
 
 Every array argument goes through :func:`float_array`, which checks its shape
 and copies nothing that is already float64; a caller that needs finite values
@@ -15,6 +17,7 @@ the required shape made by :func:`frozen_array`.
 """
 
 import numbers
+import os
 import warnings
 from contextlib import contextmanager
 
@@ -46,6 +49,7 @@ def reading(path: str, text: bool = False):
     A failed read, and any :class:`FileError` raised in the block, becomes a
     :class:`FileError` whose message starts with the path.  Other exceptions pass through.
     """
+    check_path(path)
     try:
         with open(path, "r" if text else "rb", encoding="utf-8-sig" if text else None) as fh:
             data = fh.read()
@@ -55,6 +59,13 @@ def reading(path: str, text: bool = False):
         yield data
     except FileError as exc:
         raise FileError(f"{path}: {exc}") from exc
+
+
+def check_path(path) -> None:
+    """Raise :class:`InvalidInputError` unless ``path`` is a str, bytes or
+    os.PathLike: ``open`` would take an integer or bool as a file descriptor."""
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise InvalidInputError(f"path must be a str, bytes or os.PathLike, got {path!r}")
 
 
 def data_line(line: str) -> bool:
@@ -88,6 +99,7 @@ def bad_row(lines: list[str], width: int, start: int = 1, finite: bool = False) 
 
 def write_output(path: str, *chunks) -> None:
     """Write ``chunks`` to ``path`` in order; a failure raises :class:`FileError` naming it."""
+    check_path(path)
     try:
         with open(path, "wb") as fh:
             fh.writelines(chunks)

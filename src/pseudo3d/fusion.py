@@ -16,13 +16,14 @@ one of the same shape, by the strategy its parameters were built for:
   their queries, so only the N 2-D positions are queries; keys and values
   are all 2N positions.
 
-Attention is scaled dot-product, implemented directly in numpy.  It is
-key-blocked with an online softmax: one head at a time, queries go in
-blocks of ``_BLOCK_Q`` rows, each meets the keys ``_BLOCK_K`` at a time,
-and a running row max and row sum rescale what has been accumulated so
-far.  The largest temporary is one head's ``(_BLOCK_Q, _BLOCK_K)`` score
-block, allocated once per call and reused for every block, so memory does
-not grow with N^2.
+Attention is scaled dot-product, implemented directly in numpy.  A head is
+a column slice of the (N, C) q, k and v projections, written into its slice
+of one (N, C) output.  Attention is key-blocked with an online softmax: one
+head at a time, queries go in blocks of ``_BLOCK_Q`` rows, each meets the
+keys ``_BLOCK_K`` at a time, and a running row max and row sum rescale what
+has been accumulated so far.  The largest temporary is one head's
+``(_BLOCK_Q, _BLOCK_K)`` score block, allocated once per call and reused for
+every block, so memory does not grow with N^2.
 """
 
 from __future__ import annotations
@@ -143,48 +144,36 @@ def _layer_norm(x: np.ndarray) -> np.ndarray:
     return (x - mean) / np.sqrt(var + LN_EPS)
 
 
-def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
-    n, c = x.shape
-    dk = c // heads
-    return x.reshape(n, heads, dk).transpose(1, 0, 2)  # (heads, N, dk)
-
-
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    heads, n, dk = x.shape
-    return x.transpose(1, 0, 2).reshape(n, heads * dk)
-
-
 def _attention(queries: np.ndarray, keys_values: np.ndarray, params: FusionParams) -> np.ndarray:
     """Scaled dot-product attention of (N, C) ``queries`` over (M, C) ``keys_values``.
 
     Only :func:`fuse` calls it, with checked inputs and M = N or 2N.  Head
-    j works on channel slice [j*dk, (j+1)*dk) of the projected tensors;
-    scores are scaled by 1/sqrt(dk).  Heads run outermost, then
-    query blocks, then key blocks; every block's scores are written into
-    one ``(_BLOCK_Q, _BLOCK_K)`` buffer (a corner of it for a ragged block)
-    and softmaxed there in place (Rabe & Staats 2021; Dao et al. 2022).
+    j is the column slice [j*dk, (j+1)*dk) of the q, k and v projections,
+    written into its slice of one (N, C) output; scores are scaled by
+    1/sqrt(dk).  Heads run outermost, then query blocks, then key blocks;
+    every block's scores are written into one ``(_BLOCK_Q, _BLOCK_K)``
+    buffer (a corner of it for a ragged block) and softmaxed there in place
+    (Rabe & Staats 2021; Dao et al. 2022).
     The softmax over keys is computed online (Milakov & Gimelshein 2018):
     for each block of keys the running max ``m`` rises to ``m_new``, the
     running sum ``l`` and the accumulated output ``acc`` are rescaled by
     exp(m - m_new), and the block's exp(s - m_new) is added to both.
     """
-    q = _split_heads(queries @ params.wq.T, params.heads)
-    k = _split_heads(keys_values @ params.wk.T, params.heads)
-    v = _split_heads(keys_values @ params.wv.T, params.heads)
-    heads, nq, dk = q.shape
-    nk = k.shape[1]
-    q = q * (1.0 / np.sqrt(dk))
-    kt = k.transpose(0, 2, 1)
-    out = np.empty((heads, nq, dk))
+    nq, c = queries.shape
+    nk, dk = keys_values.shape[0], c // params.heads
+    q = (queries @ params.wq.T) * (1.0 / np.sqrt(dk))
+    kt = (keys_values @ params.wk.T).T
+    v = keys_values @ params.wv.T
+    out = np.empty((nq, c))
     scores = np.empty((min(nq, _BLOCK_Q), min(nk, _BLOCK_K)))
-    for h in range(heads):
+    for h in range(0, c, dk):  # head h // dk: columns [h, h + dk)
         for i in range(0, nq, _BLOCK_Q):
-            qb = q[h, i:i + _BLOCK_Q]
+            qb = q[i:i + _BLOCK_Q, h:h + dk]
             m = np.full((qb.shape[0], 1), -np.inf)
             l = np.zeros_like(m)
             acc = np.zeros(qb.shape)
             for j in range(0, nk, _BLOCK_K):
-                ktb = kt[h, :, j:j + _BLOCK_K]
+                ktb = kt[h:h + dk, j:j + _BLOCK_K]
                 s = np.matmul(qb, ktb, out=scores[:qb.shape[0], :ktb.shape[1]])
                 m_new = np.maximum(m, s.max(axis=-1, keepdims=True))
                 rescale = np.exp(m - m_new)
@@ -193,10 +182,10 @@ def _attention(queries: np.ndarray, keys_values: np.ndarray, params: FusionParam
                 s -= m_new
                 np.exp(s, out=s)
                 l += s.sum(axis=-1, keepdims=True)
-                acc += s @ v[h, j:j + _BLOCK_K]
+                acc += s @ v[j:j + _BLOCK_K, h:h + dk]
                 m = m_new
-            np.divide(acc, l, out=out[h, i:i + _BLOCK_Q])
-    return _merge_heads(out) @ params.wo.T
+            np.divide(acc, l, out=out[i:i + _BLOCK_Q, h:h + dk])
+    return out @ params.wo.T
 
 
 def fuse(f2d: np.ndarray, f3d: np.ndarray, params: FusionParams) -> np.ndarray:
@@ -216,6 +205,7 @@ def fuse(f2d: np.ndarray, f3d: np.ndarray, params: FusionParams) -> np.ndarray:
     check_finite("f2d", a)
     check_finite("f3d", b)
     n = h * w
+    a, b = a.reshape(n, c), b.reshape(n, c)
     with np.errstate(over="ignore", invalid="ignore"):
         if params.strategy is Strategy.ADD:
             out = a + b
@@ -224,16 +214,14 @@ def fuse(f2d: np.ndarray, f3d: np.ndarray, params: FusionParams) -> np.ndarray:
             out, cat = np.empty((n, c)), np.empty((min(n, rows), 2 * c))
             for i in range(0, n, rows):
                 band = cat[:min(rows, n - i)]
-                np.concatenate([m.reshape(n, c)[i:i + rows] for m in (a, b)], axis=1, out=band)
+                np.concatenate([a[i:i + rows], b[i:i + rows]], axis=1, out=band)
                 np.matmul(band, params.proj_weight.T, out=out[i:i + rows])
             out += params.proj_bias
         elif params.strategy is Strategy.CROSS_ATTENTION:
-            q_seq = a.reshape(n, c)
-            out = q_seq + _attention(q_seq, b.reshape(n, c), params)
+            out = a + _attention(a, b, params)
         else:
-            x = np.concatenate([a.reshape(n, c), b.reshape(n, c)], axis=0)
-            normed = _layer_norm(x)
-            x = x[:n] + _attention(normed[:n], normed, params)
+            normed = _layer_norm(np.concatenate([a, b], axis=0))
+            x = a + _attention(normed[:n], normed, params)
             hidden = np.maximum(_layer_norm(x) @ params.w_ff1.T + params.b_ff1, 0.0)
             out = x + (hidden @ params.w_ff2.T + params.b_ff2)
     check_no_overflow("fuse", out)

@@ -191,6 +191,16 @@ class TestDisparityFromMetric:
                            match=f"^{re.escape(f'{name} must be a real number, got {value!r}')}$"):
             disparity_from_metric(relative([[1.0, 2.0]]), **args)
 
+    # each blamed the depth grid: "depth grid contains NaN or infinite values"
+    @pytest.mark.parametrize("name, value", [("scale", np.nan), ("scale", np.inf),
+                                             ("shift", np.nan), ("shift", -np.inf)],
+                             ids=["nan-scale", "inf-scale", "nan-shift", "neg-inf-shift"])
+    def test_non_finite_scale_or_shift_is_named(self, name, value):
+        args = {"scale": 1.0, "shift": 0.0, name: value}
+        with pytest.raises(NonFiniteInputError,
+                           match=f"^{name} contains NaN or infinite values$"):
+            disparity_from_metric(relative([[1.0, 2.0]]), **args)
+
     def test_numpy_scale_and_shift_are_accepted(self):
         metric = relative([[1.0, 2.0]])
         assert_array_equal(disparity_from_metric(metric, np.float32(3.0), np.int64(-1)),

@@ -1,5 +1,10 @@
+import contextlib
+import json
+import os
 import re
 import struct
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
@@ -20,7 +25,9 @@ from pseudo3d.depth_io import (
     write_pgm,
 )
 from pseudo3d.camera import load_intrinsics
+from pseudo3d.encoder import init_params, load_params, save_params
 from pseudo3d.errors import FileError, InvalidInputError
+from pseudo3d.ply import export_ply, read_ply
 from pseudo3d.policy_loss import read_actions_csv
 
 
@@ -195,6 +202,15 @@ class TestPgm:
         path = tmp_path / "x.pgm"
         with pytest.raises(InvalidInputError, match=re.escape(f"got {maxval}")):
             write_pgm(str(path), np.array([[0.0, 0.0]]), maxval=maxval)
+        assert not path.exists()
+
+    # both leaked a bare TypeError from 0 < maxval
+    @pytest.mark.parametrize("maxval", ["255", None], ids=["str", "none"])
+    def test_writer_rejects_a_maxval_that_is_not_a_number(self, tmp_path, maxval):
+        path = tmp_path / "x.pgm"
+        with pytest.raises(InvalidInputError,
+                           match=re.escape(f"maxval must be a real number, got {maxval!r}")):
+            write_pgm(str(path), np.array([[0.0, 1.0]]), maxval=maxval)
         assert not path.exists()
 
     @pytest.mark.parametrize("maxval", [True, np.True_])
@@ -383,3 +399,91 @@ class TestLoadDepthMap:
         with pytest.raises(FileError, match=re.escape(
                 f"{path}: depth grid contains NaN or infinite values")):
             load_depth_map(str(path), fmt, DepthKind.PREDICTED_RELATIVE)
+
+
+# every function that takes a file path: (reads the file, call(path))
+_PATH_CALLS = {
+    "read_pfm": (True, read_pfm),
+    "read_pgm": (True, read_pgm),
+    "read_csv": (True, read_csv),
+    "load_depth_map": (True, lambda p: load_depth_map(p, "csv", DepthKind.PREDICTED_RELATIVE)),
+    "load_intrinsics": (True, load_intrinsics),
+    "load_params": (True, load_params),
+    "read_actions_csv": (True, read_actions_csv),
+    "read_ply": (True, read_ply),
+    "write_pfm": (False, lambda p: write_pfm(p, np.ones((2, 2)))),
+    "write_pgm": (False, lambda p: write_pgm(p, np.ones((2, 2)), 255)),
+    "write_csv": (False, lambda p: write_csv(p, np.ones((2, 2)))),
+    "save_params": (False, lambda p: save_params(p, init_params(4, seed=0))),
+    "export_ply": (False, lambda p: export_ply(p, np.ones((2, 2, 3)))),
+}
+
+
+def _path_message(value) -> str:
+    return f"^{re.escape(f'path must be a str, bytes or os.PathLike, got {value!r}')}$"
+
+
+class TestPathType:
+    """``open`` takes an integer or a bool as a file descriptor: each of these
+    read or wrote a pipe given its descriptor, then closed it."""
+
+    @pytest.mark.parametrize("entry", _PATH_CALLS)
+    def test_a_file_descriptor_is_not_a_path(self, entry):
+        reads, call = _PATH_CALLS[entry]
+        read_end, write_end = os.pipe()
+        fd = read_end if reads else write_end
+        try:
+            if reads:  # at end of file, so a reader that takes the fd cannot block
+                os.close(write_end)
+            with pytest.raises(InvalidInputError, match=_path_message(fd)):
+                call(fd)
+            os.fstat(fd)  # still open
+        finally:
+            for end in (read_end, write_end):
+                with contextlib.suppress(OSError):
+                    os.close(end)
+
+    # a bare TypeError leaked from open
+    @pytest.mark.parametrize("value", [None, 1.5], ids=["none", "float"])
+    @pytest.mark.parametrize("entry", _PATH_CALLS)
+    def test_a_path_must_be_a_str_bytes_or_pathlike(self, entry, value):
+        with pytest.raises(InvalidInputError, match=_path_message(value)):
+            _PATH_CALLS[entry][1](value)
+
+    # each of the three open calls of the file boundary: write_output, reading, read_csv
+    @pytest.mark.parametrize("as_path", [os.fsencode, lambda p: p], ids=["bytes", "pathlike"])
+    def test_bytes_and_pathlike_paths_are_accepted(self, tmp_path, as_path):
+        grid = np.array([[1.0, 2.0], [3.0, 4.0]])
+        write_pfm(as_path(tmp_path / "d.pfm"), grid)
+        write_csv(as_path(tmp_path / "d.csv"), grid)
+        assert_array_equal(read_pfm(as_path(tmp_path / "d.pfm")), grid)
+        assert_array_equal(read_csv(as_path(tmp_path / "d.csv")), grid)
+
+    def test_a_bool_is_not_a_file_descriptor(self):
+        """True and False are descriptors 1 and 0: ``load_intrinsics(False)``
+        read stdin and closed it, ``read_actions_csv(True)`` closed stdout.
+        A child process makes every call, so no descriptor of this run is at stake."""
+        child = f"""
+import importlib.util, json, os
+spec = importlib.util.spec_from_file_location("calls", {__file__!r})
+calls = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(calls)
+seen = {{}}
+for entry, (_, call) in calls._PATH_CALLS.items():
+    for value in (True, False):
+        try:
+            call(value)
+            seen[f"{{entry}}-{{value}}"] = "returned"
+        except Exception as exc:
+            seen[f"{{entry}}-{{value}}"] = f"{{type(exc).__name__}}: {{exc}}"
+        for fd in (0, 1, 2):
+            os.fstat(fd)
+print(json.dumps(seen))
+"""
+        proc = subprocess.run([sys.executable, "-c", child], input="", capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout)
+        assert seen == {f"{entry}-{value}": "InvalidInputError: path must be a str, bytes or "
+                        f"os.PathLike, got {value}"
+                        for entry in _PATH_CALLS for value in (True, False)}

@@ -408,6 +408,19 @@ class TestDispatchAndShapes:
         assert_array_equal(fuse(a, b, params),
                            fuse(a, b, init_fusion_params(Strategy.CROSS_ATTENTION, 4, 0, heads=2)))
 
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+    def test_strided_maps_give_the_bytes_of_their_contiguous_copies(self, strategy, monkeypatch):
+        # several concat bands and attention blocks, so each band and block slices the views
+        monkeypatch.setattr(fusion, "_BAND_BYTES", 16 * 8 * 5)
+        monkeypatch.setattr(fusion, "_BLOCK_Q", 8)
+        monkeypatch.setattr(fusion, "_BLOCK_K", 16)
+        rng = np.random.default_rng(35)
+        a = rng.standard_normal((18, 21, 16))[::2, 1::3, ::2]            # (9, 7, 8)
+        b = rng.standard_normal((8, 7, 9)).transpose(2, 1, 0)            # (9, 7, 8)
+        assert not (a.flags.c_contiguous or b.flags.c_contiguous)
+        params = init_fusion_params(strategy, 8, seed=36, heads=2)
+        assert fuse(a, b, params).tobytes() == fuse(a.copy(), b.copy(), params).tobytes()
+
     def test_init_deterministic(self):
         p1 = init_fusion_params(Strategy.SELF_ATTENTION, 8, seed=1234, heads=4)
         p2 = init_fusion_params(Strategy.SELF_ATTENTION, 8, seed=1234, heads=4)
